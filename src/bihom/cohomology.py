@@ -6,10 +6,12 @@ skew-symmetric in its first n-1 arguments and intertwines the twists:
 
     phi . f = f . alpha^(x n)      and      psi . f = f . beta^(x n).
 
-It is stored as the full value tensor ``t[i_1]...[i_n][k]`` on basis tuples,
-with skewness kept as an invariant rather than packing a triangular layout;
-the coboundary formula permutes arguments freely and clarity wins at these
-dimensions.  The degree-n coboundary is the four-sum operator
+A :class:`Cochain` stores the full value tensor ``t[i_1]...[i_n][k]``.
+The computations work on the free coordinates S^n instead: the values on
+canonical tuples (strictly increasing first n-1 indices), one per carrier
+index.  Two sparse maps act on them: the equivariance system ``E_n``,
+whose kernel basis ``K_n`` spans C^n, and the four-sum coboundary
+``D_n: S^n -> S^(n+1)``
 
   (d f)(x_1, ..., x_{n+1}) =
       sum_{i<=n} (-1)^(i+1) L(alpha^(n-1) beta^(n-1) x_i)
@@ -22,51 +24,44 @@ dimensions.  The degree-n coboundary is the four-sum operator
                  f([beta x_i, alpha x_j]_C, ab x_1, ..^i..^j.., ab x_n,
                    beta x_{n+1})
 
-where ``ab = alpha beta``, ``..^i..`` omits the i-th argument and
-``[.,.]_C`` is the sub-adjacent bracket.  The operator maps C^n into C^(n+1)
-and composes to zero; both facts are asserted on every evaluation, and an
-assertion failure signals an implementation defect, never a data condition.
+with ``ab = alpha beta``, ``..^i..`` omitting the i-th argument and
+``[.,.]_C`` the sub-adjacent bracket.  Then ``dim Z^n = dim C^n -
+rank(D_n K_n)`` and ``dim B^(n+1) = rank(D_n K_n)``.  Degrees start at
+n = 1, so B^1 = {0} and H^1 equals the 1-cocycles.
 
-Degrees start at n = 1 (the complex has no degree-0 term), so the space of
-1-coboundaries is {0} and H^1 equals the 1-cocycles.
+Every evaluation of D_n on cochains K (:func:`coboundary`,
+:func:`is_cocycle`, :func:`coboundary_matrix`, :func:`coboundary_preimage`,
+:func:`cohomology_table`) asserts ``E_n K = 0`` (the inputs are cochains),
+that the images are skew on every (n+1)-tuple, and ``E_(n+1) D_n K = 0``
+(the images are equivariant).  :func:`cohomology_table` also asserts
+``d o d = 0`` as ``D_(n+1) D_n K_n = 0`` on canonical rows for each degree
+it computes; :func:`coboundary` does not, as it also evaluates the formula
+for coefficients that form no representation.  A failure raises
+RuntimeError: for a representation of a BiHom-pre-Lie algebra it means the
+implementation, not the data, is wrong.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (
-    Matrix,
-    basis_vector,
-    kernel_basis,
-    nonzero_items,
-    rank,
-    rational_from_json,
-    rational_to_json,
-    try_solve,
-    vec_is_zero,
-    zero_vector,
-)
+from .linalg import (Matrix, basis_vector, kernel_basis, nonzero_items, rank,
+                     rational_from_json, rational_to_json, try_solve,
+                     vec_is_zero, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
-    "Cochain",
-    "CochainSpace",
-    "CohomologyReport",
-    "cochain_space",
-    "coboundary",
-    "coboundary_matrix",
-    "cohomology_dims",
-    "cohomology_table",
-    "is_cocycle",
-    "is_coboundary",
-    "coboundary_preimage",
-    "cochain_from_linear_map",
-    "cochain_from_bilinear",
+    "Cochain", "CochainSpace", "CohomologyReport", "cochain_space",
+    "coboundary", "coboundary_matrix", "cohomology_dims", "cohomology_table",
+    "is_cocycle", "is_coboundary", "coboundary_preimage",
+    "cochain_from_linear_map", "cochain_from_bilinear",
 ]
 
 
@@ -126,52 +121,16 @@ class Cochain:
         if len(args) != self.degree:
             raise ValueError("argument count must equal the degree")
         acc = list(zero_vector(self.vdim))
-
-        def rec(depth: int, coeff: Fraction, node) -> None:
-            if depth == self.degree:
-                for k, val in enumerate(node):
-                    if val:
-                        acc[k] += coeff * val
-                return
-            for i, c in nonzero_items(args[depth]):
-                rec(depth + 1, coeff * c, node[i])
-
-        rec(0, Fraction(1), self.tensor)
+        for pairs in itertools.product(*(nonzero_items(v) for v in args)):
+            coeff = prod(c for _, c in pairs)
+            for k, val in enumerate(self.at(tuple(i for i, _ in pairs))):
+                acc[k] += coeff * val
         return tuple(acc)
 
     @property
     def is_zero(self) -> bool:
         return all(vec_is_zero(self.at(idx)) for idx in
                    itertools.product(range(self.adim), repeat=self.degree))
-
-    def flatten(self) -> tuple[Fraction, ...]:
-        """Row-major flattening over (basis tuple, carrier index)."""
-        out: list[Fraction] = []
-        for idx in itertools.product(range(self.adim), repeat=self.degree):
-            out.extend(self.at(idx))
-        return tuple(out)
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain.from_map(
-            self.degree, self.adim, self.vdim,
-            lambda idx: tuple(a + b for a, b in zip(self.at(idx), other.at(idx))))
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        return Cochain.from_map(
-            self.degree, self.adim, self.vdim,
-            lambda idx: tuple(a - b for a, b in zip(self.at(idx), other.at(idx))))
-
-    def scale(self, q: Fraction | int) -> "Cochain":
-        c = Fraction(q)
-        return Cochain.from_map(
-            self.degree, self.adim, self.vdim,
-            lambda idx: tuple(c * a for a in self.at(idx)))
-
-    def _compatible(self, other: "Cochain") -> None:
-        if (self.degree, self.adim, self.vdim) != (other.degree, other.adim, other.vdim):
-            raise ValueError("cochains have different shapes")
 
     def to_json(self) -> dict:
         def encode(node, depth: int):
@@ -207,296 +166,347 @@ def cochain_from_bilinear(p: BilinearProduct) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# invariant checks
+# free coordinates and sparse rows
 # ---------------------------------------------------------------------------
 
-def skew_violations(f: Cochain) -> list[tuple[int, ...]]:
-    """Basis tuples at which skewness in the first degree-1 slots fails.
+Row = dict[int, Fraction]  # free coordinate (or column) -> nonzero entry
 
-    Adjacent-transposition identities generate full skewness (including the
-    vanishing on repeated arguments, since the base field has
-    characteristic zero), so only adjacent swaps are tested.
-    """
-    bad = []
-    n = f.degree
-    for idx in itertools.product(range(f.adim), repeat=n):
-        for p in range(n - 2):
-            swapped = list(idx)
-            swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-            lhs = f.at(idx)
-            rhs = f.at(tuple(swapped))
-            if any(a + b != 0 for a, b in zip(lhs, rhs)):
-                bad.append(idx)
-                break
-    return bad
-
-
-def equivariance_violations(f: Cochain, a: BiHomPreLieAlgebra,
-                            r: PreLieRep) -> list[tuple[str, tuple[int, ...]]]:
-    """Failures of ``phi f = f alpha^n`` and ``psi f = f beta^n`` on basis
-    tuples, tagged with the twist name."""
-    bad = []
-    for name, outer, inner in (("phi", r.phi, a.alpha), ("psi", r.psi, a.beta)):
-        cols = [inner.col(i) for i in range(a.dim)]
-        for idx in itertools.product(range(f.adim), repeat=f.degree):
-            lhs = outer.apply(f.at(idx))
-            rhs = f.value([cols[i] for i in idx])
-            if lhs != rhs:
-                bad.append((name, idx))
-    return bad
-
-
-def _require_cochain(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> None:
-    if f.adim != a.dim or f.vdim != r.vdim:
-        raise ValueError("cochain shape does not match the algebra and "
-                         "representation")
-    if skew_violations(f):
-        raise ValueError("not a cochain: fails skew-symmetry in the leading "
-                         "arguments")
-    if equivariance_violations(f, a, r):
-        raise ValueError("not a cochain: fails twist equivariance")
-
-
-# ---------------------------------------------------------------------------
-# the cochain space as an exact kernel
-# ---------------------------------------------------------------------------
 
 def _resolve(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
-    """Express a full index tuple through the canonical (sorted-head) one.
-
-    Returns ``(sign, canonical)``; the sign is the parity of the sort and
-    ``canonical`` is None when the head has a repeated index (the skew value
-    is then zero).
-    """
-    head = list(idx[:-1])
+    """``(sign, canonical)`` with ``f(idx) = sign * f(canonical)`` for skew
+    f: the head sorted and the parity of the sort, or ``(0, None)`` when the
+    head repeats an index."""
+    head = idx[:-1]
     if len(set(head)) != len(head):
         return 0, None
-    sign = 1
-    for i in range(len(head)):
-        for j in range(i + 1, len(head)):
-            if head[i] > head[j]:
-                sign = -sign
-    return sign, tuple(sorted(head)) + (idx[-1],)
+    inversions = sum(x > y for i, x in enumerate(head) for y in head[i + 1:])
+    return (-1) ** inversions, tuple(sorted(head)) + idx[-1:]
 
 
-def _free_indices(adim: int, vdim: int, n: int) -> tuple[list, dict]:
-    """Free coordinates of a skew tensor: strictly increasing head, free
-    last algebra slot, free carrier slot."""
-    coords = []
-    for head in itertools.combinations(range(adim), n - 1):
-        for last in range(adim):
-            for k in range(vdim):
-                coords.append((head + (last,), k))
-    return coords, {c: pos for pos, c in enumerate(coords)}
+def _canonical(adim: int, n: int) -> list[tuple[int, ...]]:
+    """The canonical n-tuples; tuple i has free coordinates i*vdim + k."""
+    return [head + (last,) for head in itertools.combinations(range(adim), n - 1)
+            for last in range(adim)]
 
 
-@dataclass(frozen=True)
+def _coordinates(f: Cochain) -> tuple[Fraction, ...]:
+    return tuple(x for idx in _canonical(f.adim, f.degree) for x in f.at(idx))
+
+
+def _unpack(vec: Sequence[Fraction], n: int, adim: int, vdim: int) -> Cochain:
+    """The skew cochain with free coordinates ``vec``."""
+    index = {idx: i for i, idx in enumerate(_canonical(adim, n))}
+
+    def get(idx: tuple[int, ...]) -> tuple[Fraction, ...]:
+        sign, canon = _resolve(idx)
+        if canon is None:
+            return zero_vector(vdim)
+        base = index[canon] * vdim
+        return tuple(sign * vec[base + k] for k in range(vdim))
+
+    return Cochain.from_map(n, adim, vdim, get)
+
+
+def _wedge(vectors: Sequence[tuple[tuple[int, Fraction], ...]]
+           ) -> dict[tuple[int, ...], Fraction]:
+    """``f(v_1, ..., v_m, -)`` for f skew in its first m slots, as the
+    coefficients (minors) of ``f(e_J, -)`` over strictly increasing J."""
+    out: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for v in vectors:
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for J, w in out.items():
+            for j, c in v:
+                at = bisect_left(J, j)
+                if at < len(J) and J[at] == j:
+                    continue
+                # sorting j into slot `at` passes len(J) - at indices
+                term = w * c if (len(J) - at) % 2 == 0 else -w * c
+                K = J[:at] + (j,) + J[at:]
+                nxt[K] = nxt.get(K, 0) + term
+        out = _clean(nxt)
+    return out
+
+
+def _clean(row: dict) -> dict:
+    return {p: x for p, x in row.items() if x}
+
+
+def _product(rows: Sequence[Row], kt: Sequence[Row]) -> list[Row]:
+    """``rows @ K`` in row form, for K in row form (``kt[s][j] = K[s][j]``)."""
+    out = []
+    for row in rows:
+        acc: Row = {}
+        for s, c in row.items():
+            for j, x in kt[s].items():
+                acc[j] = acc.get(j, 0) + c * x
+        out.append(_clean(acc))
+    return out
+
+
+def _row_form(vectors: Sequence[Sequence[Fraction]], length: int) -> list[Row]:
+    """The matrix with columns ``vectors``, in row form."""
+    kt: list[Row] = [{} for _ in range(length)]
+    for j, v in enumerate(vectors):
+        for s, x in enumerate(v):
+            if x:
+                kt[s][j] = x
+    return kt
+
+
+def _dense(rows: Sequence[Row], cols: int) -> Matrix:
+    zero = Fraction(0)
+    return Matrix(len(rows), cols, tuple(
+        tuple(row.get(j, zero) for j in range(cols)) for row in rows))
+
+
+def _sparse_matrix(m: Matrix) -> list[tuple[int, int, Fraction]]:
+    return [(i, j, x) for i, row in enumerate(m.entries)
+            for j, x in enumerate(row) if x]
+
+
+class _Degree:
+    """The sparse rows of ``E_n`` and ``D_n`` over S^n, built from the twist
+    columns and the ``lmat``/``rmat``/``prod``/``bkt`` tables."""
+
+    def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
+        self.a, self.r, self.n, self.vdim = a, r, n, r.vdim
+        self.eye = [(k, k, Fraction(1)) for k in range(r.vdim)]
+        self.index = {idx: i for i, idx in enumerate(_canonical(a.dim, n))}
+        self.width = len(self.index) * r.vdim
+        self.cols = {name: [nonzero_items(m.col(i)) for i in range(a.dim)]
+                     for name, m in (("alpha", a.alpha), ("beta", a.beta),
+                                     ("ab", a.alpha @ a.beta),
+                                     ("an1", a.alpha.power(n - 1)),
+                                     ("e", Matrix.identity(a.dim)))}
+        self._wedges: dict = {}
+
+    def _heads(self, family: str, idx: tuple[int, ...],
+               bracket: tuple[int, int] | None = None) -> dict:
+        """The wedge of the ``family`` columns at ``idx``, preceded by
+        ``[beta e_p, alpha e_q]_C`` when ``bracket = (p, q)``."""
+        key = (family, idx, bracket)
+        if key not in self._wedges:
+            vectors = [self.cols[family][i] for i in idx]
+            if bracket is not None:
+                vectors.insert(0, self.tables["bkt"][bracket[0]][bracket[1]])
+            self._wedges[key] = _wedge(vectors)
+        return self._wedges[key]
+
+    def _evaluate(self, rows: list[Row], heads: dict, last, outer,
+                  coeff: int) -> None:
+        """``rows[k] += coeff * (outer f(heads, last))[k]`` as functionals of
+        f's free coordinates, for a sparse matrix ``outer``."""
+        vdim, index = self.vdim, self.index
+        for J, w in heads.items():
+            for l, c in last:
+                base = index[J + (l,)] * vdim
+                x = coeff * w * c
+                for k, kk, m in outer:
+                    rows[k][base + kk] = rows[k].get(base + kk, 0) + x * m
+
+    @cached_property
+    def equivariance(self) -> list[Row]:
+        """``E_n``: the nonzero rows of ``outer f(e_X) - f(inner e_X)`` for
+        (outer, inner) = (phi, alpha), (psi, beta) and canonical X.  At any
+        other tuple the condition repeats one of these up to sign."""
+        out = []
+        for family, outer in (("alpha", _sparse_matrix(self.r.phi)),
+                              ("beta", _sparse_matrix(self.r.psi))):
+            for idx in self.index:
+                rows: list[Row] = [{} for _ in range(self.vdim)]
+                self._evaluate(rows, {idx[:-1]: 1}, self.cols["e"][idx[-1]],
+                               outer, 1)
+                self._evaluate(rows, self._heads(family, idx[:-1]),
+                               self.cols[family][idx[-1]], self.eye, -1)
+                out.extend(row for row in map(_clean, rows) if row)
+        return out
+
+    @cached_property
+    def tables(self) -> dict:
+        a, r, n, adim = self.a, self.r, self.n, self.a.dim
+        an1, bn1 = a.alpha.power(n - 1), a.beta.power(n - 1)
+        an1bn1 = an1 @ bn1
+        sub = subadjacent(a).bracket
+        return {
+            "lmat": [_sparse_matrix(r.L_of(an1bn1.col(i))) for i in range(adim)],
+            "rmat": [_sparse_matrix(r.R_of(bn1.col(i))) for i in range(adim)],
+            "prod": [[nonzero_items(a.product.value(an1.col(p),
+                                                    basis_vector(adim, q)))
+                      for q in range(adim)] for p in range(adim)],
+            "bkt": [[nonzero_items(sub.value(a.beta.col(p), a.alpha.col(q)))
+                     for q in range(adim)] for p in range(adim)],
+        }
+
+    def rows_at(self, X: tuple[int, ...]) -> list[Row]:
+        """The rows of ``(D_n f)(e_X)``, one per carrier index, at any
+        (n+1)-tuple X."""
+        t, cols, n = self.tables, self.cols, self.n
+        rows: list[Row] = [{} for _ in range(self.vdim)]
+        last = X[n]
+        for i in range(n):
+            sign = 1 if i % 2 == 0 else -1
+            rest = X[:i] + X[i + 1:n]
+            self._evaluate(rows, self._heads("alpha", rest), cols["e"][last],
+                           t["lmat"][X[i]], sign)
+            self._evaluate(rows, self._heads("beta", rest), cols["an1"][X[i]],
+                           t["rmat"][last], sign)
+            self._evaluate(rows, self._heads("ab", rest), t["prod"][X[i]][last],
+                           self.eye, -sign)
+            for j in range(i + 1, n):
+                rest = tuple(X[s] for s in range(n) if s not in (i, j))
+                self._evaluate(rows, self._heads("ab", rest, (X[i], X[j])),
+                               cols["beta"][last], self.eye,
+                               1 if (i + j) % 2 == 0 else -1)
+        return [_clean(row) for row in rows]
+
+    @cached_property
+    def coboundary(self) -> list[Row]:
+        """``D_n``: its rows at the canonical (n+1)-tuples, in the order of
+        the free coordinates of S^(n+1)."""
+        return [row for X in _canonical(self.a.dim, self.n + 1)
+                for row in self.rows_at(X)]
+
+
+def _image(src: _Degree, dst: _Degree,
+           inputs: Sequence[Sequence[Fraction]]) -> list[Row]:
+    """``D_n K`` in row form for the free-coordinate columns K = ``inputs``,
+    asserting ``E_n K = 0``, skew images at every (n+1)-tuple and
+    ``E_(n+1) D_n K = 0``."""
+    if not inputs:
+        return [{} for _ in range(dst.width)]
+    kt = _row_form(inputs, src.width)
+    if any(_product(src.equivariance, kt)):
+        raise RuntimeError("internal defect: E_n K != 0, a coboundary input "
+                           "is not a cochain")
+    canon, vdim = src.coboundary, src.vdim
+    for X in itertools.product(range(src.a.dim), repeat=src.n + 1):
+        sign, c = _resolve(X)
+        if c == X:
+            continue
+        rows = src.rows_at(X)
+        if c is not None:
+            base = dst.index[c] * vdim
+            for row, expected in zip(rows, canon[base:base + vdim]):
+                for p, x in expected.items():
+                    row[p] = row.get(p, 0) - sign * x
+        diffs = [row for row in map(_clean, rows) if row]
+        if diffs and any(_product(diffs, kt)):
+            raise RuntimeError("internal defect: coboundary image is not skew")
+    image = _product(canon, kt)
+    if any(_product(dst.equivariance, image)):
+        raise RuntimeError("internal defect: E_(n+1) D_n K != 0, a coboundary "
+                           "image is not twist-equivariant")
+    return image
+
+
 class CochainSpace:
-    """A solved basis of the space of degree-n cochains."""
+    """A basis of C^n, held as free-coordinate ``vectors``: the kernel basis
+    K_n of ``E_n`` from :func:`cochain_space`, or the coordinates of any
+    basis of cochains given as ``CochainSpace(n, basis)``.  The
+    :class:`Cochain` form of the basis is built when first read."""
 
-    degree: int
-    basis: tuple[Cochain, ...]
+    def __init__(self, degree: int, basis: Sequence[Cochain] = (), *,
+                 vectors: Sequence[Sequence[Fraction]] | None = None,
+                 adim: int = 0, vdim: int = 0) -> None:
+        self.degree = degree
+        if vectors is None:
+            self.basis = tuple(basis)
+            if self.basis:
+                adim, vdim = self.basis[0].adim, self.basis[0].vdim
+            vectors = [_coordinates(f) for f in self.basis]
+        self.adim, self.vdim = adim, vdim
+        self.vectors = tuple(tuple(v) for v in vectors)
+
+    @cached_property
+    def basis(self) -> tuple[Cochain, ...]:
+        return tuple(_unpack(v, self.degree, self.adim, self.vdim)
+                     for v in self.vectors)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    def coordinates_of(self, f: Cochain) -> tuple[Fraction, ...]:
-        """Coordinates of f in this basis (f must lie in the span)."""
-        if not self.basis:
-            if f.is_zero:
-                return ()
-            raise ValueError("cochain does not lie in the zero space")
-        matrix = Matrix(len(self.basis[0].flatten()), self.dim, tuple(
-            zip(*(g.flatten() for g in self.basis))))
-        coords = try_solve(matrix, f.flatten())
-        if coords is None:
-            raise ValueError("cochain does not lie in the span of the basis")
-        return coords
+        return len(self.vectors)
 
     def combine(self, coords: Sequence[Fraction]) -> Cochain:
         if len(coords) != self.dim:
             raise ValueError("coordinate count does not match the dimension")
-        g = self.basis[0] if self.basis else None
-        if g is None:
-            raise ValueError("cannot combine over an empty basis")
-        out = Cochain.zero(g.degree, g.adim, g.vdim)
-        for c, b in zip(coords, self.basis):
-            if c:
-                out = out + b.scale(c)
-        return out
+        if not self.vectors:
+            return Cochain.zero(self.degree, self.adim, self.vdim)
+        vec = [sum(c * x for c, x in zip(coords, xs)) for xs in zip(*self.vectors)]
+        return _unpack(vec, self.degree, self.adim, self.vdim)
 
 
 def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
     """Solve for a basis of C^n: all tensors that are skew in the first n-1
-    slots and equivariant for both twist pairs.
-
-    The equivariance conditions are assembled as an exact linear system over
-    the free coordinates of skew tensors and the kernel basis is returned.
-    """
+    slots and equivariant for both twist pairs, as the exact kernel basis
+    of ``E_n`` over the free coordinates."""
     if n < 1:
         raise ValueError("cochain spaces are defined for degree >= 1")
     if r.algebra != a:
         raise ValueError("representation is over a different algebra")
-    adim, vdim = a.dim, r.vdim
-    coords, pos = _free_indices(adim, vdim, n)
-    if not coords:
-        return CochainSpace(n, ())
-
-    rows: list[list[Fraction]] = []
-    for outer, inner in ((r.phi, a.alpha), (r.psi, a.beta)):
-        inner_cols = [nonzero_items(inner.col(i)) for i in range(adim)]
-        for idx in itertools.product(range(adim), repeat=n):
-            sign_l, canon_l = _resolve(idx)
-            for k in range(vdim):
-                row = [Fraction(0)] * len(coords)
-                # left side: outer twist applied to the value at idx
-                if canon_l is not None:
-                    for kk in range(vdim):
-                        if outer.entries[k][kk]:
-                            row[pos[(canon_l, kk)]] += sign_l * outer.entries[k][kk]
-                # right side: value at the twisted arguments
-                for pairs in itertools.product(*(inner_cols[i] for i in idx)):
-                    jdx = tuple(p[0] for p in pairs)
-                    coeff = Fraction(1)
-                    for p in pairs:
-                        coeff *= p[1]
-                    sign_r, canon_r = _resolve(jdx)
-                    if canon_r is not None:
-                        row[pos[(canon_r, k)]] -= sign_r * coeff
-                if any(row):
-                    rows.append(row)
-
-    if rows:
-        system = Matrix(len(rows), len(coords), tuple(tuple(r_) for r_ in rows))
-        kernel = kernel_basis(system)
-    else:
-        kernel = [basis_vector(len(coords), i) for i in range(len(coords))]
-
-    def unpack(vec: Sequence[Fraction]) -> Cochain:
-        def get(idx: tuple[int, ...]) -> tuple[Fraction, ...]:
-            sign, canon = _resolve(idx)
-            if canon is None:
-                return zero_vector(vdim)
-            return tuple(sign * vec[pos[(canon, k)]] for k in range(vdim))
-        return Cochain.from_map(n, adim, vdim, get)
-
-    return CochainSpace(n, tuple(unpack(v) for v in kernel))
+    deg = _Degree(a, r, n)
+    kernel = kernel_basis(_dense(deg.equivariance, deg.width))
+    return CochainSpace(n, vectors=kernel, adim=a.dim, vdim=r.vdim)
 
 
-# ---------------------------------------------------------------------------
-# the coboundary operator
-# ---------------------------------------------------------------------------
+def _require_cochain(f: Cochain, a: BiHomPreLieAlgebra,
+                     r: PreLieRep) -> tuple[Fraction, ...]:
+    """The free coordinates of f, after checking that f is a cochain."""
+    if f.adim != a.dim or f.vdim != r.vdim:
+        raise ValueError("cochain shape does not match the algebra and "
+                         "representation")
+    coords = _coordinates(f)
+    if _unpack(coords, f.degree, f.adim, f.vdim) != f:
+        raise ValueError("not a cochain: fails skew-symmetry in the leading "
+                         "arguments")
+    if any(_product(_Degree(a, r, f.degree).equivariance,
+                    _row_form([coords], len(coords)))):
+        raise ValueError("not a cochain: fails twist equivariance")
+    return coords
+
 
 def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
-    """Apply the four-sum coboundary operator to a degree-n cochain.
-
-    The input is rejected (ValueError) if it violates the cochain
-    invariants.  The output is asserted to be skew in its first n slots and
-    equivariant; a failed assertion raises RuntimeError and means the
-    implementation, not the data, is wrong.
-    """
-    _require_cochain(f, a, r)
+    """Apply the four-sum coboundary operator to a degree-n cochain; a
+    non-cochain input raises ValueError, a failed assertion on the output
+    RuntimeError."""
+    coords = _require_cochain(f, a, r)
     n = f.degree
-    adim, vdim = a.dim, r.vdim
-    alpha, beta = a.alpha, a.beta
-    an1 = alpha.power(n - 1)
-    bn1 = beta.power(n - 1)
-    an1bn1 = an1 @ bn1
-    ab = alpha @ beta
-    acols = [alpha.col(i) for i in range(adim)]
-    bcols = [beta.col(i) for i in range(adim)]
-    abcols = [ab.col(i) for i in range(adim)]
-    an1cols = [an1.col(i) for i in range(adim)]
-    lmat = [r.L_of(an1bn1.col(i)) for i in range(adim)]
-    rmat = [r.R_of(bn1.col(i)) for i in range(adim)]
-    prod_an1 = [[a.product.value(an1cols[p], basis_vector(adim, q))
-                 for q in range(adim)] for p in range(adim)]
-    sub = subadjacent(a).bracket
-    bkt = [[sub.value(bcols[p], acols[q]) for q in range(adim)]
-           for p in range(adim)]
+    image = _image(_Degree(a, r, n), _Degree(a, r, n + 1), [coords])
+    return _unpack([row.get(0, Fraction(0)) for row in image], n + 1,
+                   f.adim, f.vdim)
 
-    def image(X: tuple[int, ...]) -> tuple[Fraction, ...]:
-        total = list(zero_vector(vdim))
 
-        def accumulate(vec: Sequence[Fraction], sign: int) -> None:
-            if sign == 1:
-                for k, val in enumerate(vec):
-                    if val:
-                        total[k] += val
-            else:
-                for k, val in enumerate(vec):
-                    if val:
-                        total[k] -= val
-
-        last = X[n]
-        for i0 in range(n):
-            sign = 1 if i0 % 2 == 0 else -1
-            head = [t for t in range(n) if t != i0]
-            # L-term
-            args = [acols[X[t]] for t in head] + [basis_vector(adim, last)]
-            accumulate(lmat[X[i0]].apply(f.value(args)), sign)
-            # R-term
-            args = [bcols[X[t]] for t in head] + [an1cols[X[i0]]]
-            accumulate(rmat[last].apply(f.value(args)), sign)
-            # product term (enters with the opposite sign)
-            args = [abcols[X[t]] for t in head] + [prod_an1[X[i0]][last]]
-            accumulate(f.value(args), -sign)
-        for i0 in range(n):
-            for j0 in range(i0 + 1, n):
-                sign = 1 if (i0 + j0) % 2 == 0 else -1
-                args = [bkt[X[i0]][X[j0]]]
-                args += [abcols[X[t]] for t in range(n) if t not in (i0, j0)]
-                args += [bcols[last]]
-                accumulate(f.value(args), sign)
-        return tuple(total)
-
-    out = Cochain.from_map(n + 1, adim, vdim, image)
-    if skew_violations(out):
-        raise RuntimeError("internal defect: coboundary image is not skew")
-    if equivariance_violations(out, a, r):
-        raise RuntimeError("internal defect: coboundary image is not "
-                           "twist-equivariant")
-    return out
+def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
+    """True iff the coboundary of f vanishes identically."""
+    return coboundary(f, a, r).is_zero
 
 
 def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int,
                       source: CochainSpace | None = None,
                       target: CochainSpace | None = None) -> Matrix:
-    """Matrix of the degree-n coboundary with respect to the solved bases of
-    C^n (columns) and C^(n+1) (rows).
+    """Matrix of the degree-n coboundary with respect to the bases of C^n
+    (columns) and C^(n+1) (rows).
 
-    Each image is expanded exactly in the target basis; an inexpressible
-    image raises RuntimeError since the operator must map C^n into C^(n+1).
+    All images are expanded in the target basis T by one elimination, the
+    kernel of ``[T | D_n K]``; an inexpressible image raises RuntimeError
+    since the operator must map C^n into C^(n+1).
     """
     if n < 1:
         raise ValueError("coboundary matrices are defined for degree >= 1")
-    if source is None:
-        source = cochain_space(a, r, n)
-    if target is None:
-        target = cochain_space(a, r, n + 1)
+    source = source or cochain_space(a, r, n)
+    target = target or cochain_space(a, r, n + 1)
     if source.dim == 0:
         return Matrix.zeros(target.dim, 0)
-    images = [coboundary(g, a, r) for g in source.basis]
-    if target.dim == 0:
-        for img in images:
-            if not img.is_zero:
-                raise RuntimeError("internal defect: coboundary image falls "
-                                   "outside the cochain space")
-        return Matrix.zeros(0, source.dim)
-    flat_len = len(target.basis[0].flatten())
-    basis_matrix = Matrix(flat_len, target.dim,
-                          tuple(zip(*(g.flatten() for g in target.basis))))
-    columns = []
-    for img in images:
-        coords = try_solve(basis_matrix, img.flatten())
-        if coords is None:
-            raise RuntimeError("internal defect: coboundary image falls "
-                               "outside the cochain space")
-        columns.append(coords)
-    return Matrix(target.dim, source.dim,
-                  tuple(tuple(col[i] for col in columns)
-                        for i in range(target.dim)))
+    dst = _Degree(a, r, n + 1)
+    image = _image(_Degree(a, r, n), dst, source.vectors)
+    t, s = target.dim, source.dim
+    rows = _row_form(target.vectors, dst.width)
+    for row, extra in zip(rows, image):
+        row.update({t + j: x for j, x in extra.items()})
+    null = kernel_basis(_dense(rows, t + s))
+    if len(null) != s:
+        raise RuntimeError("internal defect: coboundary image falls outside "
+                           "the cochain space")
+    return Matrix(t, s, tuple(tuple(-v[i] for v in null) for i in range(t)))
 
 
 @dataclass(frozen=True)
@@ -521,8 +531,8 @@ def cohomology_dims(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CohomologyRe
 
 def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
                      degrees: Iterable[int]) -> list[CohomologyReport]:
-    """Cohomology dimensions for several degrees, sharing the solved cochain
-    spaces between consecutive boundary matrices."""
+    """Cohomology dimensions for several degrees, from one cochain space
+    and one ``rank(D_m K_m)`` per degree m."""
     wanted = sorted(set(degrees))
     if not wanted:
         return []
@@ -531,26 +541,19 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
     lo = max(1, wanted[0] - 1)
     hi = wanted[-1] + 1
     spaces = {m: cochain_space(a, r, m) for m in range(lo, hi + 1)}
-    matrices: dict[int, Matrix] = {}
-
-    def matrix_at(m: int) -> Matrix:
-        if m not in matrices:
-            matrices[m] = coboundary_matrix(a, r, m, source=spaces[m],
-                                            target=spaces[m + 1])
-        return matrices[m]
-
+    ops = {m: _Degree(a, r, m) for m in range(lo, hi + 1)}
+    ranks = {}
+    for m in range(lo, hi):
+        image = _image(ops[m], ops[m + 1], spaces[m].vectors)
+        if any(_product(ops[m + 1].coboundary, image)):
+            raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
+                               "does not square to zero")
+        ranks[m] = rank(_dense([row for row in image if row], spaces[m].dim))
     reports = []
     for m in wanted:
-        mat = matrix_at(m)
-        dim_z = mat.cols - rank(mat)
-        dim_b = 0 if m == 1 else rank(matrix_at(m - 1))
+        dim_z, dim_b = spaces[m].dim - ranks[m], ranks.get(m - 1, 0)
         reports.append(CohomologyReport(m, dim_z, dim_b, dim_z - dim_b))
     return reports
-
-
-def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
-    """True iff the coboundary of f vanishes identically."""
-    return coboundary(f, a, r).is_zero
 
 
 def coboundary_preimage(f: Cochain, a: BiHomPreLieAlgebra,
@@ -559,26 +562,20 @@ def coboundary_preimage(f: Cochain, a: BiHomPreLieAlgebra,
     coboundary.  At degree 1 the coboundary space is {0}, so only the zero
     cochain qualifies and it has no structural preimage (None is returned).
     """
-    _require_cochain(f, a, r)
+    coords = _require_cochain(f, a, r)
     n = f.degree
     if n == 1:
         return None
     source = cochain_space(a, r, n - 1)
-    target = cochain_space(a, r, n)
-    mat = coboundary_matrix(a, r, n - 1, source=source, target=target)
-    coords_f = target.coordinates_of(f)
-    x = try_solve(mat, coords_f)
-    if x is None:
-        return None
-    if source.dim == 0:
-        return Cochain.zero(n - 1, f.adim, f.vdim)
-    return source.combine(x)
+    image = _image(_Degree(a, r, n - 1), _Degree(a, r, n), source.vectors)
+    x = try_solve(_dense(image, source.dim), coords)
+    return None if x is None else source.combine(x)
 
 
 def is_coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
     """Membership in the image of the previous coboundary, via an exact
     linear solve; at degree 1 this means f = 0."""
-    _require_cochain(f, a, r)
     if f.degree == 1:
+        _require_cochain(f, a, r)
         return f.is_zero
     return coboundary_preimage(f, a, r) is not None

@@ -19,10 +19,13 @@ leading minus on p); matrices as arrays of rows; structure tensors as
 * twist bundle:   ``{"alpha": M, "beta": M, "phi": M, "psi": M}``.
 
 Path references are resolved relative to the referring document's
-directory.  Structural problems (missing keys, ragged arrays, bad rational
-literals, mismatched dimensions) raise :class:`DocumentError` carrying a
-field path; semantic defects (say, a singular twist map) surface as the
-domain errors of the owning modules.
+directory.  A document may itself be a path string; such a chain of
+references is followed for at most :data:`MAX_REFERENCE_DEPTH` files and
+must not return to a file it has already visited.  Structural problems
+(missing keys, ragged arrays, bad rational literals, mismatched
+dimensions, reference cycles) raise :class:`DocumentError` carrying a field
+path; semantic defects (say, a singular twist map) surface as the domain
+errors of the owning modules.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ class DocumentError(ValueError):
     """A document does not conform to the expected schema."""
 
 
+MAX_REFERENCE_DEPTH = 32
+
+
 def load_json(path: str | Path) -> object:
     p = Path(path)
     try:
@@ -82,6 +88,24 @@ def load_json(path: str | Path) -> object:
 
 def dump_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def _follow(doc: object, base: Path | None, where: str
+            ) -> tuple[object, Path | None, str]:
+    """Follow a chain of path references to the document it ends in;
+    returns ``(document, its directory, its field path)``."""
+    seen: set[Path] = set()
+    while isinstance(doc, str):
+        path = (base / doc) if base is not None else Path(doc)
+        key = path.resolve()
+        if key in seen:
+            raise DocumentError(f"{where}: path reference cycle through {path}")
+        if len(seen) == MAX_REFERENCE_DEPTH:
+            raise DocumentError(f"{where}: more than {MAX_REFERENCE_DEPTH} "
+                                "chained path references")
+        seen.add(key)
+        doc, base, where = load_json(path), path.parent, str(path)
+    return doc, base, where
 
 
 def _require(doc: dict, key: str, where: str) -> object:
@@ -131,9 +155,7 @@ def _dim(doc: dict, key: str, where: str) -> int:
 
 def algebra_from_doc(doc: object, base: Path | None = None,
                      where: str = "algebra") -> BiHomPreLieAlgebra | BiHomLieAlgebra:
-    if isinstance(doc, str):
-        path = (base / doc) if base is not None else Path(doc)
-        return algebra_from_doc(load_json(path), path.parent, where=str(path))
+    doc, base, where = _follow(doc, base, where)
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object or a path")
     n = _dim(doc, "dim", where)
@@ -193,9 +215,7 @@ def _action_family(doc: dict, key: str, where: str, n: int, m: int) -> tuple[Mat
 
 def rep_from_doc(doc: object, base: Path | None = None,
                  where: str = "representation") -> PreLieRep | LieRep:
-    if isinstance(doc, str):
-        path = (base / doc) if base is not None else Path(doc)
-        return rep_from_doc(load_json(path), path.parent, where=str(path))
+    doc, base, where = _follow(doc, base, where)
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object or a path")
     algebra = algebra_from_doc(_require(doc, "algebra", where), base,

@@ -8,9 +8,12 @@ Conventions used throughout the package:
 * a :class:`Matrix` acts on column vectors, i.e. a linear map ``f`` with
   matrix ``M`` satisfies ``f(e_j) = sum_i M[i][j] e_i``.
 
-Elimination is plain rational Gauss-Jordan with canonical reduction; at the
-dimensions this package targets (a handful of basis vectors) coefficient
-growth is a non-issue and every result is exact.
+Every elimination (:func:`rank`, :func:`kernel_basis`, :func:`solve`,
+:func:`try_solve`, :func:`inverse`) runs through one exact Gauss-Jordan on
+sparse rows, each a ``dict`` from column to nonzero ``Fraction``.  It
+reduces to the unique reduced row echelon form, so results do not depend
+on the order of the rows, and the cost follows the nonzeros rather than the
+shape: the systems of the cochain complex have a few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -62,7 +65,9 @@ class InconsistentSystemError(LinAlgError):
     """Raised by :func:`solve` when the linear system has no solution."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# A zero denominator does not match, so "1/0" is rejected like any other
+# malformed literal.
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
@@ -350,36 +355,58 @@ def linear_combination(mats: Sequence[Matrix],
 # elimination-based kernels
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def _rref(rows: list[dict[int, Fraction]], width: int
+          ) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced row echelon form of sparse rows, consumed in place.
+
+    Pivots are taken in the columns below ``width`` only; later columns (a
+    right-hand side, an identity block) are carried along.  Returns the
+    pivot rows in pivot-column order, followed by the nonzero remainders of
+    the other rows (zero below ``width``), and the pivot columns.
+
+    Every pivot row is kept zero in the other pivot columns and left of its
+    own pivot, so one pass over a new row's pivot columns reduces it, and
+    the rows held at the end are the unique reduced row echelon form.
+    """
+    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    rest = []
+    for row in rows:
+        for c in [c for c in row if c in pivot_rows]:
+            _subtract(row, row[c], pivot_rows[c])
+        pivot = min((c for c in row if c < width), default=None)
+        if pivot is None:
+            if row:
+                rest.append(row)
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+        lead = row[pivot]
+        if lead != 1:
+            row = {j: a / lead for j, a in row.items()}
+        for other in pivot_rows.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        pivot_rows[pivot] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots] + rest, pivots
+
+
+def _subtract(row: dict[int, Fraction], factor: Fraction,
+              other: dict[int, Fraction]) -> None:
+    """``row -= factor * other`` on sparse rows, dropping cancelled entries
+    (``factor`` and the entries of ``other`` are nonzero)."""
+    for j, b in other.items():
+        v = row.get(j, 0) - factor * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _sparse(m: Matrix) -> list[dict[int, Fraction]]:
+    return [{j: a for j, a in enumerate(row) if a} for row in m.entries]
 
 
 def rank(m: Matrix) -> int:
-    rows = [list(row) for row in m.entries]
-    _, pivots = _rref(rows, m.cols)
-    return len(pivots)
+    return len(_rref(_sparse(m), m.cols)[1])
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -388,16 +415,17 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     The vectors are linearly independent and there are exactly
     ``cols - rank`` of them (one per free column, that coordinate set to 1).
     """
-    rows = [list(row) for row in m.entries]
-    reduced, pivots = _rref(rows, m.cols)
+    reduced, pivots = _rref(_sparse(m), m.cols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for j in free:
+    for j in range(m.cols):
+        if j in pivot_set:
+            continue
         v = [Fraction(0)] * m.cols
         v[j] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][j]
+        for row, p in zip(reduced, pivots):
+            if j in row:
+                v[p] = -row[j]
         basis.append(tuple(v))
     return basis
 
@@ -406,11 +434,14 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise LinAlgError("only square matrices can be inverted")
     n = m.rows
-    rows = [list(m.entries[i]) + list(basis_vector(n, i)) for i in range(n)]
+    rows = _sparse(m)
+    for i, row in enumerate(rows):
+        row[n + i] = Fraction(1)
     reduced, pivots = _rref(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, n, tuple(tuple(reduced[i][n:]) for i in range(n)))
+    return Matrix(n, n, tuple(
+        tuple(row.get(n + j, Fraction(0)) for j in range(n)) for row in reduced))
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -420,15 +451,17 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """
     if len(rhs) != m.rows:
         raise LinAlgError("right-hand side length does not match row count")
-    rows = [list(row) + [as_rational(b)] for row, b in zip(m.entries, rhs)]
+    rows = _sparse(m)
+    for row, b in zip(rows, rhs):
+        b = as_rational(b)
+        if b:
+            row[m.cols] = b
     reduced, pivots = _rref(rows, m.cols)
-    consumed = len(pivots)
-    for i in range(consumed, len(reduced)):
-        if reduced[i][m.cols] != 0:
-            raise InconsistentSystemError("linear system has no solution")
+    if len(reduced) > len(pivots):
+        raise InconsistentSystemError("linear system has no solution")
     x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][m.cols]
+    for row, p in zip(reduced, pivots):
+        x[p] = row.get(m.cols, Fraction(0))
     return tuple(x)
 
 

@@ -1,0 +1,220 @@
+"""Reference implementations that the library is compared against.
+
+* A dense ``Fraction`` Gauss-Jordan elimination with ``rank``,
+  ``kernel_basis``, ``try_solve`` and ``inverse`` on plain nested lists.  It
+  is the elimination the library used before its sparse core; the reduced
+  row echelon form is unique, so both must return the same results.
+* The per-image cohomology pipeline: the cochain space solved as the
+  kernel of the equivariance conditions at every basis tuple, the
+  coboundary evaluated image by image on full value tensors, and every
+  image expanded in the target basis by its own linear solve.  It shares
+  only the :class:`~bihom.cohomology.Cochain` container, the algebra data
+  and the sub-adjacent bracket with the library's free-coordinate pipeline.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from bihom import Matrix, subadjacent
+from bihom.cohomology import Cochain
+
+Q = Fraction
+
+
+# ---------------------------------------------------------------------------
+# dense elimination
+# ---------------------------------------------------------------------------
+
+def dense_rref(rows: list[list[Fraction]], width: int
+               ) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form over the first ``width`` columns;
+    returns (rows, pivot columns)."""
+    pivots: list[int] = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def dense_rank(m: Matrix) -> int:
+    return len(dense_rref([list(row) for row in m.entries], m.cols)[1])
+
+
+def dense_kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
+    reduced, pivots = dense_rref([list(row) for row in m.entries], m.cols)
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
+        v = [Q(0)] * m.cols
+        v[j] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][j]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_try_solve(m: Matrix, rhs) -> tuple[Fraction, ...] | None:
+    rows = [list(row) + [Q(b)] for row, b in zip(m.entries, rhs)]
+    reduced, pivots = dense_rref(rows, m.cols)
+    if any(reduced[i][m.cols] != 0 for i in range(len(pivots), len(reduced))):
+        return None
+    x = [Q(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][m.cols]
+    return tuple(x)
+
+
+def dense_inverse(m: Matrix) -> Matrix | None:
+    """The inverse of a square matrix, or None when it is singular."""
+    n = m.rows
+    rows = [list(m.entries[i]) + [Q(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    reduced, pivots = dense_rref(rows, n)
+    if len(pivots) != n:
+        return None
+    return Matrix(n, n, tuple(tuple(row[n:]) for row in reduced))
+
+
+# ---------------------------------------------------------------------------
+# per-image cohomology
+# ---------------------------------------------------------------------------
+
+def _canonical_sign(idx):
+    head = list(idx[:-1])
+    if len(set(head)) != len(head):
+        return 0, None
+    inversions = sum(1 for i in range(len(head)) for j in range(i + 1, len(head))
+                     if head[i] > head[j])
+    return (-1) ** inversions, tuple(sorted(head)) + (idx[-1],)
+
+
+def oracle_cochain_basis(a, r, n) -> list[Cochain]:
+    """A basis of C^n: the kernel of the equivariance conditions at every
+    basis tuple, over the free coordinates of skew tensors."""
+    adim, vdim = a.dim, r.vdim
+    coords = [(head + (last,), k)
+              for head in itertools.combinations(range(adim), n - 1)
+              for last in range(adim) for k in range(vdim)]
+    pos = {c: i for i, c in enumerate(coords)}
+    rows = []
+    for outer, inner in ((r.phi, a.alpha), (r.psi, a.beta)):
+        for idx in itertools.product(range(adim), repeat=n):
+            sign_l, canon_l = _canonical_sign(idx)
+            for k in range(vdim):
+                row = [Q(0)] * len(coords)
+                if canon_l is not None:
+                    for kk in range(vdim):
+                        row[pos[(canon_l, kk)]] += sign_l * outer.entries[k][kk]
+                for jdx in itertools.product(range(adim), repeat=n):
+                    coeff = Q(1)
+                    for i, j in zip(idx, jdx):
+                        coeff *= inner.entries[j][i]
+                    sign_r, canon_r = _canonical_sign(jdx)
+                    if coeff and canon_r is not None:
+                        row[pos[(canon_r, k)]] -= sign_r * coeff
+                rows.append(row)
+    kernel = dense_kernel_basis(Matrix(len(rows), len(coords), tuple(
+        tuple(row) for row in rows)))
+
+    def unpack(vec):
+        def get(idx):
+            sign, canon = _canonical_sign(idx)
+            if canon is None:
+                return (Q(0),) * vdim
+            return tuple(sign * vec[pos[(canon, k)]] for k in range(vdim))
+        return Cochain.from_map(n, adim, vdim, get)
+
+    return [unpack(v) for v in kernel]
+
+
+def oracle_coboundary(f: Cochain, a, r) -> Cochain:
+    """The four-sum coboundary evaluated on the full value tensor of f."""
+    n, adim, vdim = f.degree, a.dim, r.vdim
+    alpha, beta = a.alpha, a.beta
+    an1, bn1 = alpha.power(n - 1), beta.power(n - 1)
+    ab = alpha @ beta
+    e = [tuple(Q(int(i == j)) for j in range(adim)) for i in range(adim)]
+    sub = subadjacent(a).bracket
+
+    def image(X):
+        total = [Q(0)] * vdim
+
+        def add(vec, sign):
+            for k, v in enumerate(vec):
+                total[k] += sign * v
+
+        last = X[n]
+        for i0 in range(n):
+            sign = (-1) ** i0
+            head = [X[t] for t in range(n) if t != i0]
+            lmat = r.L_of((an1 @ bn1).col(X[i0]))
+            rmat = r.R_of(bn1.col(last))
+            add(lmat.apply(f.value([alpha.col(x) for x in head] + [e[last]])),
+                sign)
+            add(rmat.apply(f.value([beta.col(x) for x in head]
+                                   + [an1.col(X[i0])])), sign)
+            add(f.value([ab.col(x) for x in head]
+                        + [a.product.value(an1.col(X[i0]), e[last])]), -sign)
+        for i0 in range(n):
+            for j0 in range(i0 + 1, n):
+                args = [sub.value(beta.col(X[i0]), alpha.col(X[j0]))]
+                args += [ab.col(X[t]) for t in range(n) if t not in (i0, j0)]
+                add(f.value(args + [beta.col(last)]), (-1) ** (i0 + j0))
+        return tuple(total)
+
+    return Cochain.from_map(n + 1, adim, vdim, image)
+
+
+def _flatten(f: Cochain) -> tuple[Fraction, ...]:
+    return tuple(x for idx in itertools.product(range(f.adim), repeat=f.degree)
+                 for x in f.at(idx))
+
+
+def oracle_coboundary_matrix(a, r, source, target) -> Matrix:
+    """The coboundary in the given bases, one linear solve per image."""
+    if not source:
+        return Matrix.zeros(len(target), 0)
+    images = [oracle_coboundary(g, a, r) for g in source]
+    if not target:
+        assert all(img.is_zero for img in images)
+        return Matrix.zeros(0, len(source))
+    flat = [_flatten(g) for g in target]
+    basis = Matrix(len(flat[0]), len(flat), tuple(zip(*flat)))
+    columns = []
+    for img in images:
+        coords = dense_try_solve(basis, _flatten(img))
+        assert coords is not None, "image outside the cochain space"
+        columns.append(coords)
+    return Matrix(len(target), len(source), tuple(zip(*columns)))
+
+
+def oracle_cohomology(a, r, degrees) -> list[tuple[int, int, int, int]]:
+    """(degree, dim Z, dim B, dim H) for each degree."""
+    top = max(degrees) + 1
+    bases = {m: oracle_cochain_basis(a, r, m) for m in range(1, top + 1)}
+    ranks = {m: dense_rank(oracle_coboundary_matrix(a, r, bases[m],
+                                                    bases[m + 1]))
+             for m in range(1, top)}
+    out = []
+    for m in degrees:
+        dim_z = len(bases[m]) - ranks[m]
+        dim_b = ranks[m - 1] if m > 1 else 0
+        out.append((m, dim_z, dim_b, dim_z - dim_b))
+    return out

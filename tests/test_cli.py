@@ -85,6 +85,19 @@ class TestVerify:
         path.write_text("{not json")
         assert run(["verify", str(path)]) == 2
 
+    def test_zero_denominator_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        dump_json(path, {"dim": 1, "product": [[["1/0"]]],
+                         "alpha": [[1]], "beta": [[1]]})
+        assert run(["verify", str(path)]) == 2
+        assert f"{path}.product" in capsys.readouterr().err
+
+    def test_self_referencing_path_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        path.write_text('"loop.json"')
+        assert run(["verify", str(path)]) == 2
+        assert "path reference cycle" in capsys.readouterr().err
+
     def test_missing_key_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "incomplete.json"
         dump_json(path, {"dim": 1, "alpha": [[1]], "beta": [[1]]})

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from bihom import (
+    BiHomPreLieAlgebra,
+    BilinearProduct,
     Cochain,
     Matrix,
+    PreLieRep,
     adjoint_rep,
     coboundary,
     coboundary_matrix,
@@ -19,8 +22,10 @@ from bihom import (
     is_cocycle,
     kernel_basis,
     rank,
+    semidirect_prelie,
     trivial_rep,
 )
+from bihom import cohomology
 from bihom.cohomology import CochainSpace
 
 from catalog import (
@@ -30,10 +35,12 @@ from catalog import (
     dim2_assoc,
     dim2_nilpotent,
     dim3_graded,
+    dim3_heisenberg,
     prelie_fixtures,
     random_matrix,
     random_product,
 )
+from oracles import oracle_cohomology
 
 Q = Fraction
 
@@ -358,3 +365,82 @@ class TestClassicalOracleAgreement:
                 for y in range(dim):
                     for z in range(dim):
                         assert df2.at((x, y, z)) == tuple(oracle2[x][y][z])
+
+
+def dims(reports):
+    return [(r.degree, r.dimZ, r.dimB, r.dimH) for r in reports]
+
+
+class TestPerImageOracle:
+    """The free-coordinate ranks against the per-image pipeline: every
+    image built as a full tensor and solved in the target basis."""
+
+    def test_catalog_fixtures(self):
+        for name, alg in prelie_fixtures():
+            reps = [("trivial", trivial_rep(alg))]
+            if alg.dim <= 2:
+                reps.append(("adjoint", adjoint_rep(alg)))
+            for rep_name, rep in reps:
+                assert dims(cohomology_table(alg, rep, [1, 2, 3])) == \
+                    oracle_cohomology(alg, rep, [1, 2, 3]), (name, rep_name)
+
+    def test_dim4_semidirect_product(self):
+        alg = semidirect_prelie(adjoint_rep(dim2_assoc()))
+        trivial, adjoint = trivial_rep(alg), adjoint_rep(alg)
+        assert dims(cohomology_table(alg, trivial, [1, 2])) == \
+            oracle_cohomology(alg, trivial, [1, 2])
+        assert dims(cohomology_table(alg, adjoint, [1])) == \
+            oracle_cohomology(alg, adjoint, [1])
+        # The oracle needs about 15 s for the adjoint degree 2; this is the
+        # value it gives.
+        assert dims(cohomology_table(alg, adjoint, [2])) == [(2, 21, 11, 10)]
+
+    def test_dim6_adjoint_finishes(self):
+        alg = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
+        assert dims(cohomology_table(alg, adjoint_rep(alg), [1, 2])) == \
+            [(1, 13, 0, 13), (2, 95, 23, 72)]
+
+
+class TestAssertedIdentities:
+    """Each identity that an evaluation of D_n asserts raises RuntimeError
+    when it fails."""
+
+    def test_inputs_must_solve_the_equivariance_system(self):
+        alg = dim2_nilpotent(2, 3)
+        rep = adjoint_rep(alg)
+        src, dst = cohomology._Degree(alg, rep, 1), cohomology._Degree(alg, rep, 2)
+        not_a_cochain = (Q(0), Q(1), Q(0), Q(0))
+        with pytest.raises(RuntimeError, match="E_n K"):
+            cohomology._image(src, dst, [not_a_cochain])
+
+    def test_images_must_be_skew(self, monkeypatch):
+        rows_at = cohomology._Degree.rows_at
+
+        def skewed(self, X):
+            rows = rows_at(self, X)
+            if tuple(sorted(X[:-1])) != X[:-1]:
+                rows[0][0] = rows[0].get(0, 0) + 1
+            return rows
+
+        monkeypatch.setattr(cohomology._Degree, "rows_at", skewed)
+        alg = dim2_nilpotent()
+        with pytest.raises(RuntimeError, match="not skew"):
+            cohomology_table(alg, adjoint_rep(alg), [1, 2])
+
+    def test_images_must_be_equivariant(self):
+        alg = dim2_nilpotent(2, 3)
+        rep = adjoint_rep(alg)
+        other = PreLieRep(alg, rep.vdim, rep.L, rep.R, rep.phi.scale(2), rep.psi)
+        space = cochain_space(alg, rep, 1)
+        with pytest.raises(RuntimeError, match="E_\\(n\\+1\\)"):
+            cohomology._image(cohomology._Degree(alg, rep, 1),
+                              cohomology._Degree(alg, other, 2), space.vectors)
+
+    def test_coboundary_must_square_to_zero(self):
+        # e2.e1 = e2 fails left-symmetry, so its "adjoint" coefficients give
+        # no complex.
+        c = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
+        c[1][0][1] = Q(1)
+        alg = BiHomPreLieAlgebra.classical(BilinearProduct.from_entries(c))
+        with pytest.raises(RuntimeError, match="square to zero"):
+            cohomology_table(alg, adjoint_rep(alg), [1, 2])

@@ -12,6 +12,7 @@ from bihom import (
 from bihom.cohomology import Cochain
 from bihom.deformation import DeformationCandidate
 from bihom.documents import (
+    MAX_REFERENCE_DEPTH,
     DocumentError,
     algebra_from_doc,
     algebra_to_doc,
@@ -168,6 +169,37 @@ class TestOperatorAndDeformationDocs:
         alpha, beta, phi, psi = twists_from_doc(doc)
         assert alpha == Matrix.diagonal([2, 4])
         assert psi == Matrix.identity(2)
+
+
+class TestPathReferenceChains:
+    def test_chain_of_references_is_followed(self, tmp_path):
+        alg = dim2_nilpotent(2, 3)
+        dump_json(tmp_path / "alg.json", algebra_to_doc(alg))
+        (tmp_path / "link.json").write_text('"alg.json"')
+        assert algebra_from_doc("link.json", tmp_path) == alg
+
+    def test_self_reference_is_a_document_error(self, tmp_path):
+        (tmp_path / "loop.json").write_text('"loop.json"')
+        with pytest.raises(DocumentError, match="reference cycle"):
+            algebra_from_doc("loop.json", tmp_path)
+        with pytest.raises(DocumentError, match="reference cycle"):
+            rep_from_doc("loop.json", tmp_path)
+        with pytest.raises(DocumentError, match="reference cycle"):
+            operator_from_doc({"matrix": [[1]], "representation": "loop.json"},
+                              tmp_path)
+
+    def test_two_file_cycle_is_a_document_error(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "a.json").write_text('"sub/../b.json"')
+        (tmp_path / "b.json").write_text('"a.json"')
+        with pytest.raises(DocumentError, match="reference cycle"):
+            load_algebra(tmp_path / "a.json")
+
+    def test_overlong_chain_is_a_document_error(self, tmp_path):
+        for i in range(MAX_REFERENCE_DEPTH + 1):
+            (tmp_path / f"{i}.json").write_text(f'"{i + 1}.json"')
+        with pytest.raises(DocumentError, match="chained path references"):
+            algebra_from_doc("0.json", tmp_path)
 
 
 class TestCochainDocs:

@@ -22,6 +22,8 @@ from bihom.linalg import (
     vec_is_zero,
 )
 
+from oracles import dense_inverse, dense_kernel_basis, dense_rank, dense_try_solve
+
 Q = Fraction
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -34,6 +36,19 @@ def mat(rows):
 def small_matrix(rng, rows, cols, span=3):
     return mat([[Q(rng.randint(-span, span), rng.choice((1, 2)))
                  for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Matrices of up to 5 x 5, zero-size shapes included, drawn dense or
+    with most entries zero."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if square else draw(st.integers(0, 5))
+    entry = draw(st.sampled_from(
+        [rationals, st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)]))
+    return Matrix.from_rows(
+        [draw(st.lists(entry, min_size=cols, max_size=cols))
+         for _ in range(rows)], cols=cols)
 
 
 class TestMatMul:
@@ -141,6 +156,38 @@ class TestInverseSolve:
         assert m.apply(x) == (Q(3),)
 
 
+class TestSparseCoreAgainstDenseOracle:
+    """The sparse elimination reaches the unique reduced row echelon form,
+    so it must agree exactly with dense Gauss-Jordan."""
+
+    @given(matrices(), st.data())
+    def test_rank_kernel_and_solve(self, m, data):
+        assert rank(m) == dense_rank(m)
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols))
+            rhs = m.apply(tuple(x))
+        else:
+            rhs = tuple(data.draw(st.lists(rationals, min_size=m.rows,
+                                           max_size=m.rows)))
+        expected = dense_try_solve(m, rhs)
+        assert try_solve(m, rhs) == expected
+        if expected is None:
+            with pytest.raises(InconsistentSystemError):
+                solve(m, rhs)
+        else:
+            assert solve(m, rhs) == expected
+
+    @given(matrices(square=True))
+    def test_inverse(self, m):
+        expected = dense_inverse(m)
+        if expected is None:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            assert inverse(m) == expected
+
+
 class TestExactArithmetic:
     @given(rationals, rationals, rationals)
     def test_field_identities(self, a, b, c):
@@ -183,6 +230,14 @@ class TestRationalJson:
         for bad in ("1.5", "a/b", "1/2/3", 1.5, None, True):
             with pytest.raises(ValueError):
                 rational_from_json(bad)
+
+    def test_rejects_zero_denominator(self):
+        for bad in ("1/0", "-3/00", "0/0"):
+            with pytest.raises(ValueError):
+                rational_from_json(bad)
+            with pytest.raises(ValueError):
+                as_rational(bad)
+        assert rational_from_json("1/02") == Q(1, 2)
 
     def test_as_rational_rejects_floats(self):
         with pytest.raises(ValueError):
