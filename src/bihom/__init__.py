@@ -55,7 +55,6 @@ from .linalg import (
     SingularMatrixError,
     inverse,
     kernel_basis,
-    mat_mul,
     rank,
     solve,
     try_solve,

@@ -93,14 +93,24 @@ class BilinearProduct:
     def basis_value(self, i: int, j: int) -> tuple[Fraction, ...]:
         return self.c[i][j]
 
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """Sparse view of the tensor: ``terms[i][j]`` holds the pairs
+        ``(k, c[i][j][k])`` with a nonzero coefficient."""
+        return tuple(
+            tuple(tuple((k, a) for k, a in enumerate(vec) if a) for vec in plane)
+            for plane in self.c)
+
     def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Bilinear extension to coordinate vectors."""
+        """Bilinear extension to coordinate vectors; the cost follows the
+        nonzero coordinates and structure constants."""
         acc = list(zero_vector(self.dim))
         for i, a in nonzero_items(u):
+            plane = self.terms[i]
             for j, b in nonzero_items(v):
-                coeff = a * b
-                for k, val in enumerate(self.c[i][j]):
-                    if val:
+                if plane[j]:
+                    coeff = a * b
+                    for k, val in plane[j]:
                         acc[k] += coeff * val
         return tuple(acc)
 
@@ -451,7 +461,12 @@ def check_bihom_lie(g: BiHomLieAlgebra) -> AxiomReport:
     return col.report()
 
 
-@lru_cache(maxsize=None)
+# Distinct algebras whose sub-adjacent algebra is kept; a long-lived process
+# that meets more drops the least recently used.
+SUBADJACENT_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SUBADJACENT_CACHE_SIZE)
 def subadjacent(a: BiHomPreLieAlgebra) -> BiHomLieAlgebra:
     """Sub-adjacent BiHom-Lie algebra: the twisted commutator bracket
     ``[x, y] = x.y - (alpha^-1 beta)(y).(alpha beta^-1)(x)`` with the same

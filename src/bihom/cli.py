@@ -7,7 +7,10 @@ with ``--json``, a machine-readable one, and exits with
 * 0 when the requested check or construction succeeded,
 * 1 on a semantic failure (an axiom report with violations, a singular
   twist, an invalid input object),
-* 2 on unusable input (malformed JSON, schema violations, bad flags).
+* 2 on unusable input (malformed JSON, schema violations, bad flags),
+* 3 on an internal defect: an identity that the library asserts of its own
+  results failed (a ``RuntimeError``), which is a bug in ``bihom`` rather
+  than in the input.
 
 Constructive verbs (``subadjacent``, ``semidirect``, ``induced-rep``,
 ``twist-rep``, ``tensor-rep``, ``push-lie``, and ``o-operator`` /
@@ -473,6 +476,13 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         result = CliResult(args.command, "fail", [f"{exc}"],
                            {"message": str(exc)})
+    except RuntimeError as exc:
+        if args.json:
+            print(json.dumps({"command": args.command, "status": "error",
+                              "message": str(exc)}, indent=2))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps({"command": result.command, "status": result.status,
                           **result.payload}, indent=2))

@@ -14,6 +14,11 @@ sparse rows, each a ``dict`` from column to nonzero ``Fraction``.  It
 reduces to the unique reduced row echelon form, so results do not depend
 on the order of the rows, and the cost follows the nonzeros rather than the
 shape: the systems of the cochain complex have a few nonzeros per row.
+
+The kernels under the axiom checkers skip zeros too: ``Matrix @ Matrix``
+and :meth:`Matrix.apply` multiply only nonzero pairs, and :func:`vec_add`
+/ :func:`vec_sub` pass an entry through where the other term is zero.
+Structure tensors, twists and action matrices are mostly zeros.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "vec_is_zero",
     "nonzero_items",
     "Matrix",
-    "mat_mul",
     "rank",
     "kernel_basis",
     "inverse",
@@ -111,15 +115,16 @@ def zero_vector(n: int) -> tuple[Fraction, ...]:
 
 
 def basis_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    zero = Fraction(0)
+    return tuple(Fraction(1) if j == i else zero for j in range(n))
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -127,12 +132,12 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
     """Sparse view of a vector: the (index, value) pairs with value != 0."""
-    return tuple((i, a) for i, a in enumerate(v) if a != 0)
+    return tuple((i, a) for i, a in enumerate(v) if a)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +146,13 @@ def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of rationals, row-major.
+    """Immutable matrix of rationals, stored dense and row-major.
 
-    Degenerate shapes (0 rows and/or 0 columns) are legal; they show up as
-    boundary matrices of zero-dimensional cochain spaces.
+    Products and :meth:`apply` skip zero entries, so they cost in
+    proportion to the nonzero products, not to the shape; every entry of a
+    result is a ``Fraction``.  Degenerate shapes (0 rows and/or 0 columns)
+    are legal; they show up as boundary matrices of zero-dimensional
+    cochain spaces.
     """
 
     rows: int
@@ -200,7 +208,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(map(any, self.entries))
 
     @property
     def is_identity(self) -> bool:
@@ -244,17 +252,26 @@ class Matrix:
             raise LinAlgError(
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}")
-        cols = [other.col(j) for j in range(other.cols)]
-        return Matrix(self.rows, other.cols, tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), Fraction(0))
-                  for col in cols)
-            for row in self.entries))
+        zero = Fraction(0)
+        sparse = [[(j, b) for j, b in enumerate(row) if b]
+                  for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [zero] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in sparse[k]:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Image of the column vector ``v``."""
         if len(v) != self.cols:
             raise LinAlgError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
+        zero = Fraction(0)
+        support = [(j, b) for j, b in enumerate(v) if b]
+        return tuple(sum((row[j] * b for j, b in support if row[j]), zero)
                      for row in self.entries)
 
     def transpose(self) -> "Matrix":
@@ -311,7 +328,8 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product (column-vector convention)."""
+    """Exact matrix product, the same as ``a @ b``.  Not exported: new code
+    writes ``a @ b``."""
     return a @ b
 
 

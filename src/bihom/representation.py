@@ -40,6 +40,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
+    basis_vector,
     block_diag,
     inverse,
     linear_combination,
@@ -163,13 +164,9 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
         for j in range(n):
             lhs = r.R_of(bcol[i]) @ r.L_of(bcol[j]) @ phi - r.L_of(abcol[j]) @ r.R[i] @ phi
             rhs = (r.R_of(bcol[i]) @ r.R_of(acol[j]) @ psi
-                   - r.R_of(P.value(acol[j], _basis(n, i))) @ phi @ psi)
+                   - r.R_of(P.value(acol[j], basis_vector(n, i))) @ phi @ psi)
             col.check_matrix("rep3", (i, j), lhs - rhs)
     return col.report()
-
-
-def _basis(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
 def check_lie_rep(r: LieRep) -> AxiomReport:
@@ -190,7 +187,7 @@ def check_lie_rep(r: LieRep) -> AxiomReport:
         col.check_matrix("lie-rep-2", (i,), r.rho_of(bcol[i]) @ psi - psi @ r.rho[i])
     for i in range(n):
         for j in range(n):
-            lhs = r.rho_of(B.value(bcol[i], _basis(n, j))) @ psi
+            lhs = r.rho_of(B.value(bcol[i], basis_vector(n, j))) @ psi
             rhs = r.rho_of(abcol[i]) @ r.rho[j] - r.rho_of(bcol[j]) @ r.rho_of(acol[i])
             col.check_matrix("lie-rep-3", (i, j), lhs - rhs)
     return col.report()

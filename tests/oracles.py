@@ -4,6 +4,10 @@
   ``kernel_basis``, ``try_solve`` and ``inverse`` on plain nested lists.  It
   is the elimination the library used before its sparse core; the reduced
   row echelon form is unique, so both must return the same results.
+* The dense products the library used before it skipped zero entries:
+  ``Matrix @ Matrix`` and ``Matrix.apply`` as full ``Fraction`` sums over
+  every index, and ``BilinearProduct.value`` scanning every structure
+  constant of each pair of nonzero coordinates.
 * The per-image cohomology pipeline: the cochain space solved as the
   kernel of the equivariance conditions at every basis tuple, the
   coboundary evaluated image by image on full value tensors, and every
@@ -90,6 +94,39 @@ def dense_inverse(m: Matrix) -> Matrix | None:
     if len(pivots) != n:
         return None
     return Matrix(n, n, tuple(tuple(row[n:]) for row in reduced))
+
+
+# ---------------------------------------------------------------------------
+# dense products
+# ---------------------------------------------------------------------------
+
+def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = [b.col(j) for j in range(b.cols)]
+    return Matrix(a.rows, b.cols, tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
+              for col in cols)
+        for row in a.entries))
+
+
+def dense_apply(m: Matrix, v) -> tuple[Fraction, ...]:
+    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
+                 for row in m.entries)
+
+
+def dense_value(p, u, v) -> tuple[Fraction, ...]:
+    """``p.value(u, v)`` for a :class:`~bihom.BilinearProduct` ``p``."""
+    acc = [Q(0)] * p.dim
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
+                continue
+            coeff = a * b
+            for k, val in enumerate(p.c[i][j]):
+                if val:
+                    acc[k] += coeff * val
+    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bihom import (
     BiHomLieAlgebra,
@@ -15,6 +17,7 @@ from bihom import (
     is_prelie_morphism,
     subadjacent,
 )
+from bihom.algebra import SUBADJACENT_CACHE_SIZE
 from bihom.deformation import deformed_product
 
 from catalog import (
@@ -29,8 +32,29 @@ from catalog import (
     random_product,
     tensor,
 )
+from oracles import dense_value
 
 Q = Fraction
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def product_and_vectors(draw):
+    """A structure tensor of dimension 0..4 and two coordinate vectors,
+    each drawn dense or with most entries zero."""
+    n = draw(st.integers(0, 4))
+
+    def entries(count):
+        entry = draw(st.sampled_from(
+            [rationals, st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)]))
+        return draw(st.lists(entry, min_size=count, max_size=count))
+
+    flat = entries(n ** 3)
+    product = BilinearProduct.from_entries(
+        [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+         for i in range(n)])
+    return product, tuple(entries(n)), tuple(entries(n))
 
 
 class TestConstruction:
@@ -198,6 +222,29 @@ class TestMorphisms:
                                        subadjacent(alg)).passed
         for f in maps:
             assert is_lie_morphism(f, subadjacent(alg), subadjacent(alg)).passed
+
+
+class TestProductValue:
+    @given(product_and_vectors())
+    def test_matches_dense_oracle(self, drawn):
+        product, u, v = drawn
+        value = product.value(u, v)
+        assert value == dense_value(product, u, v)
+        assert all(type(a) is Fraction for a in value)
+
+
+class TestSubadjacentCache:
+    def test_cache_is_bounded(self):
+        subadjacent.cache_clear()
+        try:
+            for q in range(SUBADJACENT_CACHE_SIZE + 5):
+                subadjacent(BiHomPreLieAlgebra.classical(
+                    BilinearProduct.from_entries([[[q]]])))
+            info = subadjacent.cache_info()
+            assert info.maxsize == SUBADJACENT_CACHE_SIZE
+            assert info.currsize == SUBADJACENT_CACHE_SIZE
+        finally:
+            subadjacent.cache_clear()
 
 
 class TestAxiomReport:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bihom import Matrix, adjoint_lie_rep, adjoint_rep, induced_lie_rep, subadjacent
+from bihom import cli
 from bihom.cli import run
 from bihom.documents import (
     algebra_to_doc,
@@ -405,3 +406,27 @@ class TestUsage:
 
     def test_missing_file_is_input_error(self, capsys):
         assert run(["verify", "/nonexistent/thing.json"]) == 2
+
+
+class TestInternalDefect:
+    """A failed self-check of the library exits 3, without a traceback."""
+
+    @staticmethod
+    def broken(args):
+        raise RuntimeError("internal defect: d o d != 0")
+
+    def test_json_report(self, capsys, monkeypatch, nilpotent_file):
+        monkeypatch.setattr(cli, "_cmd_verify", self.broken)
+        code = run(["verify", str(nilpotent_file), "--json"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "verify", "status": "error",
+            "message": "internal defect: d o d != 0"}
+
+    def test_plain_message_on_stderr(self, capsys, monkeypatch,
+                                     nilpotent_file):
+        monkeypatch.setattr(cli, "_cmd_verify", self.broken)
+        assert run(["verify", str(nilpotent_file)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal defect: d o d != 0\n"

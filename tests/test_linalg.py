@@ -19,10 +19,19 @@ from bihom.linalg import (
     rational_to_json,
     solve,
     try_solve,
+    vec_add,
     vec_is_zero,
+    vec_sub,
 )
 
-from oracles import dense_inverse, dense_kernel_basis, dense_rank, dense_try_solve
+from oracles import (
+    dense_apply,
+    dense_inverse,
+    dense_kernel_basis,
+    dense_matmul,
+    dense_rank,
+    dense_try_solve,
+)
 
 Q = Fraction
 
@@ -75,6 +84,69 @@ class TestMatMul:
     def test_dimension_mismatch(self):
         with pytest.raises(LinAlgError):
             mat_mul(mat([[1, 2]]), mat([[1, 2]]))
+
+
+def all_fractions(values) -> bool:
+    return all(type(a) is Fraction for a in values)
+
+
+@st.composite
+def product_operands(draw):
+    """``(a, b, v)`` with ``a @ b`` and ``b.apply(v)`` defined: shapes
+    r x k and k x c with r, k, c in 0..5, each operand drawn dense or with
+    most entries zero."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def entries(count):
+        entry = draw(st.sampled_from(
+            [rationals, st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)]))
+        return draw(st.lists(entry, min_size=count, max_size=count))
+
+    a = Matrix.from_rows([entries(k) for _ in range(r)], cols=k)
+    b = Matrix.from_rows([entries(c) for _ in range(k)], cols=c)
+    return a, b, tuple(entries(c))
+
+
+class TestSparseProducts:
+    """The zero-skipping products equal the dense ``Fraction`` sums."""
+
+    @given(product_operands())
+    def test_matmul_matches_dense_oracle(self, operands):
+        a, b, _ = operands
+        product = a @ b
+        assert product == dense_matmul(a, b)
+        assert all_fractions(x for row in product.entries for x in row)
+
+    @given(product_operands())
+    def test_apply_matches_dense_oracle(self, operands):
+        _, b, v = operands
+        image = b.apply(v)
+        assert image == dense_apply(b, v)
+        assert all_fractions(image)
+
+    @given(product_operands())
+    def test_vector_sums_match_dense(self, operands):
+        _, b, v = operands
+        for row in b.entries:
+            total, difference = vec_add(row, v), vec_sub(row, v)
+            assert total == tuple(x + y for x, y in zip(row, v))
+            assert difference == tuple(x - y for x, y in zip(row, v))
+            assert all_fractions(total + difference)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_zero_size_shapes(self, k):
+        inner = Matrix.zeros(0, k) @ Matrix.zeros(k, 0)
+        assert (inner.rows, inner.cols, inner.entries) == (0, 0, ())
+        outer = Matrix.zeros(k, 0) @ Matrix.zeros(0, 4)
+        assert outer == Matrix.zeros(k, 4)
+        assert all_fractions(x for row in outer.entries for x in row)
+        assert Matrix.zeros(k, 0).apply(()) == (Q(0),) * k
+
+    def test_integer_entries_come_out_as_fractions(self):
+        a = Matrix(2, 2, ((1, 0), (0, 2)))
+        b = Matrix(2, 2, ((0, 3), (0, 0)))
+        assert all_fractions(x for row in (a @ b).entries for x in row)
+        assert all_fractions(a.apply((0, 5)))
 
 
 class TestKernel:
