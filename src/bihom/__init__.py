@@ -35,8 +35,6 @@ from .cohomology import (
     is_cocycle,
 )
 from .deformation import (
-    DeformationCandidate,
-    NijenhuisOperator,
     check_equivalence,
     check_lie_linear_deformation,
     check_linear_deformation,
@@ -45,7 +43,6 @@ from .deformation import (
     deformed_product,
     nijenhuis_trivial_deformation,
     push_deformation_to_lie,
-    zero_deformation,
 )
 from .linalg import (
     InconsistentSystemError,
@@ -60,7 +57,6 @@ from .linalg import (
     try_solve,
 )
 from .operators import (
-    LinearOperator,
     check_o_operator,
     check_rota_baxter,
     compatible_prelie_from_invertible_o,

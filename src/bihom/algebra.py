@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence
 
 from .linalg import (
@@ -166,7 +166,9 @@ class BilinearProduct:
 
     @classmethod
     def from_json(cls, data: object) -> "BilinearProduct":
-        if not isinstance(data, list):
+        if not (isinstance(data, list) and all(
+                isinstance(plane, list) and all(isinstance(vec, list) for vec in plane)
+                for plane in data)):
             raise ValueError("structure tensor JSON must be a nested array")
         return cls.from_entries(
             [[[rational_from_json(a) for a in vec] for vec in plane]
@@ -356,6 +358,10 @@ class _Collector:
             flat = tuple(a for row in m.entries for a in row)
             self.violations.append(Violation(axiom, indices, flat))
 
+    def check_commute(self, axiom: str, a: Matrix, b: Matrix) -> None:
+        """Reports the commutator ``a b - b a`` unless it vanishes."""
+        self.check_matrix(axiom, (), a @ b - b @ a)
+
     def flag(self, axiom: str, indices: tuple[int, ...] = ()) -> None:
         self.violations.append(Violation(axiom, indices, ()))
 
@@ -363,9 +369,16 @@ class _Collector:
         return AxiomReport(tuple(self.violations))
 
 
+# ---------------------------------------------------------------------------
+# one implementation per identity, shared by every checker
+# ---------------------------------------------------------------------------
+
+def _columns(m: Matrix) -> list[tuple[Fraction, ...]]:
+    return [m.col(j) for j in range(m.cols)]
+
+
 def _twist_violations(col: _Collector, twists: TwistPair) -> None:
-    col.check_matrix("alpha-beta-commutation", (),
-                     twists.alpha @ twists.beta - twists.beta @ twists.alpha)
+    col.check_commute("alpha-beta-commutation", twists.alpha, twists.beta)
     # unreachable through the constructor, kept for defence in depth
     if rank(twists.alpha) != twists.dim:
         col.flag("alpha-invertible")
@@ -373,16 +386,131 @@ def _twist_violations(col: _Collector, twists: TwistPair) -> None:
         col.flag("beta-invertible")
 
 
-def _multiplicativity_violations(col: _Collector, product: BilinearProduct,
-                                 twists: TwistPair, kind: str) -> None:
-    n = product.dim
-    for name, m in (("alpha", twists.alpha), ("beta", twists.beta)):
-        cols = [m.col(j) for j in range(n)]
-        for i in range(n):
-            for j in range(n):
-                lhs = m.apply(product.basis_value(i, j))
-                rhs = product.value(cols[i], cols[j])
-                col.check(f"{name}-{kind}", (i, j), vec_sub(lhs, rhs))
+def _operator_commutation(col: _Collector, name: str, mat: Matrix,
+                          twists: TwistPair) -> None:
+    """``{name}-alpha-commutation`` and ``{name}-beta-commutation`` of an
+    operator on the algebra with these twists."""
+    col.check_commute(f"{name}-alpha-commutation", mat, twists.alpha)
+    col.check_commute(f"{name}-beta-commutation", mat, twists.beta)
+
+
+def _map_violations(col: _Collector, axiom: str, f: Matrix,
+                    P: BilinearProduct, P2: BilinearProduct) -> None:
+    """``f(e_i . e_j) - f(e_i) . f(e_j)`` on every ordered basis pair, for a
+    linear map f from the space of the product P to that of P2."""
+    n = P.dim
+    fcol = _columns(f)
+    for i in range(n):
+        for j in range(n):
+            col.check(axiom, (i, j), vec_sub(f.apply(P.basis_value(i, j)),
+                                             P2.value(fcol[i], fcol[j])))
+
+
+def _multiplicativity_violations(col: _Collector, P: BilinearProduct,
+                                 alpha: Matrix, beta: Matrix, axiom: str) -> None:
+    """Both twists are multiplicative for P; ``axiom.format(name)`` names the
+    identity of the twist ``name`` ("alpha" or "beta")."""
+    for name, m in (("alpha", alpha), ("beta", beta)):
+        _map_violations(col, axiom.format(name), m, P, P)
+
+
+_Terms = Sequence[tuple[BilinearProduct, BilinearProduct]]
+
+
+def _inner_products(checks: Sequence[tuple[str, _Terms]]) -> dict[int, BilinearProduct]:
+    return {id(inner): inner for _, terms in checks for _, inner in terms}
+
+
+def _left_symmetry_violations(col: _Collector, twists: TwistPair,
+                              checks: Sequence[tuple[str, _Terms]]) -> None:
+    """Symmetry in (x, y) of twisted associators on basis triples.
+
+    For each ``(axiom, terms)`` of ``checks`` the residual at ``(i, j, k)``,
+    ``i < j``, is the sum over the ``(outer, inner)`` pairs of ``terms`` of
+    ``A(i, j, k) - A(j, i, k)``, where
+
+        A(x, y, z) = outer(inner(beta x, alpha y), beta z)
+                     - outer(alpha beta x, inner(alpha y, z)).
+
+    With ``[(P, P)]`` this is the left symmetry of P; ``[(P, pi), (pi, P)]``
+    and ``[(pi, pi)]`` are the t^1 and t^2 coefficients for ``P + t pi``.
+    The residual is antisymmetric in (x, y), hence i < j; the checks of a
+    triple are reported together, in the order given.
+    """
+    n = twists.dim
+    acol, bcol = _columns(twists.alpha), _columns(twists.beta)
+    abcol = _columns(twists.alpha @ twists.beta)
+    basis = [basis_vector(n, k) for k in range(n)]
+    inners = _inner_products(checks)
+    # inner(alpha e_y, e_k), which does not depend on x
+    right = {q: [[Q.value(acol[y], e) for e in basis] for y in range(n)]
+             for q, Q in inners.items()}
+    for i in range(n):
+        for j in range(i + 1, n):
+            # inner(beta e_i, alpha e_j) - inner(beta e_j, alpha e_i), which
+            # does not depend on k; the outer product is bilinear
+            left = {q: vec_sub(Q.value(bcol[i], acol[j]), Q.value(bcol[j], acol[i]))
+                    for q, Q in inners.items()}
+            for k in range(n):
+                for axiom, terms in checks:
+                    col.check(axiom, (i, j, k), reduce(vec_add, [
+                        vec_sub(P.value(left[id(Q)], bcol[k]),
+                                vec_sub(P.value(abcol[i], right[id(Q)][j][k]),
+                                        P.value(abcol[j], right[id(Q)][i][k])))
+                        for P, Q in terms]))
+
+
+def _skew_violations(col: _Collector, axiom: str, B: BilinearProduct,
+                     twists: TwistPair) -> None:
+    """BiHom-skew-symmetry ``B(beta x, alpha y) + B(beta y, alpha x) = 0`` on
+    basis pairs ``i <= j`` (the diagonal forces ``B(beta x, alpha x) = 0``)."""
+    n = B.dim
+    acol, bcol = _columns(twists.alpha), _columns(twists.beta)
+    for i in range(n):
+        for j in range(i, n):
+            col.check(axiom, (i, j), vec_add(B.value(bcol[i], acol[j]),
+                                             B.value(bcol[j], acol[i])))
+
+
+def _jacobi_violations(col: _Collector, twists: TwistPair,
+                       checks: Sequence[tuple[str, _Terms]]) -> None:
+    """Twisted cyclic Jacobi sums on basis triples.
+
+    For each ``(axiom, terms)`` of ``checks`` the residual at ``(i, j, k)``
+    is the sum over the ``(outer, inner)`` pairs of ``terms`` of
+
+        sum over cyclic (x, y, z) of outer(beta^2 x, inner(beta y, alpha z)).
+
+    With ``[(B, B)]`` this is the BiHom-Jacobi identity of B;
+    ``[(B, pi), (pi, B)]`` and ``[(pi, pi)]`` are the t^1 and t^2
+    coefficients for ``B + t pi``.  The sum is invariant under cyclic
+    rotation, so each orbit is reported once, smallest index first.
+    """
+    n = twists.dim
+    acol, bcol = _columns(twists.alpha), _columns(twists.beta)
+    b2col = _columns(twists.beta @ twists.beta)
+    # inner(beta e_y, alpha e_z) for every pair, computed once
+    inner = {q: [[Q.value(bcol[y], acol[z]) for z in range(n)] for y in range(n)]
+             for q, Q in _inner_products(checks).items()}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(i, n):
+                cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                for axiom, terms in checks:
+                    col.check(axiom, (i, j, k), reduce(vec_add, [
+                        P.value(b2col[x], inner[id(Q)][y][z])
+                        for P, Q in terms for x, y, z in cyclic]))
+
+
+def _subadjacent_tensor(c: BilinearProduct, twists: TwistPair) -> BilinearProduct:
+    """``c(x, y) - c(alpha^-1 beta y, alpha beta^-1 x)`` on basis pairs."""
+    n = c.dim
+    ainv_b = _columns(twists.alpha_inv @ twists.beta)
+    a_binv = _columns(twists.alpha @ twists.beta_inv)
+    return BilinearProduct(n, tuple(
+        tuple(vec_sub(c.basis_value(i, j), c.value(ainv_b[j], a_binv[i]))
+              for j in range(n))
+        for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +528,10 @@ def check_prelie(a: BiHomPreLieAlgebra) -> AxiomReport:
     """
     col = _Collector()
     _twist_violations(col, a.twists)
-    _multiplicativity_violations(col, a.product, a.twists, "multiplicative")
-    n = a.dim
-    P = a.product
-    alpha, beta = a.alpha, a.beta
-    ab = alpha @ beta
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    abcol = [ab.col(i) for i in range(n)]
-
-    def associator(x: int, y: int, z: int) -> tuple[Fraction, ...]:
-        left = P.value(P.value(bcol[x], acol[y]), bcol[z])
-        right = P.value(abcol[x], P.value(acol[y], basis_vector(n, z)))
-        return vec_sub(left, right)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                col.check("left-symmetry", (i, j, k),
-                          vec_sub(associator(i, j, k), associator(j, i, k)))
+    _multiplicativity_violations(col, a.product, a.alpha, a.beta,
+                                 "{}-multiplicative")
+    _left_symmetry_violations(col, a.twists,
+                              [("left-symmetry", [(a.product, a.product)])])
     return col.report()
 
 
@@ -433,31 +546,10 @@ def check_bihom_lie(g: BiHomLieAlgebra) -> AxiomReport:
     """
     col = _Collector()
     _twist_violations(col, g.twists)
-    _multiplicativity_violations(col, g.bracket, g.twists, "bracket-morphism")
-    n = g.dim
-    B = g.bracket
-    alpha, beta = g.alpha, g.beta
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    b2 = beta @ beta
-    b2col = [b2.col(i) for i in range(n)]
-
-    for i in range(n):
-        for j in range(i, n):
-            residual = vec_add(B.value(bcol[i], acol[j]), B.value(bcol[j], acol[i]))
-            col.check("skew-symmetry", (i, j), residual)
-
-    def jacobi(x: int, y: int, z: int) -> tuple[Fraction, ...]:
-        total = zero_vector(n)
-        for p, q, s in ((x, y, z), (y, z, x), (z, x, y)):
-            total = vec_add(total, B.value(b2col[p], B.value(bcol[q], acol[s])))
-        return total
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i <= j and i <= k:
-                    col.check("jacobi", (i, j, k), jacobi(i, j, k))
+    _multiplicativity_violations(col, g.bracket, g.alpha, g.beta,
+                                 "{}-bracket-morphism")
+    _skew_violations(col, "skew-symmetry", g.bracket, g.twists)
+    _jacobi_violations(col, g.twists, [("jacobi", [(g.bracket, g.bracket)])])
     return col.report()
 
 
@@ -473,32 +565,18 @@ def subadjacent(a: BiHomPreLieAlgebra) -> BiHomLieAlgebra:
     twist maps.  For a valid pre-Lie algebra the result satisfies all the
     BiHom-Lie axioms; with identity twists it is the ordinary commutator.
     """
-    n = a.dim
-    ainv_b = a.twists.alpha_inv @ a.beta
-    a_binv = a.alpha @ a.twists.beta_inv
-    c = a.product
-    entries = tuple(
-        tuple(vec_sub(c.basis_value(i, j),
-                      c.value(ainv_b.col(j), a_binv.col(i)))
-              for j in range(n))
-        for i in range(n))
-    return BiHomLieAlgebra(BilinearProduct(n, entries), a.twists)
+    return BiHomLieAlgebra(_subadjacent_tensor(a.product, a.twists), a.twists)
 
 
 def _morphism_violations(f: Matrix, product: BilinearProduct,
                          product2: BilinearProduct, twists: TwistPair,
                          twists2: TwistPair) -> AxiomReport:
-    col = _Collector()
     n = product.dim
     if f.cols != n or f.rows != product2.dim:
         raise ValueError(
             f"morphism matrix must be {product2.dim}x{n}, got {f.rows}x{f.cols}")
-    fcol = [f.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(product.basis_value(i, j))
-            rhs = product2.value(fcol[i], fcol[j])
-            col.check("product-compatibility", (i, j), vec_sub(lhs, rhs))
+    col = _Collector()
+    _map_violations(col, "product-compatibility", f, product, product2)
     col.check_matrix("alpha-intertwining", (),
                      f @ twists.alpha - twists2.alpha @ f)
     col.check_matrix("beta-intertwining", (),

@@ -1,6 +1,8 @@
 """Linear deformations of BiHom-pre-Lie algebras and Nijenhuis operators.
 
-A bilinear candidate pi (twist-equivariant: ``pi(alpha x, alpha y) =
+A deformation is a plain :class:`~bihom.algebra.BilinearProduct` and an
+operator a plain square :class:`~bihom.linalg.Matrix`.  A bilinear
+candidate pi (twist-equivariant: ``pi(alpha x, alpha y) =
 alpha pi(x, y)`` and the beta analogue) generates a linear deformation of
 the product P when ``P + t pi`` remains BiHom-pre-Lie for every t.  The
 "for all t" condition is discharged exactly by coefficient extraction: the
@@ -8,7 +10,9 @@ twisted-associator symmetry of ``P + t pi`` is quadratic in t, so it holds
 for all t iff the t^0 part (the algebra's own identity), the t^1 part (the
 mixed cocycle condition) and the t^2 part (pi alone is BiHom-pre-Lie) each
 vanish on all basis triples.  The t^1 part is precisely the 2-cocycle
-condition for pi in the adjoint complex.
+condition for pi in the adjoint complex.  One associator (and, on the
+BiHom-Lie side, one Jacobi sum) in :mod:`bihom.algebra` computes all three
+coefficients, and the same code checks the undeformed axioms.
 
 Two deformations pi1, pi2 are equivalent via N when ``Id + t N`` is an
 algebra morphism from ``P + t pi2`` to ``P + t pi1`` for all t; expanding in
@@ -27,28 +31,30 @@ algebra, where the same t-extraction discharges the Jacobi identity of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .algebra import (
     AxiomError,
     AxiomReport,
     BiHomLieAlgebra,
     BiHomPreLieAlgebra,
     BilinearProduct,
+    TwistPair,
     Violation,
     _Collector,
+    _columns,
+    _jacobi_violations,
+    _left_symmetry_violations,
+    _multiplicativity_violations,
+    _operator_commutation,
+    _skew_violations,
+    _subadjacent_tensor,
     check_bihom_lie,
     check_prelie,
     merge_reports,
     subadjacent,
 )
-from .linalg import Matrix, basis_vector, vec_add, vec_sub, zero_vector
+from .linalg import Matrix, basis_vector, vec_add, vec_sub
 
 __all__ = [
-    "DeformationCandidate",
-    "NijenhuisOperator",
-    "zero_deformation",
     "check_linear_deformation",
     "check_equivalence",
     "check_nijenhuis_prelie",
@@ -60,40 +66,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeformationCandidate:
-    """The linear term pi of a one-parameter family ``P + t pi``."""
-
-    pi: BilinearProduct
-
-
-@dataclass(frozen=True)
-class NijenhuisOperator:
-    """A linear operator generating a trivial linear deformation."""
-
-    matrix: Matrix
-
-    def __post_init__(self) -> None:
-        if not self.matrix.is_square:
-            raise ValueError("Nijenhuis operators are square matrices")
-
-
-def zero_deformation(dim: int) -> DeformationCandidate:
-    return DeformationCandidate(BilinearProduct.zero(dim))
-
-
-def _as_pi(pi: DeformationCandidate | BilinearProduct, dim: int) -> BilinearProduct:
-    tensor = pi.pi if isinstance(pi, DeformationCandidate) else pi
-    if tensor.dim != dim:
+def _check_tensor(pi: BilinearProduct, dim: int) -> None:
+    if pi.dim != dim:
         raise ValueError("deformation tensor has the wrong dimension")
-    return tensor
 
 
-def _as_operator(N: NijenhuisOperator | Matrix, dim: int) -> Matrix:
-    mat = N.matrix if isinstance(N, NijenhuisOperator) else N
-    if mat.rows != dim or mat.cols != dim:
+def _check_operator(N: Matrix, dim: int) -> None:
+    if N.rows != dim or N.cols != dim:
         raise ValueError(f"operator must be {dim}x{dim}")
-    return mat
 
 
 def _prefixed(report: AxiomReport, prefix: str) -> AxiomReport:
@@ -102,24 +82,12 @@ def _prefixed(report: AxiomReport, prefix: str) -> AxiomReport:
         for v in report.violations))
 
 
-def _equivariance_violations(col: _Collector, pi: BilinearProduct,
-                             alpha: Matrix, beta: Matrix) -> None:
-    n = pi.dim
-    for name, m in (("alpha", alpha), ("beta", beta)):
-        cols = [m.col(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                col.check(f"pi-{name}-equivariance", (i, j),
-                          vec_sub(m.apply(pi.basis_value(i, j)),
-                                  pi.value(cols[i], cols[j])))
-
-
 # ---------------------------------------------------------------------------
 # pre-Lie side
 # ---------------------------------------------------------------------------
 
 def check_linear_deformation(a: BiHomPreLieAlgebra,
-                             pi: DeformationCandidate | BilinearProduct) -> AxiomReport:
+                             pi: BilinearProduct) -> AxiomReport:
     """Does pi generate a linear deformation of a?
 
     Reports, separately: equivariance of pi (a precondition of the notion),
@@ -127,122 +95,99 @@ def check_linear_deformation(a: BiHomPreLieAlgebra,
     condition and the t^2 condition that pi alone is BiHom-pre-Lie.  The
     report passes iff ``P + t pi`` is BiHom-pre-Lie for every t.
     """
-    tensor = _as_pi(pi, a.dim)
+    _check_tensor(pi, a.dim)
     col = _Collector()
-    _equivariance_violations(col, tensor, a.alpha, a.beta)
-    n = a.dim
-    alpha, beta = a.alpha, a.beta
-    ab = alpha @ beta
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    abcol = [ab.col(i) for i in range(n)]
-
-    def ls_expr(P: BilinearProduct, Q: BilinearProduct,
-                x: int, y: int, z: int) -> tuple[Fraction, ...]:
-        left = P.value(Q.value(bcol[x], acol[y]), bcol[z])
-        right = P.value(abcol[x], Q.value(acol[y], basis_vector(n, z)))
-        return vec_sub(left, right)
-
+    _multiplicativity_violations(col, pi, a.alpha, a.beta, "pi-{}-equivariance")
     P = a.product
-
-    def t1(x: int, y: int, z: int) -> tuple[Fraction, ...]:
-        return vec_add(ls_expr(P, tensor, x, y, z), ls_expr(tensor, P, x, y, z))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                col.check("deformation-cocycle", (i, j, k),
-                          vec_sub(t1(i, j, k), t1(j, i, k)))
-                col.check("deformation-square", (i, j, k),
-                          vec_sub(ls_expr(tensor, tensor, i, j, k),
-                                  ls_expr(tensor, tensor, j, i, k)))
+    _left_symmetry_violations(col, a.twists, [
+        ("deformation-cocycle", [(P, pi), (pi, P)]),
+        ("deformation-square", [(pi, pi)]),
+    ])
     return merge_reports(_prefixed(check_prelie(a), "base:"), col.report())
 
 
-def check_equivalence(a: BiHomPreLieAlgebra,
-                      pi1: DeformationCandidate | BilinearProduct,
-                      pi2: DeformationCandidate | BilinearProduct,
-                      N: NijenhuisOperator | Matrix) -> AxiomReport:
+def check_equivalence(a: BiHomPreLieAlgebra, pi1: BilinearProduct,
+                      pi2: BilinearProduct, N: Matrix) -> AxiomReport:
     """Is ``Id + t N`` a morphism from ``P + t pi2`` to ``P + t pi1`` for
     all t?  Checks the twist commutations of N and the three coefficient
     identities on every ordered basis pair."""
-    t1 = _as_pi(pi1, a.dim)
-    t2 = _as_pi(pi2, a.dim)
-    mat = _as_operator(N, a.dim)
+    _check_tensor(pi1, a.dim)
+    _check_tensor(pi2, a.dim)
+    _check_operator(N, a.dim)
     col = _Collector()
-    col.check_matrix("N-alpha-commutation", (), mat @ a.alpha - a.alpha @ mat)
-    col.check_matrix("N-beta-commutation", (), mat @ a.beta - a.beta @ mat)
+    _operator_commutation(col, "N", N, a.twists)
     n = a.dim
     P = a.product
-    ncol = [mat.col(i) for i in range(n)]
+    ncol = _columns(N)
+    basis = [basis_vector(n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            e_i, e_j = basis_vector(n, i), basis_vector(n, j)
+            e_i, e_j = basis[i], basis[j]
             derived = vec_sub(
                 vec_add(P.value(ncol[i], e_j), P.value(e_i, ncol[j])),
-                mat.apply(P.basis_value(i, j)))
+                N.apply(P.basis_value(i, j)))
             col.check("equivalence-linear", (i, j),
-                      vec_sub(vec_sub(t2.basis_value(i, j), t1.basis_value(i, j)),
+                      vec_sub(vec_sub(pi2.basis_value(i, j), pi1.basis_value(i, j)),
                               derived))
-            lhs = vec_add(t1.value(e_i, ncol[j]), t1.value(ncol[i], e_j))
-            rhs = vec_sub(mat.apply(t2.basis_value(i, j)),
+            lhs = vec_add(pi1.value(e_i, ncol[j]), pi1.value(ncol[i], e_j))
+            rhs = vec_sub(N.apply(pi2.basis_value(i, j)),
                           P.value(ncol[i], ncol[j]))
             col.check("equivalence-quadratic", (i, j), vec_sub(lhs, rhs))
-            col.check("equivalence-cubic", (i, j), t1.value(ncol[i], ncol[j]))
+            col.check("equivalence-cubic", (i, j), pi1.value(ncol[i], ncol[j]))
     return col.report()
 
 
-def deformed_product(a: BiHomPreLieAlgebra,
-                     N: NijenhuisOperator | Matrix) -> BilinearProduct:
+def deformed_product(a: BiHomPreLieAlgebra, N: Matrix) -> BilinearProduct:
     """The product ``x *_N y = N(x).y + x.N(y) - N(x.y)``.
 
     Requires N to commute with both twists (otherwise the result is not
     twist-multiplicative and the notion breaks down).
     """
-    mat = _as_operator(N, a.dim)
+    _check_operator(N, a.dim)
     col = _Collector()
-    col.check_matrix("N-alpha-commutation", (), mat @ a.alpha - a.alpha @ mat)
-    col.check_matrix("N-beta-commutation", (), mat @ a.beta - a.beta @ mat)
+    _operator_commutation(col, "N", N, a.twists)
     report = col.report()
     if not report.passed:
         raise AxiomError("operator does not commute with the twist maps", report)
-    return _deformed_product_raw(a.product, mat)
+    return _deformed_product_raw(a.product, N)
 
 
 def _deformed_product_raw(P: BilinearProduct, mat: Matrix) -> BilinearProduct:
     n = P.dim
-    ncol = [mat.col(i) for i in range(n)]
+    ncol = _columns(mat)
+    basis = [basis_vector(n, i) for i in range(n)]
     entries = tuple(
-        tuple(vec_sub(vec_add(P.value(ncol[i], basis_vector(n, j)),
-                              P.value(basis_vector(n, i), ncol[j])),
+        tuple(vec_sub(vec_add(P.value(ncol[i], basis[j]),
+                              P.value(basis[i], ncol[j])),
                       mat.apply(P.basis_value(i, j)))
               for j in range(n))
         for i in range(n))
     return BilinearProduct(n, entries)
 
 
-def check_nijenhuis_prelie(a: BiHomPreLieAlgebra,
-                           N: NijenhuisOperator | Matrix) -> AxiomReport:
-    """Twist commutation plus ``N(x).N(y) = N(x *_N y)`` on basis pairs."""
-    mat = _as_operator(N, a.dim)
+def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
+                      N: Matrix) -> AxiomReport:
+    """The Nijenhuis checks of N for the product or bracket P."""
+    _check_operator(N, P.dim)
     col = _Collector()
-    col.check_matrix("N-alpha-commutation", (), mat @ a.alpha - a.alpha @ mat)
-    col.check_matrix("N-beta-commutation", (), mat @ a.beta - a.beta @ mat)
-    n = a.dim
-    P = a.product
-    deformed = _deformed_product_raw(P, mat)
-    ncol = [mat.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
+    _operator_commutation(col, "N", N, twists)
+    deformed = _deformed_product_raw(P, N)
+    ncol = _columns(N)
+    for i in range(P.dim):
+        for j in range(P.dim):
             col.check("nijenhuis-identity", (i, j),
                       vec_sub(P.value(ncol[i], ncol[j]),
-                              mat.apply(deformed.basis_value(i, j))))
+                              N.apply(deformed.basis_value(i, j))))
     return col.report()
 
 
+def check_nijenhuis_prelie(a: BiHomPreLieAlgebra, N: Matrix) -> AxiomReport:
+    """Twist commutation plus ``N(x).N(y) = N(x *_N y)`` on basis pairs."""
+    return _nijenhuis_report(a.product, a.twists, N)
+
+
 def nijenhuis_trivial_deformation(
-        a: BiHomPreLieAlgebra,
-        N: NijenhuisOperator | Matrix) -> tuple[DeformationCandidate, AxiomReport]:
+        a: BiHomPreLieAlgebra, N: Matrix) -> tuple[BilinearProduct, AxiomReport]:
     """The trivial deformation generated by a Nijenhuis operator.
 
     Returns ``pi = *_N`` together with its (passing) deformation report.
@@ -251,20 +196,19 @@ def nijenhuis_trivial_deformation(
     deformation via ``Id + t N``) are asserted and a failure there is a
     defect, not a data condition.
     """
-    mat = _as_operator(N, a.dim)
-    nij = check_nijenhuis_prelie(a, mat)
+    nij = check_nijenhuis_prelie(a, N)
     if not nij.passed:
         raise AxiomError("not a Nijenhuis operator", nij)
-    candidate = DeformationCandidate(_deformed_product_raw(a.product, mat))
-    deform = check_linear_deformation(a, candidate)
+    pi = _deformed_product_raw(a.product, N)
+    deform = check_linear_deformation(a, pi)
     if not deform.passed:
         raise RuntimeError("internal defect: Nijenhuis image is not a linear "
                            "deformation\n" + deform.summary())
-    equiv = check_equivalence(a, zero_deformation(a.dim), candidate, mat)
+    equiv = check_equivalence(a, BilinearProduct.zero(a.dim), pi, N)
     if not equiv.passed:
         raise RuntimeError("internal defect: Nijenhuis deformation is not "
                            "trivial\n" + equiv.summary())
-    return candidate, merge_reports(deform, equiv)
+    return pi, merge_reports(deform, equiv)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +216,7 @@ def nijenhuis_trivial_deformation(
 # ---------------------------------------------------------------------------
 
 def push_deformation_to_lie(a: BiHomPreLieAlgebra,
-                            pi: DeformationCandidate | BilinearProduct
-                            ) -> DeformationCandidate:
+                            pi: BilinearProduct) -> BilinearProduct:
     """Push a pre-Lie deformation down to the sub-adjacent BiHom-Lie
     algebra: ``pi_C(x, y) = pi(x, y) - pi(alpha^-1 beta y, alpha beta^-1 x)``.
 
@@ -281,28 +224,18 @@ def push_deformation_to_lie(a: BiHomPreLieAlgebra,
     asserted to pass :func:`check_lie_linear_deformation` over
     ``subadjacent(a)``.
     """
-    tensor = _as_pi(pi, a.dim)
-    report = check_linear_deformation(a, tensor)
+    report = check_linear_deformation(a, pi)
     if not report.passed:
         raise AxiomError("not a linear deformation of the algebra", report)
-    n = a.dim
-    ainv_b = a.twists.alpha_inv @ a.beta
-    a_binv = a.alpha @ a.twists.beta_inv
-    entries = tuple(
-        tuple(vec_sub(tensor.basis_value(i, j),
-                      tensor.value(ainv_b.col(j), a_binv.col(i)))
-              for j in range(n))
-        for i in range(n))
-    candidate = DeformationCandidate(BilinearProduct(n, entries))
-    lie_report = check_lie_linear_deformation(subadjacent(a), candidate)
+    pushed = _subadjacent_tensor(pi, a.twists)
+    lie_report = check_lie_linear_deformation(subadjacent(a), pushed)
     if not lie_report.passed:
         raise RuntimeError("internal defect: pushed deformation fails the "
                            "BiHom-Lie conditions\n" + lie_report.summary())
-    return candidate
+    return pushed
 
 
-def check_nijenhuis_lie(g: BiHomLieAlgebra,
-                        N: NijenhuisOperator | Matrix) -> AxiomReport:
+def check_nijenhuis_lie(g: BiHomLieAlgebra, N: Matrix) -> AxiomReport:
     """Nijenhuis condition on a BiHom-Lie algebra:
     ``[N(x), N(y)] = N([x, y]_N)`` with
     ``[x, y]_N = [N x, y] + [x, N y] - N[x, y]``.
@@ -311,24 +244,11 @@ def check_nijenhuis_lie(g: BiHomLieAlgebra,
     the alpha-only reading of the notion is recoverable by filtering out
     ``N-beta-commutation`` violations.
     """
-    mat = _as_operator(N, g.dim)
-    col = _Collector()
-    col.check_matrix("N-alpha-commutation", (), mat @ g.alpha - g.alpha @ mat)
-    col.check_matrix("N-beta-commutation", (), mat @ g.beta - g.beta @ mat)
-    deformed = _deformed_product_raw(g.bracket, mat)
-    n = g.dim
-    ncol = [mat.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            col.check("nijenhuis-identity", (i, j),
-                      vec_sub(g.bracket.value(ncol[i], ncol[j]),
-                              mat.apply(deformed.basis_value(i, j))))
-    return col.report()
+    return _nijenhuis_report(g.bracket, g.twists, N)
 
 
 def check_lie_linear_deformation(g: BiHomLieAlgebra,
-                                 pi: DeformationCandidate | BilinearProduct
-                                 ) -> AxiomReport:
+                                 pi: BilinearProduct) -> AxiomReport:
     """Does pi generate a linear deformation of the BiHom-Lie algebra?
 
     Preconditions (reported with their own axiom names): pi is
@@ -337,36 +257,13 @@ def check_lie_linear_deformation(g: BiHomLieAlgebra,
     (prefixed ``base:``), the mixed t^1 Jacobi condition holds, and pi alone
     satisfies the BiHom-Jacobi identity (the t^2 part).
     """
-    tensor = _as_pi(pi, g.dim)
+    _check_tensor(pi, g.dim)
     col = _Collector()
-    _equivariance_violations(col, tensor, g.alpha, g.beta)
-    n = g.dim
-    alpha, beta = g.alpha, g.beta
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    b2 = beta @ beta
-    b2col = [b2.col(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            col.check("pi-bihom-skew", (i, j),
-                      vec_add(tensor.value(bcol[i], acol[j]),
-                              tensor.value(bcol[j], acol[i])))
-
-    def jac_expr(P: BilinearProduct, Q: BilinearProduct,
-                 x: int, y: int, z: int) -> tuple[Fraction, ...]:
-        total = zero_vector(n)
-        for p, q, s in ((x, y, z), (y, z, x), (z, x, y)):
-            total = vec_add(total, P.value(b2col[p], Q.value(bcol[q], acol[s])))
-        return total
-
+    _multiplicativity_violations(col, pi, g.alpha, g.beta, "pi-{}-equivariance")
+    _skew_violations(col, "pi-bihom-skew", pi, g.twists)
     B = g.bracket
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i <= j and i <= k:
-                    mixed = vec_add(jac_expr(B, tensor, i, j, k),
-                                    jac_expr(tensor, B, i, j, k))
-                    col.check("lie-deformation-cocycle", (i, j, k), mixed)
-                    col.check("lie-deformation-jacobi", (i, j, k),
-                              jac_expr(tensor, tensor, i, j, k))
+    _jacobi_violations(col, g.twists, [
+        ("lie-deformation-cocycle", [(B, pi), (pi, B)]),
+        ("lie-deformation-jacobi", [(pi, pi)]),
+    ])
     return merge_reports(_prefixed(check_bihom_lie(g), "base:"), col.report())

@@ -3,7 +3,7 @@ deformations and cochains.
 
 Rationals are encoded as JSON integers or ``"p/q"`` strings (optional
 leading minus on p); matrices as arrays of rows; structure tensors as
-``c[i][j][k]`` nested arrays.  The documents:
+``c[i][j][k]`` nested arrays, with an array at every level.  The documents:
 
 * algebra:        ``{"dim": n, "product": c, "alpha": M, "beta": M}``
                   (key ``"bracket"`` instead of ``"product"`` for a
@@ -40,7 +40,6 @@ from .algebra import (
     TwistPair,
 )
 from .cohomology import Cochain
-from .deformation import DeformationCandidate
 from .linalg import Matrix
 from .representation import LieRep, PreLieRep
 
@@ -78,6 +77,8 @@ def load_json(path: str | Path) -> object:
         text = p.read_text()
     except OSError as exc:
         raise DocumentError(f"{p}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path, or not UTF-8
+        raise DocumentError(f"{p}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -97,7 +98,10 @@ def _follow(doc: object, base: Path | None, where: str
     seen: set[Path] = set()
     while isinstance(doc, str):
         path = (base / doc) if base is not None else Path(doc)
-        key = path.resolve()
+        try:
+            key = path.resolve()
+        except (RuntimeError, ValueError) as exc:  # a symlink loop, a NUL byte
+            raise DocumentError(f"{where}: cannot resolve {path}: {exc}") from exc
         if key in seen:
             raise DocumentError(f"{where}: path reference cycle through {path}")
         if len(seen) == MAX_REFERENCE_DEPTH:
@@ -280,18 +284,18 @@ def operator_from_doc(doc: object, base: Path | None = None,
     return matrix, context
 
 
-def deformation_from_doc(doc: object, where: str = "deformation") -> DeformationCandidate:
+def deformation_from_doc(doc: object, where: str = "deformation") -> BilinearProduct:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     raw = _require(doc, "pi", where)
     try:
-        return DeformationCandidate(BilinearProduct.from_json(raw))
+        return BilinearProduct.from_json(raw)
     except ValueError as exc:
         raise DocumentError(f"{where}.pi: {exc}") from exc
 
 
-def deformation_to_doc(d: DeformationCandidate) -> dict:
-    return {"pi": d.pi.to_json()}
+def deformation_to_doc(pi: BilinearProduct) -> dict:
+    return {"pi": pi.to_json()}
 
 
 def nijenhuis_from_doc(doc: object, where: str = "nijenhuis") -> Matrix:

@@ -327,12 +327,6 @@ class Matrix:
         return f"[{body}]"
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product, the same as ``a @ b``.  Not exported: new code
-    writes ``a @ b``."""
-    return a @ b
-
-
 def block_diag(*blocks: Matrix) -> Matrix:
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)

@@ -17,11 +17,12 @@ the adjoint representation: a twist-commuting R: g -> g with
 Every O-operator induces a BiHom-pre-Lie product ``u * v = rho(T(u)) v`` on
 V; an invertible one transports it onto g as ``x . y = T(rho(x) T^-1(y))``,
 whose sub-adjacent bracket recovers the original bracket exactly.
+
+Operators are plain :class:`~bihom.linalg.Matrix` objects: T is
+``dim g x dim V`` and R is square; every function checks the shape.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebra import (
     AxiomError,
@@ -31,6 +32,8 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
+    _columns,
+    _operator_commutation,
     check_prelie,
     is_lie_morphism,
     subadjacent,
@@ -39,7 +42,6 @@ from .linalg import Matrix, basis_vector, inverse, rank, vec_sub
 from .representation import LieRep
 
 __all__ = [
-    "LinearOperator",
     "check_o_operator",
     "induced_prelie_from_o",
     "induced_prelie_on_image",
@@ -49,31 +51,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """A linear map between coordinate spaces, tagged with its dimensions."""
-
-    matrix: Matrix
-    source_dim: int
-    target_dim: int
-
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.target_dim or self.matrix.cols != self.source_dim:
-            raise ValueError(
-                f"operator matrix must be {self.target_dim}x{self.source_dim}, "
-                f"got {self.matrix.rows}x{self.matrix.cols}")
-
-
-def _operator_matrix(T: LinearOperator | Matrix, source_dim: int,
-                     target_dim: int) -> Matrix:
-    m = T.matrix if isinstance(T, LinearOperator) else T
-    if m.rows != target_dim or m.cols != source_dim:
+def _check_shape(T: Matrix, source_dim: int, target_dim: int) -> None:
+    if T.rows != target_dim or T.cols != source_dim:
         raise ValueError(
-            f"operator must be {target_dim}x{source_dim}, got {m.rows}x{m.cols}")
-    return m
+            f"operator must be {target_dim}x{source_dim}, got {T.rows}x{T.cols}")
 
 
-def check_o_operator(T: LinearOperator | Matrix, r: LieRep) -> AxiomReport:
+def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     """Verify that T is an O-operator for the representation r.
 
     Reports twist-intertwining failures (``T phi = alpha T``,
@@ -81,28 +65,28 @@ def check_o_operator(T: LinearOperator | Matrix, r: LieRep) -> AxiomReport:
     which is checked on every ordered pair of carrier basis vectors.
     """
     g = r.algebra
-    n, m = g.dim, r.vdim
-    mat = _operator_matrix(T, m, n)
+    m = r.vdim
+    _check_shape(T, m, g.dim)
     col = _Collector()
-    col.check_matrix("T-phi-intertwining", (), g.alpha @ mat - mat @ r.phi)
-    col.check_matrix("T-psi-intertwining", (), g.beta @ mat - mat @ r.psi)
+    col.check_matrix("T-phi-intertwining", (), g.alpha @ T - T @ r.phi)
+    col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
 
-    phinv_psi = inverse(r.phi) @ r.psi
-    phi_psinv = r.phi @ inverse(r.psi)
-    tcol = [mat.col(b) for b in range(m)]
+    tcol = _columns(T)
+    rho_t = [r.rho_of(t) for t in tcol]
+    # rho(T(phi^-1 psi v)) and (phi psi^-1)(u), once per carrier basis vector
+    rho_twisted = [r.rho_of(T.apply(v)) for v in _columns(inverse(r.phi) @ r.psi)]
+    phi_psinv = _columns(r.phi @ inverse(r.psi))
     for u in range(m):
         for v in range(m):
             lhs = g.bracket.value(tcol[u], tcol[v])
-            first = r.rho_of(tcol[u]).col(v)
-            twisted = mat.apply(phinv_psi.col(v))
-            second = r.rho_of(twisted).apply(phi_psinv.col(u))
-            rhs = mat.apply(vec_sub(first, second))
+            first = rho_t[u].col(v)
+            second = rho_twisted[v].apply(phi_psinv[u])
+            rhs = T.apply(vec_sub(first, second))
             col.check("o-operator-identity", (u, v), vec_sub(lhs, rhs))
     return col.report()
 
 
-def induced_prelie_from_o(T: LinearOperator | Matrix,
-                          r: LieRep) -> BiHomPreLieAlgebra:
+def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """BiHom-pre-Lie product ``u * v = rho(T(u)) v`` on the carrier of r.
 
     Requires a valid O-operator.  The output is verified to satisfy the
@@ -113,12 +97,8 @@ def induced_prelie_from_o(T: LinearOperator | Matrix,
     report = check_o_operator(T, r)
     if not report.passed:
         raise AxiomError("not an O-operator for this representation", report)
-    g = r.algebra
-    n, m = g.dim, r.vdim
-    mat = _operator_matrix(T, m, n)
-    entries = tuple(
-        tuple(r.rho_of(mat.col(a)).col(b) for b in range(m))
-        for a in range(m))
+    m = r.vdim
+    entries = tuple(tuple(_columns(r.rho_of(t))) for t in _columns(T))
     out = BiHomPreLieAlgebra(BilinearProduct(m, entries),
                              TwistPair(r.phi, r.psi))
     check = check_prelie(out)
@@ -126,7 +106,7 @@ def induced_prelie_from_o(T: LinearOperator | Matrix,
         raise RuntimeError(
             "internal defect: O-operator induced a non-pre-Lie product\n"
             + check.summary())
-    morphism = is_lie_morphism(mat, subadjacent(out), g)
+    morphism = is_lie_morphism(T, subadjacent(out), r.algebra)
     if not morphism.passed:
         raise RuntimeError(
             "internal defect: O-operator is not a morphism of the induced "
@@ -134,8 +114,7 @@ def induced_prelie_from_o(T: LinearOperator | Matrix,
     return out
 
 
-def induced_prelie_on_image(T: LinearOperator | Matrix,
-                            r: LieRep) -> BiHomPreLieAlgebra:
+def induced_prelie_on_image(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """The induced pre-Lie structure on the subspace T(V) of the ambient
     algebra, expressed in the image basis ``T(v_1), ..., T(v_m)``.
 
@@ -144,39 +123,36 @@ def induced_prelie_on_image(T: LinearOperator | Matrix,
     induced product on V, and the restricted ambient twists act as
     (phi, psi).
     """
-    g = r.algebra
-    mat = _operator_matrix(T, r.vdim, g.dim)
-    if rank(mat) != r.vdim:
+    _check_shape(T, r.vdim, r.algebra.dim)
+    if rank(T) != r.vdim:
         raise ValueError("operator must be injective to carry the product "
                          "onto its image")
-    return induced_prelie_from_o(mat, r)
+    return induced_prelie_from_o(T, r)
 
 
-def check_rota_baxter(R: LinearOperator | Matrix,
-                      g: BiHomLieAlgebra) -> AxiomReport:
+def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     """Verify the weight-zero Rota-Baxter conditions on all basis pairs:
     commutation with both twists and
     ``[R(x), R(y)] = R([R(x), y] + [x, R(y)])``."""
     n = g.dim
-    mat = _operator_matrix(R, n, n)
+    _check_shape(R, n, n)
     col = _Collector()
-    col.check_matrix("R-alpha-commutation", (), mat @ g.alpha - g.alpha @ mat)
-    col.check_matrix("R-beta-commutation", (), mat @ g.beta - g.beta @ mat)
-    rcol = [mat.col(i) for i in range(n)]
+    _operator_commutation(col, "R", R, g.twists)
+    rcol = _columns(R)
+    basis = [basis_vector(n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
             lhs = g.bracket.value(rcol[i], rcol[j])
             inner = tuple(
                 x + y for x, y in zip(
-                    g.bracket.value(rcol[i], basis_vector(n, j)),
-                    g.bracket.value(basis_vector(n, i), rcol[j])))
+                    g.bracket.value(rcol[i], basis[j]),
+                    g.bracket.value(basis[i], rcol[j])))
             col.check("rota-baxter-identity", (i, j),
-                      vec_sub(lhs, mat.apply(inner)))
+                      vec_sub(lhs, R.apply(inner)))
     return col.report()
 
 
-def rb_induced_prelie(R: LinearOperator | Matrix,
-                      g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
+def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
     """BiHom-pre-Lie product ``x * y = [R(x), y]`` induced by a Rota-Baxter
     operator of weight zero; coincides with the O-operator construction for
     the adjoint representation with T = R."""
@@ -184,15 +160,13 @@ def rb_induced_prelie(R: LinearOperator | Matrix,
     if not report.passed:
         raise AxiomError("not a Rota-Baxter operator of weight zero", report)
     n = g.dim
-    mat = _operator_matrix(R, n, n)
-    entries = tuple(
-        tuple(g.bracket.value(mat.col(i), basis_vector(n, j)) for j in range(n))
-        for i in range(n))
+    basis = [basis_vector(n, j) for j in range(n)]
+    entries = tuple(tuple(g.bracket.value(x, e) for e in basis)
+                    for x in _columns(R))
     return BiHomPreLieAlgebra(BilinearProduct(n, entries), g.twists)
 
 
-def compatible_prelie_from_invertible_o(T: LinearOperator | Matrix,
-                                        r: LieRep) -> BiHomPreLieAlgebra:
+def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """Compatible pre-Lie structure ``x . y = T(rho(x) T^-1(y))`` on the
     algebra of r, defined by an invertible O-operator.
 
@@ -201,13 +175,13 @@ def compatible_prelie_from_invertible_o(T: LinearOperator | Matrix,
     """
     g = r.algebra
     n = g.dim
-    mat = _operator_matrix(T, r.vdim, n)
-    tinv = inverse(mat)  # raises for singular T; also forces vdim == n
-    report = check_o_operator(mat, r)
+    _check_shape(T, r.vdim, n)
+    tinv = inverse(T)  # raises for singular T; also forces vdim == n
+    report = check_o_operator(T, r)
     if not report.passed:
         raise AxiomError("not an O-operator for this representation", report)
     entries = tuple(
-        tuple(mat.apply((r.rho[i] @ tinv).col(j)) for j in range(n))
+        tuple(T.apply(v) for v in _columns(r.rho[i] @ tinv))
         for i in range(n))
     out = BiHomPreLieAlgebra(BilinearProduct(n, entries), g.twists)
     if subadjacent(out).bracket != g.bracket:

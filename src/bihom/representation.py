@@ -36,6 +36,8 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
+    _columns,
+    _multiplicativity_violations,
     subadjacent,
 )
 from .linalg import (
@@ -129,6 +131,29 @@ class LieRep:
 # axiom checks
 # ---------------------------------------------------------------------------
 
+def _twisted_actions(r: PreLieRep, alpha: Matrix, beta: Matrix
+                     ) -> tuple[list[Matrix], list[Matrix], list[Matrix], list[Matrix]]:
+    """``L(alpha e_i)``, ``L(beta e_i)``, ``R(alpha e_i)``, ``R(beta e_i)``
+    for every basis index i, each computed once."""
+    acol, bcol = _columns(alpha), _columns(beta)
+    return ([r.L_of(x) for x in acol], [r.L_of(x) for x in bcol],
+            [r.R_of(x) for x in acol], [r.R_of(x) for x in bcol])
+
+
+def _intertwining_violations(col: _Collector, axiom: str, r: PreLieRep,
+                             phi: Matrix, psi: Matrix, actions) -> None:
+    """rep-1 on basis vectors: ``phi L(x) = L(alpha x) phi``,
+    ``psi L(x) = L(beta x) psi`` and the same for R, with ``actions`` from
+    :func:`_twisted_actions`; ``axiom.format(twist, family)`` names each."""
+    La, Lb, Ra, Rb = actions
+    for i in range(len(r.L)):
+        for name, mats, by_alpha, by_beta in (("L", r.L, La, Lb), ("R", r.R, Ra, Rb)):
+            col.check_matrix(axiom.format("phi", name), (i,),
+                             phi @ mats[i] - by_alpha[i] @ phi)
+            col.check_matrix(axiom.format("psi", name), (i,),
+                             psi @ mats[i] - by_beta[i] @ psi)
+
+
 def check_prelie_rep(r: PreLieRep) -> AxiomReport:
     """Verify rep-1 (all four intertwinings), rep-2 and rep-3 on basis pairs.
 
@@ -139,32 +164,28 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
     col = _Collector()
     a = r.algebra
     n, phi, psi = a.dim, r.phi, r.psi
-    alpha, beta = a.alpha, a.beta
-    ab = alpha @ beta
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    abcol = [ab.col(i) for i in range(n)]
+    acol, bcol = _columns(a.alpha), _columns(a.beta)
     P = a.product
+    actions = _twisted_actions(r, a.alpha, a.beta)
+    La, Lb, Ra, Rb = actions
+    Lab = [r.L_of(x) for x in _columns(a.alpha @ a.beta)]
 
-    col.check_matrix("phi-psi-commutation", (), phi @ psi - psi @ phi)
-    for i in range(n):
-        col.check_matrix("rep1-phi-L", (i,), phi @ r.L[i] - r.L_of(acol[i]) @ phi)
-        col.check_matrix("rep1-psi-L", (i,), psi @ r.L[i] - r.L_of(bcol[i]) @ psi)
-        col.check_matrix("rep1-phi-R", (i,), phi @ r.R[i] - r.R_of(acol[i]) @ phi)
-        col.check_matrix("rep1-psi-R", (i,), psi @ r.R[i] - r.R_of(bcol[i]) @ psi)
-
-    def rep2_half(x: int, y: int) -> Matrix:
-        return r.L_of(P.value(bcol[x], acol[y])) @ psi - r.L_of(abcol[x]) @ r.L_of(acol[y])
+    col.check_commute("phi-psi-commutation", phi, psi)
+    _intertwining_violations(col, "rep1-{}-{}", r, phi, psi, actions)
 
     for i in range(n):
         for j in range(i + 1, n):
-            col.check_matrix("rep2", (i, j), rep2_half(i, j) - rep2_half(j, i))
+            # L is linear, so both halves share one L(...) psi
+            skew = vec_sub(P.value(bcol[i], acol[j]), P.value(bcol[j], acol[i]))
+            col.check_matrix("rep2", (i, j), r.L_of(skew) @ psi
+                             - (Lab[i] @ La[j] - Lab[j] @ La[i]))
 
+    basis = [basis_vector(n, i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = r.R_of(bcol[i]) @ r.L_of(bcol[j]) @ phi - r.L_of(abcol[j]) @ r.R[i] @ phi
-            rhs = (r.R_of(bcol[i]) @ r.R_of(acol[j]) @ psi
-                   - r.R_of(P.value(acol[j], basis_vector(n, i))) @ phi @ psi)
+            lhs = Rb[i] @ Lb[j] @ phi - Lab[j] @ r.R[i] @ phi
+            rhs = (Rb[i] @ Ra[j] @ psi
+                   - r.R_of(P.value(acol[j], basis[i])) @ phi @ psi)
             col.check_matrix("rep3", (i, j), lhs - rhs)
     return col.report()
 
@@ -174,21 +195,21 @@ def check_lie_rep(r: LieRep) -> AxiomReport:
     col = _Collector()
     g = r.algebra
     n, phi, psi = g.dim, r.phi, r.psi
-    alpha, beta = g.alpha, g.beta
-    ab = alpha @ beta
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    abcol = [ab.col(i) for i in range(n)]
+    bcol = _columns(g.beta)
+    rho_a = [r.rho_of(x) for x in _columns(g.alpha)]
+    rho_b = [r.rho_of(x) for x in bcol]
+    rho_ab = [r.rho_of(x) for x in _columns(g.alpha @ g.beta)]
     B = g.bracket
 
-    col.check_matrix("phi-psi-commutation", (), phi @ psi - psi @ phi)
+    col.check_commute("phi-psi-commutation", phi, psi)
     for i in range(n):
-        col.check_matrix("lie-rep-1", (i,), r.rho_of(acol[i]) @ phi - phi @ r.rho[i])
-        col.check_matrix("lie-rep-2", (i,), r.rho_of(bcol[i]) @ psi - psi @ r.rho[i])
+        col.check_matrix("lie-rep-1", (i,), rho_a[i] @ phi - phi @ r.rho[i])
+        col.check_matrix("lie-rep-2", (i,), rho_b[i] @ psi - psi @ r.rho[i])
+    basis = [basis_vector(n, j) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = r.rho_of(B.value(bcol[i], basis_vector(n, j))) @ psi
-            rhs = r.rho_of(abcol[i]) @ r.rho[j] - r.rho_of(bcol[j]) @ r.rho_of(acol[i])
+            lhs = r.rho_of(B.value(bcol[i], basis[j])) @ psi
+            rhs = rho_ab[i] @ r.rho[j] - rho_b[j] @ rho_a[i]
             col.check_matrix("lie-rep-3", (i, j), lhs - rhs)
     return col.report()
 
@@ -234,6 +255,26 @@ def semidirect_prelie(r: PreLieRep) -> BiHomPreLieAlgebra:
     return _semidirect_prelie_raw(r)
 
 
+def _semidirect_tensor(top: BilinearProduct, m: int, left: Sequence[Matrix],
+                       right: Sequence[Matrix]) -> BilinearProduct:
+    """Structure tensor on A + V (algebra basis first, carrier after) of
+    ``(x+u)(y+v) = top(x, y) + left(x) v + right(y) u``, where ``left[i]``
+    and ``right[j]`` are the m x m actions of the algebra basis vectors."""
+    n = top.dim
+    N = n + m
+    zero = Fraction(0)
+    entries = [[(zero,) * N] * N for _ in range(N)]
+    for i in range(n):
+        for j in range(n):
+            entries[i][j] = top.basis_value(i, j) + (zero,) * m
+        for b in range(m):
+            entries[i][n + b] = (zero,) * n + left[i].col(b)
+    for u in range(m):
+        for j in range(n):
+            entries[n + u][j] = (zero,) * n + right[j].col(u)
+    return BilinearProduct(N, tuple(tuple(row) for row in entries))
+
+
 def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
     """The semidirect construction itself, with no validity check.
 
@@ -241,26 +282,7 @@ def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
     (defective representation -> defective algebra) can be exercised.
     """
     a = r.algebra
-    n, m = a.dim, r.vdim
-    N = n + m
-    zero = [Fraction(0)] * N
-
-    def pad_algebra(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(v) + (Fraction(0),) * m
-
-    def pad_carrier(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * n + tuple(v)
-
-    entries = [[tuple(zero)] * N for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            entries[i][j] = pad_algebra(a.product.basis_value(i, j))
-        for b in range(m):
-            entries[i][n + b] = pad_carrier(r.L[i].col(b))
-    for aa in range(m):
-        for j in range(n):
-            entries[n + aa][j] = pad_carrier(r.R[j].col(aa))
-    product = BilinearProduct(N, tuple(tuple(row) for row in entries))
+    product = _semidirect_tensor(a.product, r.vdim, r.L, r.R)
     twists = TwistPair(block_diag(a.alpha, r.phi), block_diag(a.beta, r.psi))
     return BiHomPreLieAlgebra(product, twists)
 
@@ -276,29 +298,10 @@ def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
 
 def _semidirect_lie_raw(r: LieRep) -> BiHomLieAlgebra:
     g = r.algebra
-    n, m = g.dim, r.vdim
-    N = n + m
-    ainv_b = g.twists.alpha_inv @ g.beta
     phi_psinv = r.phi @ inverse(r.psi)
-    zero = (Fraction(0),) * N
-
-    def pad_algebra(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(v) + (Fraction(0),) * m
-
-    def pad_carrier(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * n + tuple(v)
-
-    entries = [[zero] * N for _ in range(N)]
-    for i in range(n):
-        for j in range(n):
-            entries[i][j] = pad_algebra(g.bracket.basis_value(i, j))
-        for b in range(m):
-            entries[i][n + b] = pad_carrier(r.rho[i].col(b))
-    for aa in range(m):
-        for j in range(n):
-            action = r.rho_of(ainv_b.col(j)) @ phi_psinv
-            entries[n + aa][j] = pad_carrier(tuple(-x for x in action.col(aa)))
-    bracket = BilinearProduct(N, tuple(tuple(row) for row in entries))
+    right = [-(r.rho_of(x) @ phi_psinv)
+             for x in _columns(g.twists.alpha_inv @ g.beta)]
+    bracket = _semidirect_tensor(g.bracket, r.vdim, r.rho, right)
     twists = TwistPair(block_diag(g.alpha, r.phi), block_diag(g.beta, r.psi))
     return BiHomLieAlgebra(bracket, twists)
 
@@ -323,11 +326,16 @@ def induced_lie_rep(r: PreLieRep, variant: str = "full") -> LieRep:
     glie = subadjacent(r.algebra)
     if variant == "l-only":
         return LieRep(glie, r.vdim, r.L, r.phi, r.psi)
-    a_binv = r.algebra.alpha @ r.algebra.twists.beta_inv
+    return LieRep(glie, r.vdim, _induced_rho(r), r.phi, r.psi)
+
+
+def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
+    """``rho(e_i) = L(e_i) - R(alpha beta^-1 e_i) phi^-1 psi`` for every
+    basis index i."""
+    a = r.algebra
     phinv_psi = inverse(r.phi) @ r.psi
-    rho = tuple(r.L[i] - r.R_of(a_binv.col(i)) @ phinv_psi
-                for i in range(r.algebra.dim))
-    return LieRep(glie, r.vdim, rho, r.phi, r.psi)
+    return tuple(L - r.R_of(x) @ phinv_psi
+                 for L, x in zip(r.L, _columns(a.alpha @ a.twists.beta_inv)))
 
 
 def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
@@ -355,36 +363,24 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
         raise ValueError("twist_rep requires a representation with identity twists")
 
     col = _Collector()
-    col.check_matrix("alpha-beta-commutation", (), alpha @ beta - beta @ alpha)
-    col.check_matrix("phi-psi-commutation", (), phi @ psi - psi @ phi)
-    acol = [alpha.col(i) for i in range(n)]
-    bcol = [beta.col(i) for i in range(n)]
-    for name, mat in (("alpha", alpha), ("beta", beta)):
-        cols = acol if name == "alpha" else bcol
-        for i in range(n):
-            for j in range(n):
-                lhs = mat.apply(a.product.basis_value(i, j))
-                rhs = a.product.value(cols[i], cols[j])
-                col.check(f"{name}-multiplicative", (i, j), vec_sub(lhs, rhs))
-    for i in range(n):
-        col.check_matrix("phi-L-intertwining", (i,),
-                         phi @ classical.L[i] - classical.L_of(acol[i]) @ phi)
-        col.check_matrix("psi-L-intertwining", (i,),
-                         psi @ classical.L[i] - classical.L_of(bcol[i]) @ psi)
-        col.check_matrix("phi-R-intertwining", (i,),
-                         phi @ classical.R[i] - classical.R_of(acol[i]) @ phi)
-        col.check_matrix("psi-R-intertwining", (i,),
-                         psi @ classical.R[i] - classical.R_of(bcol[i]) @ psi)
+    col.check_commute("alpha-beta-commutation", alpha, beta)
+    col.check_commute("phi-psi-commutation", phi, psi)
+    _multiplicativity_violations(col, a.product, alpha, beta, "{}-multiplicative")
+    actions = _twisted_actions(classical, alpha, beta)
+    _intertwining_violations(col, "{}-{}-intertwining", classical, phi, psi,
+                             actions)
     report = col.report()
     if not report.passed:
         raise AxiomError("twisting hypotheses are violated", report)
 
+    acol, bcol = _columns(alpha), _columns(beta)
     twisted = BilinearProduct(n, tuple(
         tuple(a.product.value(acol[i], bcol[j]) for j in range(n))
         for i in range(n)))
     algebra2 = BiHomPreLieAlgebra(twisted, TwistPair(alpha, beta))
-    LL = tuple(classical.L_of(acol[i]) @ psi for i in range(n))
-    RR = tuple(classical.R_of(bcol[i]) @ phi for i in range(n))
+    La, _, _, Rb = actions
+    LL = tuple(L @ psi for L in La)
+    RR = tuple(R @ phi for R in Rb)
     return PreLieRep(algebra2, m, LL, RR, phi, psi)
 
 
@@ -394,23 +390,16 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
     Carrier V tensor W with the lexicographic basis ``v_i (x) w_j`` (i
     outer); actions
 
-        L(x) = L_V(x) (x) psi_W
-               + psi_V (x) (L_W(x) - R_W(alpha beta^-1 x) phi_W^-1 psi_W),
+        L(x) = L_V(x) (x) psi_W + psi_V (x) rho_W(x),
+        rho_W(x) = L_W(x) - R_W(alpha beta^-1 x) phi_W^-1 psi_W,
         R(x) = R_V(x) (x) phi_W,
 
     and twists ``phi_V (x) phi_W``, ``psi_V (x) psi_W``.
     """
     if rv.algebra != rw.algebra:
         raise ValueError("tensor factors must represent the same algebra")
-    a = rv.algebra
-    n = a.dim
-    a_binv = a.alpha @ a.twists.beta_inv
-    phiw_inv = inverse(rw.phi)
-    L = []
-    R = []
-    for i in range(n):
-        lw_twisted = rw.L[i] - rw.R_of(a_binv.col(i)) @ phiw_inv @ rw.psi
-        L.append(rv.L[i].kron(rw.psi) + rv.psi.kron(lw_twisted))
-        R.append(rv.R[i].kron(rw.phi))
-    return PreLieRep(a, rv.vdim * rw.vdim, tuple(L), tuple(R),
+    L = tuple(Lv.kron(rw.psi) + rv.psi.kron(rho_w)
+              for Lv, rho_w in zip(rv.L, _induced_rho(rw)))
+    R = tuple(Rv.kron(rw.phi) for Rv in rv.R)
+    return PreLieRep(rv.algebra, rv.vdim * rw.vdim, L, R,
                      rv.phi.kron(rw.phi), rv.psi.kron(rw.psi))

@@ -8,6 +8,13 @@
   ``Matrix @ Matrix`` and ``Matrix.apply`` as full ``Fraction`` sums over
   every index, and ``BilinearProduct.value`` scanning every structure
   constant of each pair of nonzero coordinates.
+* The axiom checkers as they were before each identity got one shared
+  implementation: ``check_prelie`` with its own associator,
+  ``check_bihom_lie`` with its own Jacobi sum, the deformation checkers
+  with their own t-expansions, the representation checkers evaluating
+  every twisted action inside the loops, and the hypothesis checks of
+  ``twist_rep``.  They must report the same violations, in the same order
+  and with the same residuals.
 * The per-image cohomology pipeline: the cochain space solved as the
   kernel of the equivariance conditions at every basis tuple, the
   coboundary evaluated image by image on full value tensors, and every
@@ -21,8 +28,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from bihom import Matrix, subadjacent
+from bihom import AxiomReport, Matrix, Violation, subadjacent
 from bihom.cohomology import Cochain
+from bihom.linalg import basis_vector, rank, vec_add, vec_sub, zero_vector
 
 Q = Fraction
 
@@ -127,6 +135,254 @@ def dense_value(p, u, v) -> tuple[Fraction, ...]:
                 if val:
                     acc[k] += coeff * val
     return tuple(acc)
+
+
+# ---------------------------------------------------------------------------
+# axiom checkers, one loop per identity and per checker
+# ---------------------------------------------------------------------------
+
+class _Collector:
+    def __init__(self) -> None:
+        self.violations: list[Violation] = []
+
+    def check(self, axiom, indices, residual) -> None:
+        if any(residual):
+            self.violations.append(Violation(axiom, indices, tuple(residual)))
+
+    def check_matrix(self, axiom, indices, m: Matrix) -> None:
+        if not m.is_zero:
+            flat = tuple(a for row in m.entries for a in row)
+            self.violations.append(Violation(axiom, indices, flat))
+
+    def flag(self, axiom, indices=()) -> None:
+        self.violations.append(Violation(axiom, indices, ()))
+
+    def report(self) -> AxiomReport:
+        return AxiomReport(tuple(self.violations))
+
+
+def _merged(*reports: AxiomReport) -> AxiomReport:
+    return AxiomReport(tuple(v for r in reports for v in r.violations))
+
+
+def _prefixed(report: AxiomReport, prefix: str) -> AxiomReport:
+    return AxiomReport(tuple(Violation(f"{prefix}{v.axiom}", v.indices, v.residual)
+                             for v in report.violations))
+
+
+def _twist_violations(col, twists) -> None:
+    col.check_matrix("alpha-beta-commutation", (),
+                     twists.alpha @ twists.beta - twists.beta @ twists.alpha)
+    if rank(twists.alpha) != twists.dim:
+        col.flag("alpha-invertible")
+    if rank(twists.beta) != twists.dim:
+        col.flag("beta-invertible")
+
+
+def _multiplicativity_violations(col, product, alpha, beta, axiom) -> None:
+    n = product.dim
+    for name, m in (("alpha", alpha), ("beta", beta)):
+        cols = [m.col(j) for j in range(n)]
+        for i in range(n):
+            for j in range(n):
+                lhs = m.apply(product.basis_value(i, j))
+                rhs = product.value(cols[i], cols[j])
+                col.check(axiom.format(name), (i, j), vec_sub(lhs, rhs))
+
+
+def oracle_check_prelie(a) -> AxiomReport:
+    col = _Collector()
+    _twist_violations(col, a.twists)
+    _multiplicativity_violations(col, a.product, a.alpha, a.beta,
+                                 "{}-multiplicative")
+    n = a.dim
+    P = a.product
+    ab = a.alpha @ a.beta
+    acol = [a.alpha.col(i) for i in range(n)]
+    bcol = [a.beta.col(i) for i in range(n)]
+    abcol = [ab.col(i) for i in range(n)]
+
+    def associator(x, y, z):
+        left = P.value(P.value(bcol[x], acol[y]), bcol[z])
+        right = P.value(abcol[x], P.value(acol[y], basis_vector(n, z)))
+        return vec_sub(left, right)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                col.check("left-symmetry", (i, j, k),
+                          vec_sub(associator(i, j, k), associator(j, i, k)))
+    return col.report()
+
+
+def oracle_check_bihom_lie(g) -> AxiomReport:
+    col = _Collector()
+    _twist_violations(col, g.twists)
+    _multiplicativity_violations(col, g.bracket, g.alpha, g.beta,
+                                 "{}-bracket-morphism")
+    n = g.dim
+    B = g.bracket
+    acol = [g.alpha.col(i) for i in range(n)]
+    bcol = [g.beta.col(i) for i in range(n)]
+    b2 = g.beta @ g.beta
+    b2col = [b2.col(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            col.check("skew-symmetry", (i, j),
+                      vec_add(B.value(bcol[i], acol[j]), B.value(bcol[j], acol[i])))
+
+    def jacobi(x, y, z):
+        total = zero_vector(n)
+        for p, q, s in ((x, y, z), (y, z, x), (z, x, y)):
+            total = vec_add(total, B.value(b2col[p], B.value(bcol[q], acol[s])))
+        return total
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i <= j and i <= k:
+                    col.check("jacobi", (i, j, k), jacobi(i, j, k))
+    return col.report()
+
+
+def oracle_check_linear_deformation(a, pi) -> AxiomReport:
+    col = _Collector()
+    _multiplicativity_violations(col, pi, a.alpha, a.beta, "pi-{}-equivariance")
+    n = a.dim
+    ab = a.alpha @ a.beta
+    acol = [a.alpha.col(i) for i in range(n)]
+    bcol = [a.beta.col(i) for i in range(n)]
+    abcol = [ab.col(i) for i in range(n)]
+
+    def ls_expr(P, Q, x, y, z):
+        left = P.value(Q.value(bcol[x], acol[y]), bcol[z])
+        right = P.value(abcol[x], Q.value(acol[y], basis_vector(n, z)))
+        return vec_sub(left, right)
+
+    P = a.product
+
+    def t1(x, y, z):
+        return vec_add(ls_expr(P, pi, x, y, z), ls_expr(pi, P, x, y, z))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                col.check("deformation-cocycle", (i, j, k),
+                          vec_sub(t1(i, j, k), t1(j, i, k)))
+                col.check("deformation-square", (i, j, k),
+                          vec_sub(ls_expr(pi, pi, i, j, k),
+                                  ls_expr(pi, pi, j, i, k)))
+    return _merged(_prefixed(oracle_check_prelie(a), "base:"), col.report())
+
+
+def oracle_check_lie_linear_deformation(g, pi) -> AxiomReport:
+    col = _Collector()
+    _multiplicativity_violations(col, pi, g.alpha, g.beta, "pi-{}-equivariance")
+    n = g.dim
+    acol = [g.alpha.col(i) for i in range(n)]
+    bcol = [g.beta.col(i) for i in range(n)]
+    b2 = g.beta @ g.beta
+    b2col = [b2.col(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            col.check("pi-bihom-skew", (i, j),
+                      vec_add(pi.value(bcol[i], acol[j]), pi.value(bcol[j], acol[i])))
+
+    def jac_expr(P, Q, x, y, z):
+        total = zero_vector(n)
+        for p, q, s in ((x, y, z), (y, z, x), (z, x, y)):
+            total = vec_add(total, P.value(b2col[p], Q.value(bcol[q], acol[s])))
+        return total
+
+    B = g.bracket
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if i <= j and i <= k:
+                    mixed = vec_add(jac_expr(B, pi, i, j, k), jac_expr(pi, B, i, j, k))
+                    col.check("lie-deformation-cocycle", (i, j, k), mixed)
+                    col.check("lie-deformation-jacobi", (i, j, k),
+                              jac_expr(pi, pi, i, j, k))
+    return _merged(_prefixed(oracle_check_bihom_lie(g), "base:"), col.report())
+
+
+def oracle_check_prelie_rep(r) -> AxiomReport:
+    col = _Collector()
+    a = r.algebra
+    n, phi, psi = a.dim, r.phi, r.psi
+    ab = a.alpha @ a.beta
+    acol = [a.alpha.col(i) for i in range(n)]
+    bcol = [a.beta.col(i) for i in range(n)]
+    abcol = [ab.col(i) for i in range(n)]
+    P = a.product
+
+    col.check_matrix("phi-psi-commutation", (), phi @ psi - psi @ phi)
+    for i in range(n):
+        col.check_matrix("rep1-phi-L", (i,), phi @ r.L[i] - r.L_of(acol[i]) @ phi)
+        col.check_matrix("rep1-psi-L", (i,), psi @ r.L[i] - r.L_of(bcol[i]) @ psi)
+        col.check_matrix("rep1-phi-R", (i,), phi @ r.R[i] - r.R_of(acol[i]) @ phi)
+        col.check_matrix("rep1-psi-R", (i,), psi @ r.R[i] - r.R_of(bcol[i]) @ psi)
+
+    def rep2_half(x, y):
+        return (r.L_of(P.value(bcol[x], acol[y])) @ psi
+                - r.L_of(abcol[x]) @ r.L_of(acol[y]))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            col.check_matrix("rep2", (i, j), rep2_half(i, j) - rep2_half(j, i))
+
+    for i in range(n):
+        for j in range(n):
+            lhs = (r.R_of(bcol[i]) @ r.L_of(bcol[j]) @ phi
+                   - r.L_of(abcol[j]) @ r.R[i] @ phi)
+            rhs = (r.R_of(bcol[i]) @ r.R_of(acol[j]) @ psi
+                   - r.R_of(P.value(acol[j], basis_vector(n, i))) @ phi @ psi)
+            col.check_matrix("rep3", (i, j), lhs - rhs)
+    return col.report()
+
+
+def oracle_check_lie_rep(r) -> AxiomReport:
+    col = _Collector()
+    g = r.algebra
+    n, phi, psi = g.dim, r.phi, r.psi
+    ab = g.alpha @ g.beta
+    acol = [g.alpha.col(i) for i in range(n)]
+    bcol = [g.beta.col(i) for i in range(n)]
+    abcol = [ab.col(i) for i in range(n)]
+    B = g.bracket
+
+    col.check_matrix("phi-psi-commutation", (), phi @ psi - psi @ phi)
+    for i in range(n):
+        col.check_matrix("lie-rep-1", (i,), r.rho_of(acol[i]) @ phi - phi @ r.rho[i])
+        col.check_matrix("lie-rep-2", (i,), r.rho_of(bcol[i]) @ psi - psi @ r.rho[i])
+    for i in range(n):
+        for j in range(n):
+            lhs = r.rho_of(B.value(bcol[i], basis_vector(n, j))) @ psi
+            rhs = r.rho_of(abcol[i]) @ r.rho[j] - r.rho_of(bcol[j]) @ r.rho_of(acol[i])
+            col.check_matrix("lie-rep-3", (i, j), lhs - rhs)
+    return col.report()
+
+
+def oracle_twist_rep_hypotheses(classical, alpha, beta, phi, psi) -> AxiomReport:
+    """The hypotheses ``twist_rep`` checks before it builds anything."""
+    a = classical.algebra
+    n = a.dim
+    col = _Collector()
+    col.check_matrix("alpha-beta-commutation", (), alpha @ beta - beta @ alpha)
+    col.check_matrix("phi-psi-commutation", (), phi @ psi - psi @ phi)
+    acol = [alpha.col(i) for i in range(n)]
+    bcol = [beta.col(i) for i in range(n)]
+    _multiplicativity_violations(col, a.product, alpha, beta, "{}-multiplicative")
+    for i in range(n):
+        col.check_matrix("phi-L-intertwining", (i,),
+                         phi @ classical.L[i] - classical.L_of(acol[i]) @ phi)
+        col.check_matrix("psi-L-intertwining", (i,),
+                         psi @ classical.L[i] - classical.L_of(bcol[i]) @ psi)
+        col.check_matrix("phi-R-intertwining", (i,),
+                         phi @ classical.R[i] - classical.R_of(acol[i]) @ phi)
+        col.check_matrix("psi-R-intertwining", (i,),
+                         psi @ classical.R[i] - classical.R_of(bcol[i]) @ psi)
+    return col.report()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from bihom import (
     BiHomPreLieAlgebra,
+    BilinearProduct,
     Matrix,
     adjoint_lie_rep,
     adjoint_rep,
@@ -40,7 +41,6 @@ from bihom import (
     subadjacent,
     tensor_rep,
     trivial_rep,
-    zero_deformation,
 )
 from bihom.cohomology import Cochain
 from bihom.representation import PreLieRep, _semidirect_lie_raw, _semidirect_prelie_raw
@@ -225,7 +225,7 @@ def test_criterion_5_nijenhuis_pipeline():
         candidate, report = nijenhuis_trivial_deformation(alg, mat)
         assert report.passed
         assert check_linear_deformation(alg, candidate).passed
-        assert check_equivalence(alg, zero_deformation(alg.dim), candidate,
+        assert check_equivalence(alg, BilinearProduct.zero(alg.dim), candidate,
                                  mat).passed
         deformed = BiHomPreLieAlgebra(deformed_product(alg, mat), alg.twists)
         assert check_prelie(deformed).passed

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bihom import Matrix, adjoint_lie_rep, adjoint_rep, induced_lie_rep, subadjacent
+from bihom import BilinearProduct, Matrix, adjoint_lie_rep, adjoint_rep, induced_lie_rep, subadjacent
 from bihom import cli
 from bihom.cli import run
 from bihom.documents import (
@@ -13,7 +13,6 @@ from bihom.documents import (
     load_algebra,
     rep_to_doc,
 )
-from bihom.deformation import DeformationCandidate, zero_deformation
 
 from catalog import (
     dim2_abelian,
@@ -98,6 +97,15 @@ class TestVerify:
         path.write_text('"loop.json"')
         assert run(["verify", str(path)]) == 2
         assert "path reference cycle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tensor", [[1], [["1"]]])
+    def test_tensor_that_is_not_nested_arrays_is_input_error(
+            self, capsys, tmp_path, tensor):
+        path = tmp_path / "flat.json"
+        dump_json(path, {"dim": 1, "product": tensor,
+                         "alpha": [[1]], "beta": [[1]]})
+        assert run(["verify", str(path)]) == 2
+        assert f"{path}.product" in capsys.readouterr().err
 
     def test_missing_key_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "incomplete.json"
@@ -315,10 +323,17 @@ class TestOperatorVerbs:
 class TestDeformationVerbs:
     def test_deform_check_pass(self, capsys, tmp_path, nilpotent_file):
         pi_path = tmp_path / "pi.json"
-        dump_json(pi_path, deformation_to_doc(zero_deformation(2)))
+        dump_json(pi_path, deformation_to_doc(BilinearProduct.zero(2)))
         code, out = run_lines(capsys, ["deform-check", str(nilpotent_file),
                                        str(pi_path)])
         assert code == 0
+
+    def test_deform_check_flat_tensor_is_input_error(self, capsys, tmp_path,
+                                                     nilpotent_file):
+        pi_path = tmp_path / "pi.json"
+        dump_json(pi_path, {"pi": [0]})
+        assert run(["deform-check", str(nilpotent_file), str(pi_path)]) == 2
+        assert f"{pi_path}.pi" in capsys.readouterr().err
 
     def test_deform_check_fail(self, capsys, tmp_path, nilpotent_file):
         pi_path = tmp_path / "pi.json"
@@ -353,11 +368,11 @@ class TestDeformationVerbs:
 
     def test_equivalence_verb(self, capsys, tmp_path, nilpotent_file):
         zero_path = tmp_path / "zero.json"
-        dump_json(zero_path, deformation_to_doc(zero_deformation(2)))
+        dump_json(zero_path, deformation_to_doc(BilinearProduct.zero(2)))
         pi_path = tmp_path / "pi.json"
         alg = dim2_nilpotent(2, 3)
         dump_json(pi_path, deformation_to_doc(
-            DeformationCandidate(alg.product)))
+            alg.product))
         n_path = tmp_path / "n.json"
         dump_json(n_path, {"N": [[1, 0], [0, 1]]})
         code, out = run_lines(capsys, ["equivalence", str(nilpotent_file),
@@ -368,11 +383,11 @@ class TestDeformationVerbs:
     def test_equivalence_failure_exit_code(self, capsys, tmp_path,
                                            nilpotent_file):
         zero_path = tmp_path / "zero.json"
-        dump_json(zero_path, deformation_to_doc(zero_deformation(2)))
+        dump_json(zero_path, deformation_to_doc(BilinearProduct.zero(2)))
         pi_path = tmp_path / "pi.json"
         alg = dim2_nilpotent(2, 3)
         dump_json(pi_path, deformation_to_doc(
-            DeformationCandidate(alg.product)))
+            alg.product))
         n_path = tmp_path / "n.json"
         dump_json(n_path, {"N": [[0, 0], [0, 0]]})
         code, out = run_lines(capsys, ["equivalence", str(nilpotent_file),
@@ -384,7 +399,7 @@ class TestDeformationVerbs:
     def test_push_lie_round_trip(self, capsys, tmp_path, nilpotent_file):
         pi_path = tmp_path / "pi.json"
         alg = dim2_nilpotent(2, 3)
-        dump_json(pi_path, deformation_to_doc(DeformationCandidate(alg.product)))
+        dump_json(pi_path, deformation_to_doc(alg.product))
         out_path = tmp_path / "pushed.json"
         code, _ = run_lines(capsys, ["push-lie", str(nilpotent_file),
                                      str(pi_path), "--output",

@@ -1,16 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihom import (
     BiHomLieAlgebra,
     Matrix,
+    SingularMatrixError,
     adjoint_lie_rep,
     adjoint_rep,
     subadjacent,
 )
 from bihom.cohomology import Cochain
-from bihom.deformation import DeformationCandidate
 from bihom.documents import (
     MAX_REFERENCE_DEPTH,
     DocumentError,
@@ -58,6 +60,16 @@ class TestAlgebraDocs:
     def test_missing_tensor_rejected(self):
         with pytest.raises(DocumentError):
             algebra_from_doc({"dim": 1, "alpha": [[1]], "beta": [[1]]})
+
+    @pytest.mark.parametrize("tensor", [[1], [[1]], [["1"]], [[{"0": 1}]],
+                                        [[[1]], 1]])
+    def test_tensor_must_be_an_array_at_every_level(self, tensor):
+        # a string at the vector level used to be read character by character
+        with pytest.raises(DocumentError, match=r"algebra\.product"):
+            algebra_from_doc({"dim": 1, "product": tensor,
+                              "alpha": [[1]], "beta": [[1]]})
+        with pytest.raises(DocumentError, match=r"deformation\.pi"):
+            deformation_from_doc({"pi": tensor})
 
     def test_both_tensors_rejected(self):
         with pytest.raises(DocumentError):
@@ -155,7 +167,7 @@ class TestOperatorAndDeformationDocs:
 
     def test_deformation_round_trip(self):
         alg = dim2_nilpotent(2, 3)
-        candidate = DeformationCandidate(alg.product)
+        candidate = alg.product
         doc = deformation_to_doc(candidate)
         assert deformation_from_doc(doc) == candidate
 
@@ -195,6 +207,14 @@ class TestPathReferenceChains:
         with pytest.raises(DocumentError, match="reference cycle"):
             load_algebra(tmp_path / "a.json")
 
+    def test_unresolvable_reference_is_a_document_error(self, tmp_path):
+        (tmp_path / "a.json").symlink_to("b.json")
+        (tmp_path / "b.json").symlink_to("a.json")
+        (tmp_path / "latin1.json").write_bytes(b'"\xe9"')
+        for doc in ("a.json", "nul\x00.json", "latin1.json"):
+            with pytest.raises(DocumentError):
+                algebra_from_doc(doc, tmp_path)
+
     def test_overlong_chain_is_a_document_error(self, tmp_path):
         for i in range(MAX_REFERENCE_DEPTH + 1):
             (tmp_path / f"{i}.json").write_text(f'"{i + 1}.json"')
@@ -214,3 +234,122 @@ class TestCochainDocs:
         doc = cochain_to_doc(f)
         with pytest.raises(DocumentError):
             cochain_from_doc(doc, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every loader returns or raises DocumentError
+# ---------------------------------------------------------------------------
+
+KEYS = ["dim", "product", "bracket", "alpha", "beta", "algebra", "vdim", "L",
+        "R", "rho", "phi", "psi", "matrix", "representation", "pi", "N",
+        "degree", "tensor"]
+FILES = ["alg.json", "rep.json", "loop.json", "bad.json", "missing.json",
+         "symlink-loop.json", "latin1.json", "nul\x00.json", "."]
+
+scalars = (st.none() | st.booleans() | st.integers(-2, 3)
+           | st.floats(allow_nan=False) | st.text(max_size=3)
+           | st.sampled_from(["1/2", "-3/4", "1/0", "x", *FILES]))
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2),
+                                     inner, max_size=4)),
+    max_leaves=24)
+
+
+def _valid_docs() -> dict[str, tuple[str, object]]:
+    """Valid documents by kind, each with the loader that reads it."""
+    alg = dim2_nilpotent(2, 3)
+    glie = subadjacent(alg)
+    return {
+        "algebra": ("algebra", algebra_to_doc(alg)),
+        "lie-algebra": ("algebra", algebra_to_doc(glie)),
+        "rep": ("rep", rep_to_doc(adjoint_rep(alg))),
+        "lie-rep": ("rep", {**rep_to_doc(adjoint_lie_rep(glie)),
+                            "algebra": "alg.json"}),
+        "operator": ("operator", {"matrix": Matrix.identity(2).to_json(),
+                                  "representation": "rep.json"}),
+        "deformation": ("deformation", deformation_to_doc(alg.product)),
+        "nijenhuis": ("nijenhuis", nijenhuis_to_doc(Matrix.identity(2))),
+        "twists": ("twists", {"alpha": [[1, 0], [0, 1]], "beta": [[2, 0], [0, 4]],
+                              "phi": [[1]], "psi": [[1]]}),
+        "cochain": ("cochain", cochain_to_doc(Cochain.zero(2, 2, 1))),
+    }
+
+
+LOADERS = {
+    "algebra": lambda doc, base: algebra_from_doc(doc, base),
+    "rep": lambda doc, base: rep_from_doc(doc, base),
+    "operator": lambda doc, base: operator_from_doc(doc, base),
+    "deformation": lambda doc, base: deformation_from_doc(doc),
+    "nijenhuis": lambda doc, base: nijenhuis_from_doc(doc),
+    "twists": lambda doc, base: twists_from_doc(doc),
+    "cochain": lambda doc, base: cochain_from_doc(doc, 2, 1),
+}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+def _replaced(node, path, value, delete=False):
+    """A copy of ``node`` with the entry at ``path`` replaced (or removed)."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    out = dict(node) if isinstance(node, dict) else list(node)
+    if delete and not rest:
+        del out[head]
+    else:
+        out[head] = _replaced(node[head], rest, value, delete)
+    return out
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A directory of referenced documents: valid, cyclic and malformed."""
+    root = tmp_path_factory.mktemp("refs")
+    docs = _valid_docs()
+    dump_json(root / "alg.json", docs["lie-algebra"][1])
+    dump_json(root / "rep.json", docs["lie-rep"][1])
+    (root / "loop.json").write_text('"loop.json"')
+    (root / "bad.json").write_text("{not json")
+    (root / "symlink-loop.json").symlink_to("symlink-loop.json")
+    (root / "latin1.json").write_bytes(b'"\xe9"')
+    return root
+
+
+def _loads_or_document_error(loader: str, doc, base) -> None:
+    try:
+        LOADERS[loader](doc, base)
+    except DocumentError:
+        pass
+    except SingularMatrixError:
+        # a well-formed document with a singular twist map: the documented
+        # semantic error of the algebra constructors
+        pass
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300)
+    @given(loader=st.sampled_from(sorted(LOADERS)), doc=json_values)
+    def test_random_json(self, base, loader, doc):
+        _loads_or_document_error(loader, doc, base)
+
+    @settings(max_examples=300)
+    @given(kind=st.sampled_from(sorted(_valid_docs())), data=st.data())
+    def test_near_valid_documents(self, base, kind, data):
+        """One or two entries of a valid document replaced or removed."""
+        loader, doc = _valid_docs()[kind]
+        for _ in range(data.draw(st.integers(1, 2))):
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            delete = bool(path) and data.draw(st.booleans())
+            doc = _replaced(doc, path, None if delete else data.draw(json_values),
+                            delete)
+        _loads_or_document_error(loader, doc, base)

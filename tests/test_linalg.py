@@ -13,7 +13,6 @@ from bihom.linalg import (
     as_rational,
     inverse,
     kernel_basis,
-    mat_mul,
     rank,
     rational_from_json,
     rational_to_json,
@@ -63,18 +62,18 @@ def matrices(draw, square=False):
 class TestMatMul:
     def test_identity_absorbs(self):
         m = mat([[1, Q(1, 2)], [3, -2]])
-        assert mat_mul(Matrix.identity(2), m) == m
-        assert mat_mul(m, Matrix.identity(2)) == m
+        assert Matrix.identity(2) @ m == m
+        assert m @ Matrix.identity(2) == m
 
     def test_inverse_scalars(self):
-        assert mat_mul(mat([[Q(1, 2)]]), mat([[2]])) == mat([[1]])
+        assert mat([[Q(1, 2)]]) @ mat([[2]]) == mat([[1]])
 
     def test_matches_triple_sum_oracle(self):
         rng = random.Random(7)
         for _ in range(10):
             a = small_matrix(rng, 3, 3)
             b = small_matrix(rng, 3, 3)
-            product = mat_mul(a, b)
+            product = a @ b
             for i in range(3):
                 for j in range(3):
                     expected = sum((a.entries[i][k] * b.entries[k][j]
@@ -83,7 +82,7 @@ class TestMatMul:
 
     def test_dimension_mismatch(self):
         with pytest.raises(LinAlgError):
-            mat_mul(mat([[1, 2]]), mat([[1, 2]]))
+            mat([[1, 2]]) @ mat([[1, 2]])
 
 
 def all_fractions(values) -> bool:
@@ -196,8 +195,8 @@ class TestInverseSolve:
             if rank(m) < 3:
                 continue
             minv = inverse(m)
-            assert mat_mul(minv, m) == Matrix.identity(3)
-            assert mat_mul(m, minv) == Matrix.identity(3)
+            assert minv @ m == Matrix.identity(3)
+            assert m @ minv == Matrix.identity(3)
 
     def test_singular_inverse_raises(self):
         with pytest.raises(SingularMatrixError):
