@@ -44,15 +44,16 @@ from .algebra import (
 from .cohomology import cohomology_table
 from .documents import (
     DocumentError,
-    algebra_from_doc,
+    _check_shape,
     algebra_to_doc,
     deformation_from_doc,
     deformation_to_doc,
     dump_json,
+    load_algebra,
     load_json,
+    load_representation,
     nijenhuis_from_doc,
     operator_from_doc,
-    rep_from_doc,
     rep_to_doc,
     twists_from_doc,
 )
@@ -132,16 +133,6 @@ def _emit_document(result: CliResult, doc: dict, output: str | None) -> None:
         result.lines.append(json.dumps(doc, indent=2))
 
 
-def _load_algebra_arg(path: str) -> BiHomPreLieAlgebra | BiHomLieAlgebra:
-    p = Path(path)
-    return algebra_from_doc(load_json(p), p.parent, where=str(p))
-
-
-def _load_rep_arg(path: str) -> PreLieRep | LieRep:
-    p = Path(path)
-    return rep_from_doc(load_json(p), p.parent, where=str(p))
-
-
 def _require_prelie(obj, what: str) -> BiHomPreLieAlgebra:
     if not isinstance(obj, BiHomPreLieAlgebra):
         raise DocumentError(f"{what} requires a product (pre-Lie) algebra document")
@@ -153,7 +144,7 @@ def _require_prelie(obj, what: str) -> BiHomPreLieAlgebra:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> CliResult:
-    obj = _load_algebra_arg(args.algebra)
+    obj = load_algebra(args.algebra)
     if isinstance(obj, BiHomPreLieAlgebra):
         return _check_result("verify", "BiHom-pre-Lie", check_prelie(obj),
                              {"kind": "prelie"})
@@ -162,7 +153,7 @@ def _cmd_verify(args) -> CliResult:
 
 
 def _cmd_subadjacent(args) -> CliResult:
-    a = _require_prelie(_load_algebra_arg(args.algebra), "subadjacent")
+    a = _require_prelie(load_algebra(args.algebra), "subadjacent")
     report = check_prelie(a)
     if not report.passed:
         return _check_result("subadjacent", "input BiHom-pre-Lie", report)
@@ -173,7 +164,7 @@ def _cmd_subadjacent(args) -> CliResult:
 
 
 def _cmd_semidirect(args) -> CliResult:
-    rep = _load_rep_arg(args.representation)
+    rep = load_representation(args.representation)
     if isinstance(rep, PreLieRep):
         out = semidirect_prelie(rep)
         label = "semidirect BiHom-pre-Lie product"
@@ -186,7 +177,7 @@ def _cmd_semidirect(args) -> CliResult:
 
 
 def _cmd_induced_rep(args) -> CliResult:
-    rep = _load_rep_arg(args.representation)
+    rep = load_representation(args.representation)
     if not isinstance(rep, PreLieRep):
         raise DocumentError("induced-rep requires a pre-Lie representation "
                             "document (keys L and R)")
@@ -201,11 +192,11 @@ def _cmd_induced_rep(args) -> CliResult:
 
 
 def _cmd_twist_rep(args) -> CliResult:
-    rep = _load_rep_arg(args.representation)
+    rep = load_representation(args.representation)
     if not isinstance(rep, PreLieRep):
         raise DocumentError("twist-rep requires a pre-Lie representation document")
-    alpha, beta, phi, psi = twists_from_doc(load_json(args.twists),
-                                            where=args.twists)
+    alpha, beta, phi, psi = twists_from_doc(load_json(args.twists), args.twists,
+                                            rep.algebra.dim, rep.vdim)
     out = twist_rep(rep, alpha, beta, phi, psi)
     result = CliResult("twist-rep", "pass", ["twisted representation"])
     _emit_document(result, rep_to_doc(out), args.output)
@@ -213,8 +204,8 @@ def _cmd_twist_rep(args) -> CliResult:
 
 
 def _cmd_tensor_rep(args) -> CliResult:
-    rv = _load_rep_arg(args.left)
-    rw = _load_rep_arg(args.right)
+    rv = load_representation(args.left)
+    rw = load_representation(args.right)
     if not (isinstance(rv, PreLieRep) and isinstance(rw, PreLieRep)):
         raise DocumentError("tensor-rep requires two pre-Lie representation "
                             "documents")
@@ -225,16 +216,26 @@ def _cmd_tensor_rep(args) -> CliResult:
     return result
 
 
-def _cmd_o_operator(args) -> CliResult:
-    doc = load_json(args.operator)
-    matrix, context = operator_from_doc(doc, Path(args.operator).parent,
+def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
+    """The matrix of ``args.operator`` and the ``kind`` of context it acts
+    on: the one its document references, else the one at ``fallback``."""
+    matrix, context = operator_from_doc(load_json(args.operator),
+                                        Path(args.operator).parent,
                                         where=args.operator)
-    if context is None and args.representation:
-        context = _load_rep_arg(args.representation)
-    if not isinstance(context, LieRep):
-        raise DocumentError("o-operator needs a BiHom-Lie representation, "
-                            "either embedded in the operator document or as "
-                            "a second argument")
+    if context is None and fallback:
+        context = load(fallback)
+    if not isinstance(context, kind):
+        raise DocumentError(f"{args.command} needs {needs}, either embedded "
+                            "in the operator document or as a second argument")
+    shape = ((context.algebra.dim, context.vdim) if isinstance(context, LieRep)
+             else (context.dim, context.dim))
+    return _check_shape(matrix, shape, f"{args.operator}.matrix"), context
+
+
+def _cmd_o_operator(args) -> CliResult:
+    matrix, context = _operator_arg(args, args.representation,
+                                    load_representation, LieRep,
+                                    "a BiHom-Lie representation")
     report = check_o_operator(matrix, context)
     result = _check_result("o-operator", "O-operator", report)
     if report.passed and args.output is not None:
@@ -244,15 +245,8 @@ def _cmd_o_operator(args) -> CliResult:
 
 
 def _cmd_rota_baxter(args) -> CliResult:
-    doc = load_json(args.operator)
-    matrix, context = operator_from_doc(doc, Path(args.operator).parent,
-                                        where=args.operator)
-    if context is None and args.algebra:
-        context = _load_algebra_arg(args.algebra)
-    if not isinstance(context, BiHomLieAlgebra):
-        raise DocumentError("rota-baxter needs a BiHom-Lie algebra, either "
-                            "embedded in the operator document or as a "
-                            "second argument")
+    matrix, context = _operator_arg(args, args.algebra, load_algebra,
+                                    BiHomLieAlgebra, "a BiHom-Lie algebra")
     report = check_rota_baxter(matrix, context)
     result = _check_result("rota-baxter", "Rota-Baxter (weight 0)", report)
     if report.passed and args.output is not None:
@@ -280,7 +274,7 @@ def _parse_degrees(spec: str, max_degree: int) -> list[int]:
 
 
 def _cmd_cohomology(args) -> CliResult:
-    a = _require_prelie(_load_algebra_arg(args.algebra), "cohomology")
+    a = _require_prelie(load_algebra(args.algebra), "cohomology")
     base = check_prelie(a)
     if not base.passed:
         return _check_result("cohomology", "input BiHom-pre-Lie", base)
@@ -289,7 +283,7 @@ def _cmd_cohomology(args) -> CliResult:
     elif args.rep == "trivial":
         rep = trivial_rep(a)
     else:
-        rep = _load_rep_arg(args.rep)
+        rep = load_representation(args.rep)
         if not isinstance(rep, PreLieRep):
             raise DocumentError("cohomology coefficients must form a pre-Lie "
                                 "representation")
@@ -311,9 +305,9 @@ def _cmd_cohomology(args) -> CliResult:
 
 
 def _cmd_deform_check(args) -> CliResult:
-    obj = _load_algebra_arg(args.algebra)
+    obj = load_algebra(args.algebra)
     candidate = deformation_from_doc(load_json(args.deformation),
-                                     where=args.deformation)
+                                     args.deformation, obj.dim)
     if isinstance(obj, BiHomPreLieAlgebra):
         report = deform_mod.check_linear_deformation(obj, candidate)
         label = "linear deformation"
@@ -324,8 +318,9 @@ def _cmd_deform_check(args) -> CliResult:
 
 
 def _cmd_nijenhuis(args) -> CliResult:
-    obj = _load_algebra_arg(args.algebra)
-    matrix = nijenhuis_from_doc(load_json(args.operator), where=args.operator)
+    obj = load_algebra(args.algebra)
+    matrix = nijenhuis_from_doc(load_json(args.operator), args.operator,
+                                obj.dim)
     if isinstance(obj, BiHomLieAlgebra):
         report = deform_mod.check_nijenhuis_lie(obj, matrix)
         return _check_result("nijenhuis", "Nijenhuis (BiHom-Lie)", report)
@@ -338,18 +333,18 @@ def _cmd_nijenhuis(args) -> CliResult:
 
 
 def _cmd_equivalence(args) -> CliResult:
-    a = _require_prelie(_load_algebra_arg(args.algebra), "equivalence")
-    pi1 = deformation_from_doc(load_json(args.first), where=args.first)
-    pi2 = deformation_from_doc(load_json(args.second), where=args.second)
-    matrix = nijenhuis_from_doc(load_json(args.operator), where=args.operator)
+    a = _require_prelie(load_algebra(args.algebra), "equivalence")
+    pi1 = deformation_from_doc(load_json(args.first), args.first, a.dim)
+    pi2 = deformation_from_doc(load_json(args.second), args.second, a.dim)
+    matrix = nijenhuis_from_doc(load_json(args.operator), args.operator, a.dim)
     report = deform_mod.check_equivalence(a, pi1, pi2, matrix)
     return _check_result("equivalence", "deformation equivalence", report)
 
 
 def _cmd_push_lie(args) -> CliResult:
-    a = _require_prelie(_load_algebra_arg(args.algebra), "push-lie")
+    a = _require_prelie(load_algebra(args.algebra), "push-lie")
     candidate = deformation_from_doc(load_json(args.deformation),
-                                     where=args.deformation)
+                                     args.deformation, a.dim)
     pushed = deform_mod.push_deformation_to_lie(a, candidate)
     result = CliResult("push-lie", "pass",
                        ["deformation pushed to the sub-adjacent algebra"])

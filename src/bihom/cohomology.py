@@ -29,6 +29,12 @@ with ``ab = alpha beta``, ``..^i..`` omitting the i-th argument and
 rank(D_n K_n)`` and ``dim B^(n+1) = rank(D_n K_n)``.  Degrees start at
 n = 1, so B^1 = {0} and H^1 equals the 1-cocycles.
 
+One ``_Degree`` per degree assembles ``E_n``, ``K_n`` and ``D_n`` when
+first read, and each function builds the degrees it touches once per call:
+the space from :func:`cochain_space` keeps its ``_Degree`` for the
+coboundary functions.  Rows reach :mod:`bihom.linalg` as
+``Matrix.from_sparse``, which keeps them for the elimination.
+
 Every evaluation of D_n on cochains K (:func:`coboundary`,
 :func:`is_cocycle`, :func:`coboundary_matrix`, :func:`coboundary_preimage`,
 :func:`cohomology_table`) asserts ``E_n K = 0`` (the inputs are cochains),
@@ -52,9 +58,9 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (Matrix, basis_vector, kernel_basis, nonzero_items, rank,
-                     rational_from_json, rational_to_json, try_solve,
-                     vec_is_zero, zero_vector)
+from .linalg import (Matrix, Row, _row_product, _subtract, basis_vector,
+                     kernel_basis, nonzero_items, rank, rational_from_json,
+                     rational_to_json, try_solve, vec_is_zero, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -142,7 +148,7 @@ class Cochain:
     @classmethod
     def from_json(cls, data: dict, adim: int, vdim: int) -> "Cochain":
         degree = data["degree"]
-        if not isinstance(degree, int):
+        if not isinstance(degree, int) or isinstance(degree, bool):
             raise ValueError("cochain degree must be an integer")
 
         def decode(node, depth: int):
@@ -168,9 +174,6 @@ def cochain_from_bilinear(p: BilinearProduct) -> Cochain:
 # ---------------------------------------------------------------------------
 # free coordinates and sparse rows
 # ---------------------------------------------------------------------------
-
-Row = dict[int, Fraction]  # free coordinate (or column) -> nonzero entry
-
 
 def _resolve(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
     """``(sign, canonical)`` with ``f(idx) = sign * f(canonical)`` for skew
@@ -231,18 +234,6 @@ def _clean(row: dict) -> dict:
     return {p: x for p, x in row.items() if x}
 
 
-def _product(rows: Sequence[Row], kt: Sequence[Row]) -> list[Row]:
-    """``rows @ K`` in row form, for K in row form (``kt[s][j] = K[s][j]``)."""
-    out = []
-    for row in rows:
-        acc: Row = {}
-        for s, c in row.items():
-            for j, x in kt[s].items():
-                acc[j] = acc.get(j, 0) + c * x
-        out.append(_clean(acc))
-    return out
-
-
 def _row_form(vectors: Sequence[Sequence[Fraction]], length: int) -> list[Row]:
     """The matrix with columns ``vectors``, in row form."""
     kt: list[Row] = [{} for _ in range(length)]
@@ -253,24 +244,15 @@ def _row_form(vectors: Sequence[Sequence[Fraction]], length: int) -> list[Row]:
     return kt
 
 
-def _dense(rows: Sequence[Row], cols: int) -> Matrix:
-    zero = Fraction(0)
-    return Matrix(len(rows), cols, tuple(
-        tuple(row.get(j, zero) for j in range(cols)) for row in rows))
-
-
-def _sparse_matrix(m: Matrix) -> list[tuple[int, int, Fraction]]:
-    return [(i, j, x) for i, row in enumerate(m.entries)
-            for j, x in enumerate(row) if x]
-
-
 class _Degree:
-    """The sparse rows of ``E_n`` and ``D_n`` over S^n, built from the twist
-    columns and the ``lmat``/``rmat``/``prod``/``bkt`` tables."""
+    """Degree n of the complex over S^n: the sparse rows of ``E_n`` and
+    ``D_n``, built from the twist columns and the ``lmat``/``rmat``/
+    ``prod``/``bkt`` tables, and the kernel basis ``K_n`` of ``E_n``.  Each
+    is built when first read and kept."""
 
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
         self.a, self.r, self.n, self.vdim = a, r, n, r.vdim
-        self.eye = [(k, k, Fraction(1)) for k in range(r.vdim)]
+        self.eye = Matrix.identity(r.vdim).sparse_rows
         self.index = {idx: i for i, idx in enumerate(_canonical(a.dim, n))}
         self.width = len(self.index) * r.vdim
         self.cols = {name: [nonzero_items(m.col(i)) for i in range(a.dim)]
@@ -292,17 +274,18 @@ class _Degree:
             self._wedges[key] = _wedge(vectors)
         return self._wedges[key]
 
-    def _evaluate(self, rows: list[Row], heads: dict, last, outer,
-                  coeff: int) -> None:
+    def _evaluate(self, rows: list[Row], heads: dict, last,
+                  outer: Sequence[Row], coeff: int) -> None:
         """``rows[k] += coeff * (outer f(heads, last))[k]`` as functionals of
-        f's free coordinates, for a sparse matrix ``outer``."""
+        f's free coordinates, for the sparse rows ``outer`` of a matrix."""
         vdim, index = self.vdim, self.index
         for J, w in heads.items():
             for l, c in last:
                 base = index[J + (l,)] * vdim
                 x = coeff * w * c
-                for k, kk, m in outer:
-                    rows[k][base + kk] = rows[k].get(base + kk, 0) + x * m
+                for row, entries in zip(rows, outer):
+                    for kk, m in entries.items():
+                        row[base + kk] = row.get(base + kk, 0) + x * m
 
     @cached_property
     def equivariance(self) -> list[Row]:
@@ -310,8 +293,8 @@ class _Degree:
         (outer, inner) = (phi, alpha), (psi, beta) and canonical X.  At any
         other tuple the condition repeats one of these up to sign."""
         out = []
-        for family, outer in (("alpha", _sparse_matrix(self.r.phi)),
-                              ("beta", _sparse_matrix(self.r.psi))):
+        for family, outer in (("alpha", self.r.phi.sparse_rows),
+                              ("beta", self.r.psi.sparse_rows)):
             for idx in self.index:
                 rows: list[Row] = [{} for _ in range(self.vdim)]
                 self._evaluate(rows, {idx[:-1]: 1}, self.cols["e"][idx[-1]],
@@ -322,14 +305,19 @@ class _Degree:
         return out
 
     @cached_property
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """``K_n``: the kernel basis of ``E_n``, a basis of C^n."""
+        return kernel_basis(Matrix.from_sparse(self.equivariance, self.width))
+
+    @cached_property
     def tables(self) -> dict:
         a, r, n, adim = self.a, self.r, self.n, self.a.dim
         an1, bn1 = a.alpha.power(n - 1), a.beta.power(n - 1)
         an1bn1 = an1 @ bn1
         sub = subadjacent(a).bracket
         return {
-            "lmat": [_sparse_matrix(r.L_of(an1bn1.col(i))) for i in range(adim)],
-            "rmat": [_sparse_matrix(r.R_of(bn1.col(i))) for i in range(adim)],
+            "lmat": [r.L_of(an1bn1.col(i)).sparse_rows for i in range(adim)],
+            "rmat": [r.R_of(bn1.col(i)).sparse_rows for i in range(adim)],
             "prod": [[nonzero_items(a.product.value(an1.col(p),
                                                     basis_vector(adim, q)))
                       for q in range(adim)] for p in range(adim)],
@@ -375,7 +363,7 @@ def _image(src: _Degree, dst: _Degree,
     if not inputs:
         return [{} for _ in range(dst.width)]
     kt = _row_form(inputs, src.width)
-    if any(_product(src.equivariance, kt)):
+    if any(_row_product(src.equivariance, kt)):
         raise RuntimeError("internal defect: E_n K != 0, a coboundary input "
                            "is not a cochain")
     canon, vdim = src.coboundary, src.vdim
@@ -387,13 +375,11 @@ def _image(src: _Degree, dst: _Degree,
         if c is not None:
             base = dst.index[c] * vdim
             for row, expected in zip(rows, canon[base:base + vdim]):
-                for p, x in expected.items():
-                    row[p] = row.get(p, 0) - sign * x
-        diffs = [row for row in map(_clean, rows) if row]
-        if diffs and any(_product(diffs, kt)):
+                _subtract(row, sign, expected)
+        if any(_row_product(rows, kt)):
             raise RuntimeError("internal defect: coboundary image is not skew")
-    image = _product(canon, kt)
-    if any(_product(dst.equivariance, image)):
+    image = _row_product(canon, kt)
+    if any(_row_product(dst.equivariance, image)):
         raise RuntimeError("internal defect: E_(n+1) D_n K != 0, a coboundary "
                            "image is not twist-equivariant")
     return image
@@ -401,20 +387,21 @@ def _image(src: _Degree, dst: _Degree,
 
 class CochainSpace:
     """A basis of C^n, held as free-coordinate ``vectors``: the kernel basis
-    K_n of ``E_n`` from :func:`cochain_space`, or the coordinates of any
-    basis of cochains given as ``CochainSpace(n, basis)``.  The
-    :class:`Cochain` form of the basis is built when first read."""
+    K_n of the degree-n system ``ops`` that :func:`cochain_space` solved
+    (and the coboundary functions reuse), or the coordinates of any basis
+    of cochains given as ``CochainSpace(n, basis)``.  The :class:`Cochain`
+    form of the basis is built when first read."""
 
     def __init__(self, degree: int, basis: Sequence[Cochain] = (), *,
-                 vectors: Sequence[Sequence[Fraction]] | None = None,
-                 adim: int = 0, vdim: int = 0) -> None:
-        self.degree = degree
-        if vectors is None:
+                 ops: _Degree | None = None) -> None:
+        self.degree, self.ops = degree, ops
+        if ops is None:
             self.basis = tuple(basis)
-            if self.basis:
-                adim, vdim = self.basis[0].adim, self.basis[0].vdim
+            self.adim, self.vdim = ((self.basis[0].adim, self.basis[0].vdim)
+                                    if self.basis else (0, 0))
             vectors = [_coordinates(f) for f in self.basis]
-        self.adim, self.vdim = adim, vdim
+        else:
+            self.adim, self.vdim, vectors = ops.a.dim, ops.vdim, ops.kernel
         self.vectors = tuple(tuple(v) for v in vectors)
 
     @cached_property
@@ -443,23 +430,28 @@ def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
         raise ValueError("cochain spaces are defined for degree >= 1")
     if r.algebra != a:
         raise ValueError("representation is over a different algebra")
-    deg = _Degree(a, r, n)
-    kernel = kernel_basis(_dense(deg.equivariance, deg.width))
-    return CochainSpace(n, vectors=kernel, adim=a.dim, vdim=r.vdim)
+    return CochainSpace(n, ops=_Degree(a, r, n))
 
 
-def _require_cochain(f: Cochain, a: BiHomPreLieAlgebra,
-                     r: PreLieRep) -> tuple[Fraction, ...]:
-    """The free coordinates of f, after checking that f is a cochain."""
-    if f.adim != a.dim or f.vdim != r.vdim:
+def _ops(space: CochainSpace, a: BiHomPreLieAlgebra, r: PreLieRep,
+         n: int) -> _Degree:
+    """``space.ops`` if it was solved for (a, r, n), else a new one."""
+    ops = space.ops
+    if ops is None or (ops.a, ops.r, ops.n) != (a, r, n):
+        ops = _Degree(a, r, n)
+    return ops
+
+
+def _require_cochain(f: Cochain, deg: _Degree) -> tuple[Fraction, ...]:
+    """The free coordinates of f, after checking that it is in C^n of ``deg``."""
+    if f.adim != deg.a.dim or f.vdim != deg.vdim:
         raise ValueError("cochain shape does not match the algebra and "
                          "representation")
     coords = _coordinates(f)
     if _unpack(coords, f.degree, f.adim, f.vdim) != f:
         raise ValueError("not a cochain: fails skew-symmetry in the leading "
                          "arguments")
-    if any(_product(_Degree(a, r, f.degree).equivariance,
-                    _row_form([coords], len(coords)))):
+    if any(_row_product(deg.equivariance, _row_form([coords], len(coords)))):
         raise ValueError("not a cochain: fails twist equivariance")
     return coords
 
@@ -468,9 +460,10 @@ def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
     """Apply the four-sum coboundary operator to a degree-n cochain; a
     non-cochain input raises ValueError, a failed assertion on the output
     RuntimeError."""
-    coords = _require_cochain(f, a, r)
     n = f.degree
-    image = _image(_Degree(a, r, n), _Degree(a, r, n + 1), [coords])
+    src = _Degree(a, r, n)
+    coords = _require_cochain(f, src)
+    image = _image(src, _Degree(a, r, n + 1), [coords])
     return _unpack([row.get(0, Fraction(0)) for row in image], n + 1,
                    f.adim, f.vdim)
 
@@ -496,13 +489,13 @@ def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int,
     target = target or cochain_space(a, r, n + 1)
     if source.dim == 0:
         return Matrix.zeros(target.dim, 0)
-    dst = _Degree(a, r, n + 1)
-    image = _image(_Degree(a, r, n), dst, source.vectors)
+    dst = _ops(target, a, r, n + 1)
+    image = _image(_ops(source, a, r, n), dst, source.vectors)
     t, s = target.dim, source.dim
     rows = _row_form(target.vectors, dst.width)
     for row, extra in zip(rows, image):
         row.update({t + j: x for j, x in extra.items()})
-    null = kernel_basis(_dense(rows, t + s))
+    null = kernel_basis(Matrix.from_sparse(rows, t + s))
     if len(null) != s:
         raise RuntimeError("internal defect: coboundary image falls outside "
                            "the cochain space")
@@ -541,14 +534,15 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
     lo = max(1, wanted[0] - 1)
     hi = wanted[-1] + 1
     spaces = {m: cochain_space(a, r, m) for m in range(lo, hi + 1)}
-    ops = {m: _Degree(a, r, m) for m in range(lo, hi + 1)}
     ranks = {}
     for m in range(lo, hi):
-        image = _image(ops[m], ops[m + 1], spaces[m].vectors)
-        if any(_product(ops[m + 1].coboundary, image)):
+        dst = spaces[m + 1].ops
+        image = _image(spaces[m].ops, dst, spaces[m].vectors)
+        if any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
-        ranks[m] = rank(_dense([row for row in image if row], spaces[m].dim))
+        ranks[m] = rank(Matrix.from_sparse([row for row in image if row],
+                                           spaces[m].dim))
     reports = []
     for m in wanted:
         dim_z, dim_b = spaces[m].dim - ranks[m], ranks.get(m - 1, 0)
@@ -562,20 +556,19 @@ def coboundary_preimage(f: Cochain, a: BiHomPreLieAlgebra,
     coboundary.  At degree 1 the coboundary space is {0}, so only the zero
     cochain qualifies and it has no structural preimage (None is returned).
     """
-    coords = _require_cochain(f, a, r)
     n = f.degree
+    dst = _Degree(a, r, n)
+    coords = _require_cochain(f, dst)
     if n == 1:
         return None
     source = cochain_space(a, r, n - 1)
-    image = _image(_Degree(a, r, n - 1), _Degree(a, r, n), source.vectors)
-    x = try_solve(_dense(image, source.dim), coords)
+    image = _image(source.ops, dst, source.vectors)
+    x = try_solve(Matrix.from_sparse(image, source.dim), coords)
     return None if x is None else source.combine(x)
 
 
 def is_coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
     """Membership in the image of the previous coboundary, via an exact
     linear solve; at degree 1 this means f = 0."""
-    if f.degree == 1:
-        _require_cochain(f, a, r)
-        return f.is_zero
-    return coboundary_preimage(f, a, r) is not None
+    return (coboundary_preimage(f, a, r) is not None
+            or (f.degree == 1 and f.is_zero))

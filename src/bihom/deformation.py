@@ -120,15 +120,13 @@ def check_equivalence(a: BiHomPreLieAlgebra, pi1: BilinearProduct,
     P = a.product
     ncol = _columns(N)
     basis = [basis_vector(n, i) for i in range(n)]
+    derived = _deformed_product_raw(P, N)
     for i in range(n):
         for j in range(n):
             e_i, e_j = basis[i], basis[j]
-            derived = vec_sub(
-                vec_add(P.value(ncol[i], e_j), P.value(e_i, ncol[j])),
-                N.apply(P.basis_value(i, j)))
             col.check("equivalence-linear", (i, j),
                       vec_sub(vec_sub(pi2.basis_value(i, j), pi1.basis_value(i, j)),
-                              derived))
+                              derived.basis_value(i, j)))
             lhs = vec_add(pi1.value(e_i, ncol[j]), pi1.value(ncol[i], e_j))
             rhs = vec_sub(N.apply(pi2.basis_value(i, j)),
                           P.value(ncol[i], ncol[j]))

@@ -120,27 +120,34 @@ def _require(doc: dict, key: str, where: str) -> object:
     return doc[key]
 
 
-def _matrix(doc: dict, key: str, where: str, shape: tuple[int, int] | None = None,
-            cols: int | None = None) -> Matrix:
-    raw = _require(doc, key, where)
-    try:
-        m = Matrix.from_json(raw, cols=cols)
-    except ValueError as exc:
-        raise DocumentError(f"{where}.{key}: {exc}") from exc
+def _check_shape(m: Matrix, shape: tuple[int, int] | None, where: str) -> Matrix:
+    """m, after checking that it has the given shape (any, when None)."""
     if shape is not None and (m.rows, m.cols) != shape:
         raise DocumentError(
-            f"{where}.{key}: expected a {shape[0]}x{shape[1]} matrix, got "
+            f"{where}: expected a {shape[0]}x{shape[1]} matrix, got "
             f"{m.rows}x{m.cols}")
     return m
 
 
-def _tensor(doc: dict, key: str, where: str, dim: int) -> BilinearProduct:
+def _matrix(doc: dict, key: str, where: str,
+            shape: tuple[int, int] | None = None) -> Matrix:
+    raw = _require(doc, key, where)
+    try:
+        m = Matrix.from_json(raw)
+    except ValueError as exc:
+        raise DocumentError(f"{where}.{key}: {exc}") from exc
+    return _check_shape(m, shape, f"{where}.{key}")
+
+
+def _tensor(doc: dict, key: str, where: str,
+            dim: int | None) -> BilinearProduct:
+    """The structure tensor at ``key``; of dimension ``dim`` unless None."""
     raw = _require(doc, key, where)
     try:
         t = BilinearProduct.from_json(raw)
     except ValueError as exc:
         raise DocumentError(f"{where}.{key}: {exc}") from exc
-    if t.dim != dim:
+    if dim is not None and t.dim != dim:
         raise DocumentError(f"{where}.{key}: tensor dimension {t.dim} does "
                             f"not match dim {dim}")
     return t
@@ -267,13 +274,7 @@ def operator_from_doc(doc: object, base: Path | None = None,
                       where: str = "operator") -> tuple[Matrix, object | None]:
     """Decode an operator document; returns (matrix, context) where context
     is the referenced representation or algebra, if any."""
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected a JSON object")
-    raw = _require(doc, "matrix", where)
-    try:
-        matrix = Matrix.from_json(raw)
-    except ValueError as exc:
-        raise DocumentError(f"{where}.matrix: {exc}") from exc
+    matrix = _matrix(doc, "matrix", where)
     context: object | None = None
     if "representation" in doc:
         context = rep_from_doc(doc["representation"], base,
@@ -284,28 +285,20 @@ def operator_from_doc(doc: object, base: Path | None = None,
     return matrix, context
 
 
-def deformation_from_doc(doc: object, where: str = "deformation") -> BilinearProduct:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected a JSON object")
-    raw = _require(doc, "pi", where)
-    try:
-        return BilinearProduct.from_json(raw)
-    except ValueError as exc:
-        raise DocumentError(f"{where}.pi: {exc}") from exc
+def deformation_from_doc(doc: object, where: str = "deformation",
+                         dim: int | None = None) -> BilinearProduct:
+    """The tensor ``pi``; checked to have dimension ``dim`` unless None."""
+    return _tensor(doc, "pi", where, dim)
 
 
 def deformation_to_doc(pi: BilinearProduct) -> dict:
     return {"pi": pi.to_json()}
 
 
-def nijenhuis_from_doc(doc: object, where: str = "nijenhuis") -> Matrix:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected a JSON object")
-    raw = _require(doc, "N", where)
-    try:
-        return Matrix.from_json(raw)
-    except ValueError as exc:
-        raise DocumentError(f"{where}.N: {exc}") from exc
+def nijenhuis_from_doc(doc: object, where: str = "nijenhuis",
+                       dim: int | None = None) -> Matrix:
+    """The operator ``N``; checked to be ``dim`` x ``dim`` unless None."""
+    return _matrix(doc, "N", where, None if dim is None else (dim, dim))
 
 
 def nijenhuis_to_doc(n: Matrix) -> dict:
@@ -326,12 +319,11 @@ def cochain_to_doc(f: Cochain) -> dict:
     return f.to_json()
 
 
-def twists_from_doc(doc: object, where: str = "twists"
+def twists_from_doc(doc: object, where: str = "twists", adim: int | None = None,
+                    vdim: int | None = None
                     ) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected a JSON object")
-    alpha = _matrix(doc, "alpha", where)
-    beta = _matrix(doc, "beta", where)
-    phi = _matrix(doc, "phi", where)
-    psi = _matrix(doc, "psi", where)
-    return alpha, beta, phi, psi
+    """``(alpha, beta, phi, psi)``; alpha and beta checked to be ``adim``
+    square and phi and psi ``vdim`` square, unless None."""
+    return tuple(_matrix(doc, key, where, None if n is None else (n, n))
+                 for key, n in (("alpha", adim), ("beta", adim), ("phi", vdim),
+                                ("psi", vdim)))

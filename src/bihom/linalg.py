@@ -26,9 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Rational = Fraction
+Row = dict[int, Fraction]  # a sparse row or vector: index -> nonzero entry
 
 __all__ = [
     "Rational",
@@ -146,7 +148,9 @@ def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable matrix of rationals, stored dense and row-major.
+    """Immutable matrix of rationals, stored dense and row-major.  Its
+    nonzero entries per row, :attr:`sparse_rows`, are computed once (or
+    given to :meth:`from_sparse`) and are what the eliminations read.
 
     Products and :meth:`apply` skip zero entries, so they cost in
     proportion to the nonzero products, not to the shape; every entry of a
@@ -185,6 +189,17 @@ class Matrix:
         return cls(len(rows), width, tuple(rows))
 
     @classmethod
+    def from_sparse(cls, rows: Sequence[Row], cols: int) -> "Matrix":
+        """The matrix with these sparse rows (columns below ``cols``), which
+        it keeps, without zero entries, as its :attr:`sparse_rows`."""
+        sparse = tuple({j: x for j, x in row.items() if x} for row in rows)
+        zero = Fraction(0)
+        m = cls(len(sparse), cols, tuple(
+            tuple(row.get(j, zero) for j in range(cols)) for row in sparse))
+        object.__setattr__(m, "sparse_rows", sparse)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, tuple(basis_vector(n, i) for i in range(n)))
 
@@ -195,10 +210,7 @@ class Matrix:
     @classmethod
     def diagonal(cls, values: Sequence[int | str | Fraction]) -> "Matrix":
         diag = as_vector(values)
-        n = len(diag)
-        return cls(n, n, tuple(
-            tuple(diag[i] if i == j else Fraction(0) for j in range(n))
-            for i in range(n)))
+        return cls.from_sparse([{i: a} for i, a in enumerate(diag)], len(diag))
 
     # -- basic queries -----------------------------------------------------
 
@@ -213,6 +225,12 @@ class Matrix:
     @property
     def is_identity(self) -> bool:
         return self.is_square and self == Matrix.identity(self.rows)
+
+    @cached_property
+    def sparse_rows(self) -> tuple[Row, ...]:
+        """The nonzero entries of each row; shared, so not to be changed."""
+        return tuple({j: a for j, a in enumerate(row) if a}
+                     for row in self.entries)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
@@ -328,17 +346,12 @@ class Matrix:
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    rows: list[Row] = []
+    c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                entries[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.rows
+        rows.extend({c0 + j: a for j, a in row.items()} for row in b.sparse_rows)
         c0 += b.cols
-    return Matrix(rows, cols, tuple(tuple(row) for row in entries))
+    return Matrix.from_sparse(rows, c0)
 
 
 def linear_combination(mats: Sequence[Matrix],
@@ -349,26 +362,20 @@ def linear_combination(mats: Sequence[Matrix],
         raise LinAlgError("coefficient count does not match matrix count")
     if not mats:
         raise LinAlgError("empty linear combination has no shape")
-    rows, cols = mats[0].rows, mats[0].cols
-    acc = [[Fraction(0)] * cols for _ in range(rows)]
+    acc: list[Row] = [{} for _ in range(mats[0].rows)]
     for m, c in zip(mats, coeffs):
-        if c == 0:
-            continue
-        for i in range(rows):
-            mrow = m.entries[i]
-            arow = acc[i]
-            for j in range(cols):
-                if mrow[j]:
-                    arow[j] += c * mrow[j]
-    return Matrix(rows, cols, tuple(tuple(row) for row in acc))
+        if c:
+            for arow, mrow in zip(acc, m.sparse_rows):
+                for j, a in mrow.items():
+                    arow[j] = arow.get(j, 0) + c * a
+    return Matrix.from_sparse(acc, mats[0].cols)
 
 
 # ---------------------------------------------------------------------------
 # elimination-based kernels
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[dict[int, Fraction]], width: int
-          ) -> tuple[list[dict[int, Fraction]], list[int]]:
+def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of sparse rows, consumed in place.
 
     Pivots are taken in the columns below ``width`` only; later columns (a
@@ -380,7 +387,7 @@ def _rref(rows: list[dict[int, Fraction]], width: int
     own pivot, so one pass over a new row's pivot columns reduces it, and
     the rows held at the end are the unique reduced row echelon form.
     """
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    pivot_rows: dict[int, Row] = {}
     rest = []
     for row in rows:
         for c in [c for c in row if c in pivot_rows]:
@@ -401,8 +408,7 @@ def _rref(rows: list[dict[int, Fraction]], width: int
     return [pivot_rows[c] for c in pivots] + rest, pivots
 
 
-def _subtract(row: dict[int, Fraction], factor: Fraction,
-              other: dict[int, Fraction]) -> None:
+def _subtract(row: Row, factor: Fraction, other: Row) -> None:
     """``row -= factor * other`` on sparse rows, dropping cancelled entries
     (``factor`` and the entries of ``other`` are nonzero)."""
     for j, b in other.items():
@@ -413,8 +419,21 @@ def _subtract(row: dict[int, Fraction], factor: Fraction,
             del row[j]
 
 
-def _sparse(m: Matrix) -> list[dict[int, Fraction]]:
-    return [{j: a for j, a in enumerate(row) if a} for row in m.entries]
+def _row_product(rows: Sequence[Row], kt: Sequence[Row]) -> list[Row]:
+    """``rows @ K`` on sparse rows, for K given by its rows ``kt``."""
+    out = []
+    for row in rows:
+        acc: Row = {}
+        for s, c in row.items():
+            for j, x in kt[s].items():
+                acc[j] = acc.get(j, 0) + c * x
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _sparse(m: Matrix) -> list[Row]:
+    """A copy of the sparse rows of m, for :func:`_rref` to consume."""
+    return [dict(row) for row in m.sparse_rows]
 
 
 def rank(m: Matrix) -> int:
@@ -452,8 +471,8 @@ def inverse(m: Matrix) -> Matrix:
     reduced, pivots = _rref(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix(n, n, tuple(
-        tuple(row.get(n + j, Fraction(0)) for j in range(n)) for row in reduced))
+    return Matrix.from_sparse(
+        [{j - n: a for j, a in row.items() if j >= n} for row in reduced], n)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -412,6 +412,54 @@ class TestDeformationVerbs:
         assert code == 0
 
 
+class TestWrongShapes:
+    """A matrix or tensor that does not fit the algebra it is used with is
+    unusable input: exit 2, with the field path."""
+
+    @pytest.mark.parametrize("verb", [
+        "twist-rep", "deform-check", "push-lie", "nijenhuis", "equivalence",
+        "rota-baxter", "o-operator"])
+    def test_exit_2_with_field_path(self, capsys, tmp_path, nilpotent_file,
+                                    verb):
+        def write(name, doc):
+            path = tmp_path / name
+            dump_json(path, doc)
+            return str(path)
+
+        alg = str(nilpotent_file)
+        pi1 = write("pi1.json", {"pi": [[[0]]]})
+        zero = write("zero.json", deformation_to_doc(BilinearProduct.zero(2)))
+        n1 = write("n1.json", {"N": [[1]]})
+        op = write("op.json", {"matrix": [[0]]})
+        tensor_error = f"{pi1}.pi: tensor dimension 1 does not match dim 2"
+        matrix_error = "{}: expected a 2x2 matrix, got 1x1"
+        argv, error = {
+            "twist-rep": (
+                ["twist-rep", write("rep.json", rep_to_doc(adjoint_rep(
+                    dim2_nilpotent()))), write("twists.json", {
+                        "alpha": [[2]], "beta": [[3]],
+                        "phi": [[1, 0], [0, 1]], "psi": [[1, 0], [0, 1]]})],
+                matrix_error.format(f"{tmp_path / 'twists.json'}.alpha")),
+            "deform-check": (["deform-check", alg, pi1], tensor_error),
+            "push-lie": (["push-lie", alg, pi1], tensor_error),
+            "nijenhuis": (["nijenhuis", alg, n1],
+                          matrix_error.format(f"{n1}.N")),
+            "equivalence": (["equivalence", alg, zero, zero, n1],
+                            matrix_error.format(f"{n1}.N")),
+            "rota-baxter": (
+                ["rota-baxter", op, write("lie.json", algebra_to_doc(
+                    subadjacent(dim2_nilpotent(2, 3))))],
+                matrix_error.format(f"{op}.matrix")),
+            "o-operator": (
+                ["o-operator", op, write("lierep.json", rep_to_doc(
+                    induced_lie_rep(adjoint_rep(dim2_nilpotent(2, 3)),
+                                    "l-only")))],
+                matrix_error.format(f"{op}.matrix")),
+        }[verb]
+        assert run(argv) == 2
+        assert error in capsys.readouterr().err
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         assert run([]) == 2

@@ -221,6 +221,42 @@ class TestCoboundaryMatrix:
         assert len(kernel_basis(m)) == len(kernel_basis(mp))
 
 
+class TestOneSystemPerDegree:
+    """Each public function assembles E_n, K_n and D_n of a degree once: it
+    builds one ``_Degree`` per degree it touches."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        degrees = []
+        init = cohomology._Degree.__init__
+
+        def counted(self, a, r, n):
+            degrees.append(n)
+            init(self, a, r, n)
+
+        monkeypatch.setattr(cohomology._Degree, "__init__", counted)
+        return degrees
+
+    def test_cohomology_table(self, built):
+        alg = dim2_nilpotent()
+        cohomology_table(alg, adjoint_rep(alg), [1, 2])
+        assert sorted(built) == [1, 2, 3]
+
+    def test_coboundary_functions(self, built):
+        alg = dim2_nilpotent()
+        rep = adjoint_rep(alg)
+        f = cochain_space(alg, rep, 2).basis[0]
+        built.clear()
+        coboundary(f, alg, rep)
+        assert sorted(built) == [2, 3]
+        built.clear()
+        coboundary_matrix(alg, rep, 1)
+        assert sorted(built) == [1, 2]
+        built.clear()
+        coboundary_preimage(f, alg, rep)
+        assert sorted(built) == [1, 2]
+
+
 class TestCohomologyDims:
     def test_abelian_pinned_dimensions(self):
         alg = dim2_abelian()

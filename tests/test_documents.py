@@ -235,6 +235,10 @@ class TestCochainDocs:
         with pytest.raises(DocumentError):
             cochain_from_doc(doc, 3, 2)
 
+    def test_boolean_degree_rejected(self):
+        with pytest.raises(DocumentError, match="degree must be an integer"):
+            cochain_from_doc({"degree": True, "tensor": [[0], [0]]}, 2, 1)
+
 
 # ---------------------------------------------------------------------------
 # fuzzing: every loader returns or raises DocumentError

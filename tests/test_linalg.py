@@ -106,6 +106,28 @@ def product_operands(draw):
     return a, b, tuple(entries(c))
 
 
+@st.composite
+def sparse_rows(draw):
+    """Up to 5 sparse rows over up to 5 columns, zero-size shapes included;
+    some entries are explicit zeros."""
+    cols = draw(st.integers(0, 5))
+    columns = st.integers(0, cols - 1) if cols else st.nothing()
+    return draw(st.lists(st.dictionaries(columns, rationals), max_size=5)), cols
+
+
+class TestFromSparse:
+    @given(sparse_rows())
+    def test_matches_dense_rows(self, drawn):
+        rows, cols = drawn
+        m = Matrix.from_sparse(rows, cols)
+        dense = Matrix.from_rows(
+            [[row.get(j, Q(0)) for j in range(cols)] for row in rows], cols=cols)
+        assert m == dense
+        assert m.sparse_rows == dense.sparse_rows == tuple(
+            {j: x for j, x in enumerate(r) if x} for r in dense.entries)
+        assert all_fractions(x for row in m.entries for x in row)
+
+
 class TestSparseProducts:
     """The zero-skipping products equal the dense ``Fraction`` sums."""
 
