@@ -26,7 +26,6 @@ that defective input data yields a diagnosis rather than an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Sequence
@@ -34,6 +33,7 @@ from typing import Sequence
 from .linalg import (
     Matrix,
     SingularMatrixError,
+    Value,
     as_rational,
     basis_vector,
     inverse,
@@ -64,8 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BilinearProduct:
+class BilinearProduct(Value):
     """Rank-3 structure-constant tensor: ``e_i * e_j = sum_k c[i][j][k] e_k``."""
 
     dim: int
@@ -175,8 +174,7 @@ class BilinearProduct:
              for plane in data])
 
 
-@dataclass(frozen=True)
-class TwistPair:
+class TwistPair(Value):
     """The pair (alpha, beta) of twist maps of a BiHom structure.
 
     Both maps must be invertible (checked here, since the sub-adjacent
@@ -219,8 +217,7 @@ class TwistPair:
         return inverse(self.beta)
 
 
-@dataclass(frozen=True)
-class BiHomPreLieAlgebra:
+class BiHomPreLieAlgebra(Value):
     """Dimension-n BiHom-pre-Lie algebra: product tensor plus twist pair."""
 
     product: BilinearProduct
@@ -248,8 +245,7 @@ class BiHomPreLieAlgebra:
         return self.twists.beta
 
 
-@dataclass(frozen=True)
-class BiHomLieAlgebra:
+class BiHomLieAlgebra(Value):
     """Dimension-n BiHom-Lie algebra: bracket tensor plus twist pair."""
 
     bracket: BilinearProduct
@@ -280,8 +276,7 @@ class BiHomLieAlgebra:
 # axiom reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One violated axiom instance: which identity, at which basis indices,
     and the (exactly computed) residual that should have been zero."""
 
@@ -297,8 +292,7 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Value):
     violations: tuple[Violation, ...]
 
     @property

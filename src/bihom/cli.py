@@ -28,7 +28,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import deformation as deform_mod
@@ -79,12 +78,16 @@ from .representation import (
 __all__ = ["main", "run"]
 
 
-@dataclass
 class CliResult:
-    command: str
-    status: str  # "pass" or "fail"
-    lines: list[str] = field(default_factory=list)
-    payload: dict = field(default_factory=dict)
+    """What a verb reports: its name, ``"pass"`` or ``"fail"``, the lines of
+    the human-readable report and the extra keys of the ``--json`` one."""
+
+    def __init__(self, command: str, status: str,
+                 lines: list[str] | None = None,
+                 payload: dict | None = None) -> None:
+        self.command, self.status = command, status
+        self.lines = [] if lines is None else lines
+        self.payload = {} if payload is None else payload
 
 
 def _color_enabled() -> bool:

@@ -51,16 +51,16 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (Matrix, Row, _row_product, _subtract, basis_vector,
-                     kernel_basis, nonzero_items, rank, rational_from_json,
-                     rational_to_json, try_solve, vec_is_zero, zero_vector)
+from .linalg import (Matrix, Row, Value, _row_product, _subtract,
+                     basis_vector, kernel_basis, nonzero_items, rank,
+                     rational_from_json, rational_to_json, try_solve,
+                     vec_is_zero, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -80,8 +80,7 @@ def _nest(adim: int, depth: int,
     return build((), depth)
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Value):
     """Degree-n multilinear map A^n -> V expanded on basis tuples."""
 
     degree: int
@@ -502,8 +501,7 @@ def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int,
     return Matrix(t, s, tuple(tuple(-v[i] for v in null) for i in range(t)))
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Value):
     """Cocycle, coboundary and cohomology dimensions at one degree."""
 
     degree: int
@@ -533,11 +531,14 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
         raise ValueError("cohomology degrees start at 1")
     lo = max(1, wanted[0] - 1)
     hi = wanted[-1] + 1
-    spaces = {m: cochain_space(a, r, m) for m in range(lo, hi + 1)}
+    spaces = {m: cochain_space(a, r, m) for m in range(lo, hi)}
+    degs = {m: space.ops for m, space in spaces.items()}
+    # At the top degree only E and D are read, never the kernel K.
+    degs[hi] = _Degree(a, r, hi)
     ranks = {}
     for m in range(lo, hi):
-        dst = spaces[m + 1].ops
-        image = _image(spaces[m].ops, dst, spaces[m].vectors)
+        dst = degs[m + 1]
+        image = _image(degs[m], dst, spaces[m].vectors)
         if any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")

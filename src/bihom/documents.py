@@ -132,8 +132,10 @@ def _check_shape(m: Matrix, shape: tuple[int, int] | None, where: str) -> Matrix
 def _matrix(doc: dict, key: str, where: str,
             shape: tuple[int, int] | None = None) -> Matrix:
     raw = _require(doc, key, where)
+    # ``[]`` has no row to show its width; take the expected one.
+    cols = shape[1] if shape is not None and raw == [] else None
     try:
-        m = Matrix.from_json(raw)
+        m = Matrix.from_json(raw, cols=cols)
     except ValueError as exc:
         raise DocumentError(f"{where}.{key}: {exc}") from exc
     return _check_shape(m, shape, f"{where}.{key}")

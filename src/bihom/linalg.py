@@ -24,7 +24,6 @@ Structure tensors, twists and action matrices are mostly zeros.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -33,6 +32,7 @@ Rational = Fraction
 Row = dict[int, Fraction]  # a sparse row or vector: index -> nonzero entry
 
 __all__ = [
+    "Value",
     "Rational",
     "LinAlgError",
     "SingularMatrixError",
@@ -57,6 +57,79 @@ __all__ = [
     "linear_combination",
     "block_diag",
 ]
+
+
+class Value:
+    """Base of the package's immutable value types: what
+    ``@dataclass(frozen=True)`` would give them, without importing
+    :mod:`dataclasses` (which imports :mod:`inspect`, ``ast``, ``dis`` and
+    ``tokenize``) or ``exec``-compiling methods in every process.  A cold
+    ``bihom`` process pays both before it runs a verb.
+
+    The fields of a subclass are those of its base, then its own annotated
+    names, in order.  The constructor takes them by position or keyword,
+    then calls ``__post_init__``.  Instances compare equal when their
+    classes are the same and their field tuples are equal, hash their field
+    tuple, and have the dataclass ``repr``.  Assignment and deletion raise
+    ``AttributeError``; ``functools.cached_property`` still caches, since it
+    writes the instance ``__dict__`` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(name for name in cls.__annotations__
+                             if name not in cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__ keeps the values in the instance's compact
+        # storage; reading or writing __dict__ builds a dict for it (64 more
+        # bytes for a Matrix under CPython 3.11), as a cached_property does.
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call, in field order."""
+        fields = cls._fields
+        values = dict(zip(fields, args))
+        if (len(args) > len(fields) or values.keys() & kwargs.keys()
+                or values.keys() | kwargs.keys() != set(fields)):
+            raise TypeError(f"{cls.__qualname__}() takes the arguments "
+                            f"({', '.join(fields)}) once each, got "
+                            f"{len(args)} positional and {sorted(kwargs)}")
+        values.update(kwargs)
+        return tuple(values[name] for name in fields)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LinAlgError(ValueError):
@@ -146,8 +219,7 @@ def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
 # dense exact matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """Immutable matrix of rationals, stored dense and row-major.  Its
     nonzero entries per row, :attr:`sparse_rows`, are computed once (or
     given to :meth:`from_sparse`) and are what the eliminations read.
@@ -196,7 +268,7 @@ class Matrix:
         zero = Fraction(0)
         m = cls(len(sparse), cols, tuple(
             tuple(row.get(j, zero) for j in range(cols)) for row in sparse))
-        object.__setattr__(m, "sparse_rows", sparse)
+        m.__dict__["sparse_rows"] = sparse
         return m
 
     @classmethod

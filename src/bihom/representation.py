@@ -24,7 +24,6 @@ operations that need phi/psi inverses raise for singular twists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -42,6 +41,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
+    Value,
     basis_vector,
     block_diag,
     inverse,
@@ -78,8 +78,7 @@ def _check_carrier_twist(name: str, mat: Matrix, m: int) -> None:
         raise ValueError(f"carrier twist {name} must be {m}x{m}")
 
 
-@dataclass(frozen=True)
-class PreLieRep:
+class PreLieRep(Value):
     """Representation (V, L, R, phi, psi) of a BiHom-pre-Lie algebra.
 
     ``L[i]`` / ``R[i]`` are the actions of the i-th algebra basis vector on
@@ -108,8 +107,7 @@ class PreLieRep:
         return linear_combination(self.R, tuple(v))
 
 
-@dataclass(frozen=True)
-class LieRep:
+class LieRep(Value):
     """Representation (V, rho, phi, psi) of a BiHom-Lie algebra."""
 
     algebra: BiHomLieAlgebra

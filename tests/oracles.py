@@ -21,15 +21,21 @@
   image expanded in the target basis by its own linear solve.  It shares
   only the :class:`~bihom.cohomology.Cochain` container, the algebra data
   and the sub-adjacent bracket with the library's free-coordinate pipeline.
+* The value types as ``@dataclass(frozen=True)`` declared them before
+  their :class:`~bihom.linalg.Value` base: the same names, fields and
+  ``__post_init__`` checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import make_dataclass
 from fractions import Fraction
 
-from bihom import AxiomReport, Matrix, Violation, subadjacent
-from bihom.cohomology import Cochain
+from bihom import (AxiomReport, BiHomLieAlgebra, BiHomPreLieAlgebra,
+                   BilinearProduct, LieRep, Matrix, PreLieRep, TwistPair,
+                   Violation, subadjacent)
+from bihom.cohomology import Cochain, CohomologyReport
 from bihom.linalg import basis_vector, rank, vec_add, vec_sub, zero_vector
 
 Q = Fraction
@@ -511,3 +517,31 @@ def oracle_cohomology(a, r, degrees) -> list[tuple[int, int, int, int]]:
         dim_b = ranks[m - 1] if m > 1 else 0
         out.append((m, dim_z, dim_b, dim_z - dim_b))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the value types as frozen dataclasses
+# ---------------------------------------------------------------------------
+
+# The fields of each value type, in declaration order.
+VALUE_FIELDS = {
+    Matrix: ("rows", "cols", "entries"),
+    BilinearProduct: ("dim", "c"),
+    TwistPair: ("alpha", "beta"),
+    BiHomPreLieAlgebra: ("product", "twists"),
+    BiHomLieAlgebra: ("bracket", "twists"),
+    Violation: ("axiom", "indices", "residual"),
+    AxiomReport: ("violations",),
+    PreLieRep: ("algebra", "vdim", "L", "R", "phi", "psi"),
+    LieRep: ("algebra", "vdim", "rho", "phi", "psi"),
+    Cochain: ("degree", "adim", "vdim", "tensor"),
+    CohomologyReport: ("degree", "dimZ", "dimB", "dimH"),
+}
+
+# Each value type declared as a frozen dataclass of the same name, with
+# the same fields and the same ``__post_init__`` checks.
+FROZEN_TWINS = {
+    cls: make_dataclass(cls.__name__, fields, frozen=True,
+                        namespace={"__post_init__": cls.__post_init__})
+    for cls, fields in VALUE_FIELDS.items()
+}

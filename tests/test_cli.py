@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bihom import BilinearProduct, Matrix, adjoint_lie_rep, adjoint_rep, induced_lie_rep, subadjacent
+from bihom import (BiHomPreLieAlgebra, BilinearProduct, Matrix, TwistPair,
+                   adjoint_lie_rep, adjoint_rep, induced_lie_rep, subadjacent)
 from bihom import cli
 from bihom.cli import run
 from bihom.documents import (
@@ -458,6 +459,16 @@ class TestWrongShapes:
         }[verb]
         assert run(argv) == 2
         assert error in capsys.readouterr().err
+
+
+class TestDimZero:
+    def test_verify_dim_zero_document(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        dump_json(path, algebra_to_doc(
+            BiHomPreLieAlgebra(BilinearProduct.zero(0), TwistPair.identity(0))))
+        code, out = run_lines(capsys, ["verify", str(path), "--json"])
+        assert code == 0
+        assert json.loads(out)["report"] == {"passed": True, "violations": []}
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -241,6 +242,22 @@ class TestOneSystemPerDegree:
         alg = dim2_nilpotent()
         cohomology_table(alg, adjoint_rep(alg), [1, 2])
         assert sorted(built) == [1, 2, 3]
+
+    def test_cohomology_table_solves_no_top_degree_kernel(self, monkeypatch):
+        # of degree max+1 only E and D are read, so its K is never solved
+        solved = []
+        kernel = cohomology._Degree.kernel.func
+
+        def counted(self):
+            solved.append(self.n)
+            return kernel(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(cohomology._Degree, "kernel")
+        monkeypatch.setattr(cohomology._Degree, "kernel", prop)
+        alg = dim2_nilpotent()
+        cohomology_table(alg, adjoint_rep(alg), [1, 2])
+        assert sorted(solved) == [1, 2]
 
     def test_coboundary_functions(self, built):
         alg = dim2_nilpotent()

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 from bihom import (
     BiHomLieAlgebra,
+    BiHomPreLieAlgebra,
+    BilinearProduct,
     Matrix,
+    PreLieRep,
     SingularMatrixError,
+    TwistPair,
     adjoint_lie_rep,
     adjoint_rep,
     subadjacent,
@@ -87,6 +91,32 @@ class TestAlgebraDocs:
         with pytest.raises(DocumentError):
             algebra_from_doc({"dim": 1, "product": [[["0.5"]]],
                               "alpha": [[1]], "beta": [[1]]})
+
+    def test_dim_zero_round_trip(self):
+        # ``[]`` carries no width: the expected shape supplies it
+        empty = BiHomPreLieAlgebra(BilinearProduct.zero(0), TwistPair.identity(0))
+        doc = algebra_to_doc(empty)
+        assert doc == {"dim": 0, "product": [], "alpha": [], "beta": []}
+        assert algebra_from_doc(doc) == empty
+        zero = Matrix.zeros(0, 0)
+        line = BiHomPreLieAlgebra(BilinearProduct.zero(1), TwistPair.identity(1))
+        for rep in (adjoint_rep(empty),
+                    PreLieRep(line, 0, (zero,), (zero,), zero, zero)):
+            assert rep_from_doc(rep_to_doc(rep)) == rep
+
+    def test_empty_matrix_of_nonzero_dim_rejected(self):
+        with pytest.raises(DocumentError,
+                           match=r"algebra\.alpha: expected a 1x1 matrix, "
+                                 r"got 0x1"):
+            algebra_from_doc({"dim": 1, "product": [[[0]]], "alpha": [],
+                              "beta": [[1]]})
+
+    def test_wrong_width_message_unchanged(self):
+        with pytest.raises(DocumentError,
+                           match=r"algebra\.alpha: expected a 2x2 matrix, "
+                                 r"got 1x3"):
+            algebra_from_doc({"dim": 2, "product": [[[0, 0], [0, 0]]] * 2,
+                              "alpha": [[1, 0, 0]], "beta": [[1, 0], [0, 1]]})
 
     def test_file_round_trip(self, tmp_path):
         alg = dim2_nilpotent(2, 3)
