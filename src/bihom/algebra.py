@@ -32,12 +32,15 @@ from typing import Sequence
 
 from .linalg import (
     Matrix,
+    Row,
     SingularMatrixError,
     Value,
+    _dense_vector,
+    _row_add,
+    _row_sub,
+    _sparse_vector,
     as_rational,
-    basis_vector,
     inverse,
-    nonzero_items,
     rank,
     rational_from_json,
     rational_to_json,
@@ -100,34 +103,50 @@ class BilinearProduct(Value):
             tuple(tuple((k, a) for k, a in enumerate(vec) if a) for vec in plane)
             for plane in self.c)
 
+    def basis_row(self, i: int, j: int) -> Row:
+        """``e_i * e_j`` as a sparse row."""
+        return dict(self.terms[i][j])
+
     def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Bilinear extension to coordinate vectors; the cost follows the
-        nonzero coordinates and structure constants."""
-        acc = list(zero_vector(self.dim))
-        for i, a in nonzero_items(u):
+        """Bilinear extension to dense coordinate vectors: the dense form of
+        :meth:`sparse_value`."""
+        return _dense_vector(self.sparse_value(_sparse_vector(u),
+                                               _sparse_vector(v)), self.dim)
+
+    def sparse_value(self, u: Row, v: Row) -> Row:
+        """Bilinear extension to sparse coordinate vectors (no zero
+        entries), without zero entries; the cost follows the nonzero
+        coordinates and structure constants."""
+        acc: Row = {}
+        for i, a in u.items():
             plane = self.terms[i]
-            for j, b in nonzero_items(v):
+            for j, b in v.items():
                 if plane[j]:
                     coeff = a * b
                     for k, val in plane[j]:
-                        acc[k] += coeff * val
-        return tuple(acc)
+                        if k in acc:
+                            acc[k] += coeff * val
+                        else:
+                            acc[k] = coeff * val
+        return {k: x for k, x in acc.items() if x}
 
     def left_matrices(self) -> tuple[Matrix, ...]:
         """Matrix of ``y -> e_i * y`` for each basis index i."""
-        n = self.dim
-        return tuple(
-            Matrix(n, n, tuple(
-                tuple(self.c[i][j][k] for j in range(n)) for k in range(n)))
-            for i in range(n))
+        return tuple(self._action(plane) for plane in self.terms)
 
     def right_matrices(self) -> tuple[Matrix, ...]:
         """Matrix of ``y -> y * e_i`` for each basis index i."""
-        n = self.dim
-        return tuple(
-            Matrix(n, n, tuple(
-                tuple(self.c[j][i][k] for j in range(n)) for k in range(n)))
-            for i in range(n))
+        return tuple(self._action([plane[i] for plane in self.terms])
+                     for i in range(self.dim))
+
+    def _action(self, columns) -> Matrix:
+        """The matrix whose column j has the nonzero entries ``columns[j]``,
+        given as ``(row, value)`` pairs."""
+        rows: list[Row] = [{} for _ in range(self.dim)]
+        for j, pairs in enumerate(columns):
+            for k, a in pairs:
+                rows[k][j] = a
+        return Matrix.from_sparse(rows, self.dim)
 
     def __add__(self, other: "BilinearProduct") -> "BilinearProduct":
         self._same_dim(other)
@@ -337,15 +356,18 @@ def merge_reports(*reports: AxiomReport) -> AxiomReport:
 
 
 class _Collector:
-    """Accumulates violations; a residual of all zeros is discarded."""
+    """Accumulates violations; an empty residual is discarded."""
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
 
-    def check(self, axiom: str, indices: tuple[int, ...],
-              residual: Sequence[Fraction]) -> None:
-        if not vec_is_zero(residual):
-            self.violations.append(Violation(axiom, indices, tuple(residual)))
+    def check(self, axiom: str, indices: tuple[int, ...], residual: Row,
+              dim: int) -> None:
+        """Records the sparse ``residual`` (no zero entries) unless it is
+        empty; a violation carries it as a dense vector of length dim."""
+        if residual:
+            self.violations.append(
+                Violation(axiom, indices, _dense_vector(residual, dim)))
 
     def check_matrix(self, axiom: str, indices: tuple[int, ...], m: Matrix) -> None:
         if not m.is_zero:
@@ -371,6 +393,11 @@ def _columns(m: Matrix) -> list[tuple[Fraction, ...]]:
     return [m.col(j) for j in range(m.cols)]
 
 
+def _basis_rows(n: int) -> list[Row]:
+    """The standard basis vectors of dimension n as sparse rows."""
+    return [{i: Fraction(1)} for i in range(n)]
+
+
 def _twist_violations(col: _Collector, twists: TwistPair) -> None:
     col.check_commute("alpha-beta-commutation", twists.alpha, twists.beta)
     # unreachable through the constructor, kept for defence in depth
@@ -393,11 +420,12 @@ def _map_violations(col: _Collector, axiom: str, f: Matrix,
     """``f(e_i . e_j) - f(e_i) . f(e_j)`` on every ordered basis pair, for a
     linear map f from the space of the product P to that of P2."""
     n = P.dim
-    fcol = _columns(f)
+    fcol = f.sparse_cols
     for i in range(n):
         for j in range(n):
-            col.check(axiom, (i, j), vec_sub(f.apply(P.basis_value(i, j)),
-                                             P2.value(fcol[i], fcol[j])))
+            col.check(axiom, (i, j),
+                      _row_sub(f.sparse_apply(P.basis_row(i, j)),
+                               P2.sparse_value(fcol[i], fcol[j])), P2.dim)
 
 
 def _multiplicativity_violations(col: _Collector, P: BilinearProduct,
@@ -432,26 +460,27 @@ def _left_symmetry_violations(col: _Collector, twists: TwistPair,
     triple are reported together, in the order given.
     """
     n = twists.dim
-    acol, bcol = _columns(twists.alpha), _columns(twists.beta)
-    abcol = _columns(twists.alpha @ twists.beta)
-    basis = [basis_vector(n, k) for k in range(n)]
+    acol, bcol = twists.alpha.sparse_cols, twists.beta.sparse_cols
+    abcol = (twists.alpha @ twists.beta).sparse_cols
+    basis = _basis_rows(n)
     inners = _inner_products(checks)
     # inner(alpha e_y, e_k), which does not depend on x
-    right = {q: [[Q.value(acol[y], e) for e in basis] for y in range(n)]
+    right = {q: [[Q.sparse_value(acol[y], e) for e in basis] for y in range(n)]
              for q, Q in inners.items()}
     for i in range(n):
         for j in range(i + 1, n):
             # inner(beta e_i, alpha e_j) - inner(beta e_j, alpha e_i), which
             # does not depend on k; the outer product is bilinear
-            left = {q: vec_sub(Q.value(bcol[i], acol[j]), Q.value(bcol[j], acol[i]))
+            left = {q: _row_sub(Q.sparse_value(bcol[i], acol[j]),
+                                Q.sparse_value(bcol[j], acol[i]))
                     for q, Q in inners.items()}
             for k in range(n):
                 for axiom, terms in checks:
-                    col.check(axiom, (i, j, k), reduce(vec_add, [
-                        vec_sub(P.value(left[id(Q)], bcol[k]),
-                                vec_sub(P.value(abcol[i], right[id(Q)][j][k]),
-                                        P.value(abcol[j], right[id(Q)][i][k])))
-                        for P, Q in terms]))
+                    col.check(axiom, (i, j, k), reduce(_row_add, [
+                        _row_sub(P.sparse_value(left[id(Q)], bcol[k]),
+                                 _row_sub(P.sparse_value(abcol[i], right[id(Q)][j][k]),
+                                          P.sparse_value(abcol[j], right[id(Q)][i][k])))
+                        for P, Q in terms]), n)
 
 
 def _skew_violations(col: _Collector, axiom: str, B: BilinearProduct,
@@ -459,11 +488,11 @@ def _skew_violations(col: _Collector, axiom: str, B: BilinearProduct,
     """BiHom-skew-symmetry ``B(beta x, alpha y) + B(beta y, alpha x) = 0`` on
     basis pairs ``i <= j`` (the diagonal forces ``B(beta x, alpha x) = 0``)."""
     n = B.dim
-    acol, bcol = _columns(twists.alpha), _columns(twists.beta)
+    acol, bcol = twists.alpha.sparse_cols, twists.beta.sparse_cols
     for i in range(n):
         for j in range(i, n):
-            col.check(axiom, (i, j), vec_add(B.value(bcol[i], acol[j]),
-                                             B.value(bcol[j], acol[i])))
+            col.check(axiom, (i, j), _row_add(B.sparse_value(bcol[i], acol[j]),
+                                              B.sparse_value(bcol[j], acol[i])), n)
 
 
 def _jacobi_violations(col: _Collector, twists: TwistPair,
@@ -481,28 +510,30 @@ def _jacobi_violations(col: _Collector, twists: TwistPair,
     rotation, so each orbit is reported once, smallest index first.
     """
     n = twists.dim
-    acol, bcol = _columns(twists.alpha), _columns(twists.beta)
-    b2col = _columns(twists.beta @ twists.beta)
+    acol, bcol = twists.alpha.sparse_cols, twists.beta.sparse_cols
+    b2col = (twists.beta @ twists.beta).sparse_cols
     # inner(beta e_y, alpha e_z) for every pair, computed once
-    inner = {q: [[Q.value(bcol[y], acol[z]) for z in range(n)] for y in range(n)]
+    inner = {q: [[Q.sparse_value(bcol[y], acol[z]) for z in range(n)]
+                 for y in range(n)]
              for q, Q in _inner_products(checks).items()}
     for i in range(n):
         for j in range(i, n):
             for k in range(i, n):
                 cyclic = ((i, j, k), (j, k, i), (k, i, j))
                 for axiom, terms in checks:
-                    col.check(axiom, (i, j, k), reduce(vec_add, [
-                        P.value(b2col[x], inner[id(Q)][y][z])
-                        for P, Q in terms for x, y, z in cyclic]))
+                    col.check(axiom, (i, j, k), reduce(_row_add, [
+                        P.sparse_value(b2col[x], inner[id(Q)][y][z])
+                        for P, Q in terms for x, y, z in cyclic]), n)
 
 
 def _subadjacent_tensor(c: BilinearProduct, twists: TwistPair) -> BilinearProduct:
     """``c(x, y) - c(alpha^-1 beta y, alpha beta^-1 x)`` on basis pairs."""
     n = c.dim
-    ainv_b = _columns(twists.alpha_inv @ twists.beta)
-    a_binv = _columns(twists.alpha @ twists.beta_inv)
+    ainv_b = (twists.alpha_inv @ twists.beta).sparse_cols
+    a_binv = (twists.alpha @ twists.beta_inv).sparse_cols
     return BilinearProduct(n, tuple(
-        tuple(vec_sub(c.basis_value(i, j), c.value(ainv_b[j], a_binv[i]))
+        tuple(_dense_vector(_row_sub(c.basis_row(i, j),
+                                     c.sparse_value(ainv_b[j], a_binv[i])), n)
               for j in range(n))
         for i in range(n)))
 

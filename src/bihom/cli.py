@@ -269,7 +269,8 @@ def _parse_degrees(spec: str, max_degree: int) -> list[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if lo < 1 or hi < lo:
         raise DocumentError(f"degree range {spec!r} is empty or starts below 1")
-    degrees = [d for d in range(lo, hi + 1) if d <= max_degree]
+    # clipped first, so that a huge upper bound costs nothing
+    degrees = list(range(lo, min(hi, max_degree) + 1))
     if not degrees:
         raise DocumentError(
             f"degree range {spec!r} lies beyond --max-degree {max_degree}")
@@ -359,103 +360,89 @@ def _cmd_push_lie(args) -> CliResult:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+# verb -> (help, whether it takes --output, its arguments as (name, options));
+# the handler of verb "a-b" is _cmd_a_b
+_VERBS: dict[str, tuple[str, bool, list[tuple[str, dict]]]] = {
+    "verify": ("check every defining axiom of an algebra", False,
+               [("algebra", {})]),
+    "subadjacent": ("build the sub-adjacent BiHom-Lie algebra", True,
+                    [("algebra", {})]),
+    "semidirect": ("build the semidirect product defined by a representation",
+                   True, [("representation", {})]),
+    "induced-rep": ("representation of the sub-adjacent algebra induced by a "
+                    "pre-Lie representation", True,
+                    [("representation", {}),
+                     ("--variant", {"choices": ["full", "l-only"],
+                                    "default": "full"})]),
+    "twist-rep": ("twist an untwisted representation by a twist bundle", True,
+                  [("representation", {}), ("twists", {})]),
+    "tensor-rep": ("tensor product of two representations", True,
+                   [("left", {}), ("right", {})]),
+    "o-operator": ("check an O-operator; --output writes the induced pre-Lie "
+                   "algebra", True,
+                   [("operator", {}),
+                    ("representation", {"nargs": "?", "default": None})]),
+    "rota-baxter": ("check a weight-0 Rota-Baxter operator; --output writes "
+                    "the induced pre-Lie algebra", True,
+                    [("operator", {}),
+                     ("algebra", {"nargs": "?", "default": None})]),
+    "cohomology": ("cocycle/coboundary/cohomology dimensions per degree", False,
+                   [("algebra", {}),
+                    ("--rep", {"default": "adjoint",
+                               "metavar": "adjoint|trivial|PATH",
+                               "help": "coefficient representation "
+                                       "(default: adjoint)"}),
+                    ("--degrees", {"default": "1..2", "metavar": "a..b",
+                                   "help": "degree range (default: 1..2)"}),
+                    ("--max-degree", {"type": int, "default": 4,
+                                      "help": "hard cap on computed degrees "
+                                              "(default: 4)"})]),
+    "deform-check": ("check that pi generates a linear deformation", False,
+                     [("algebra", {}), ("deformation", {})]),
+    "nijenhuis": ("check a Nijenhuis operator; --output writes its trivial "
+                  "deformation", True, [("algebra", {}), ("operator", {})]),
+    "equivalence": ("check that Id + tN intertwines two linear deformations",
+                    False, [("algebra", {}), ("first", {}), ("second", {}),
+                            ("operator", {})]),
+    "push-lie": ("push a deformation to the sub-adjacent BiHom-Lie algebra",
+                 True, [("algebra", {}), ("deformation", {})]),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The ``bihom`` parser.  When ``argv`` starts with a verb, only that
+    verb's sub-parser is built, since a process runs one verb; the usage
+    lines still list every verb."""
     parser = argparse.ArgumentParser(
         prog="bihom",
         description="Exact checks and constructions for BiHom-pre-Lie and "
                     "BiHom-Lie algebras given by structure constants.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_: str, outputs: bool = False):
+    verbs = list(_VERBS)
+    options = {}
+    if argv and argv[0] in _VERBS:
+        verbs = [argv[0]]
+        # the usage line of a full build; set always, the metavar would also
+        # replace "command" in the no-verb and invalid-choice errors
+        options["metavar"] = "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, **options)
+    for name in verbs:
+        help_, outputs, arguments = _VERBS[name]
         p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
         if outputs:
             p.add_argument("--output", metavar="PATH", default=None,
                            help="write the constructed document here")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("verify", _cmd_verify, "check every defining axiom of an algebra")
-    p.add_argument("algebra")
-
-    p = add("subadjacent", _cmd_subadjacent,
-            "build the sub-adjacent BiHom-Lie algebra", outputs=True)
-    p.add_argument("algebra")
-
-    p = add("semidirect", _cmd_semidirect,
-            "build the semidirect product defined by a representation",
-            outputs=True)
-    p.add_argument("representation")
-
-    p = add("induced-rep", _cmd_induced_rep,
-            "representation of the sub-adjacent algebra induced by a "
-            "pre-Lie representation", outputs=True)
-    p.add_argument("representation")
-    p.add_argument("--variant", choices=["full", "l-only"], default="full")
-
-    p = add("twist-rep", _cmd_twist_rep,
-            "twist an untwisted representation by a twist bundle",
-            outputs=True)
-    p.add_argument("representation")
-    p.add_argument("twists")
-
-    p = add("tensor-rep", _cmd_tensor_rep,
-            "tensor product of two representations", outputs=True)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("o-operator", _cmd_o_operator,
-            "check an O-operator; --output writes the induced pre-Lie "
-            "algebra", outputs=True)
-    p.add_argument("operator")
-    p.add_argument("representation", nargs="?", default=None)
-
-    p = add("rota-baxter", _cmd_rota_baxter,
-            "check a weight-0 Rota-Baxter operator; --output writes the "
-            "induced pre-Lie algebra", outputs=True)
-    p.add_argument("operator")
-    p.add_argument("algebra", nargs="?", default=None)
-
-    p = add("cohomology", _cmd_cohomology,
-            "cocycle/coboundary/cohomology dimensions per degree")
-    p.add_argument("algebra")
-    p.add_argument("--rep", default="adjoint", metavar="adjoint|trivial|PATH",
-                   help="coefficient representation (default: adjoint)")
-    p.add_argument("--degrees", default="1..2", metavar="a..b",
-                   help="degree range (default: 1..2)")
-    p.add_argument("--max-degree", type=int, default=4,
-                   help="hard cap on computed degrees (default: 4)")
-
-    p = add("deform-check", _cmd_deform_check,
-            "check that pi generates a linear deformation")
-    p.add_argument("algebra")
-    p.add_argument("deformation")
-
-    p = add("nijenhuis", _cmd_nijenhuis,
-            "check a Nijenhuis operator; --output writes its trivial "
-            "deformation", outputs=True)
-    p.add_argument("algebra")
-    p.add_argument("operator")
-
-    p = add("equivalence", _cmd_equivalence,
-            "check that Id + tN intertwines two linear deformations")
-    p.add_argument("algebra")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("operator")
-
-    p = add("push-lie", _cmd_push_lie,
-            "push a deformation to the sub-adjacent BiHom-Lie algebra",
-            outputs=True)
-    p.add_argument("algebra")
-    p.add_argument("deformation")
-
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -40,7 +40,7 @@ from .algebra import (
     TwistPair,
     Violation,
     _Collector,
-    _columns,
+    _basis_rows,
     _jacobi_violations,
     _left_symmetry_violations,
     _multiplicativity_violations,
@@ -52,7 +52,7 @@ from .algebra import (
     merge_reports,
     subadjacent,
 )
-from .linalg import Matrix, basis_vector, vec_add, vec_sub
+from .linalg import Matrix, Row, _dense_vector, _row_add, _row_sub
 
 __all__ = [
     "check_linear_deformation",
@@ -118,20 +118,23 @@ def check_equivalence(a: BiHomPreLieAlgebra, pi1: BilinearProduct,
     _operator_commutation(col, "N", N, a.twists)
     n = a.dim
     P = a.product
-    ncol = _columns(N)
-    basis = [basis_vector(n, i) for i in range(n)]
-    derived = _deformed_product_raw(P, N)
+    ncol = N.sparse_cols
+    basis = _basis_rows(n)
+    derived = _deformed_rows(P, N)
     for i in range(n):
         for j in range(n):
             e_i, e_j = basis[i], basis[j]
+            pi2_ij = pi2.basis_row(i, j)
             col.check("equivalence-linear", (i, j),
-                      vec_sub(vec_sub(pi2.basis_value(i, j), pi1.basis_value(i, j)),
-                              derived.basis_value(i, j)))
-            lhs = vec_add(pi1.value(e_i, ncol[j]), pi1.value(ncol[i], e_j))
-            rhs = vec_sub(N.apply(pi2.basis_value(i, j)),
-                          P.value(ncol[i], ncol[j]))
-            col.check("equivalence-quadratic", (i, j), vec_sub(lhs, rhs))
-            col.check("equivalence-cubic", (i, j), pi1.value(ncol[i], ncol[j]))
+                      _row_sub(_row_sub(pi2_ij, pi1.basis_row(i, j)),
+                               derived[i][j]), n)
+            lhs = _row_add(pi1.sparse_value(e_i, ncol[j]),
+                           pi1.sparse_value(ncol[i], e_j))
+            rhs = _row_sub(N.sparse_apply(pi2_ij),
+                           P.sparse_value(ncol[i], ncol[j]))
+            col.check("equivalence-quadratic", (i, j), _row_sub(lhs, rhs), n)
+            col.check("equivalence-cubic", (i, j),
+                      pi1.sparse_value(ncol[i], ncol[j]), n)
     return col.report()
 
 
@@ -152,15 +155,21 @@ def deformed_product(a: BiHomPreLieAlgebra, N: Matrix) -> BilinearProduct:
 
 def _deformed_product_raw(P: BilinearProduct, mat: Matrix) -> BilinearProduct:
     n = P.dim
-    ncol = _columns(mat)
-    basis = [basis_vector(n, i) for i in range(n)]
-    entries = tuple(
-        tuple(vec_sub(vec_add(P.value(ncol[i], basis[j]),
-                              P.value(basis[i], ncol[j])),
-                      mat.apply(P.basis_value(i, j)))
-              for j in range(n))
-        for i in range(n))
-    return BilinearProduct(n, entries)
+    return BilinearProduct(n, tuple(
+        tuple(_dense_vector(row, n) for row in rows)
+        for rows in _deformed_rows(P, mat)))
+
+
+def _deformed_rows(P: BilinearProduct, mat: Matrix) -> list[list[Row]]:
+    """``e_i *_N e_j`` as sparse rows, for N = mat."""
+    n = P.dim
+    ncol = mat.sparse_cols
+    basis = _basis_rows(n)
+    return [[_row_sub(_row_add(P.sparse_value(ncol[i], basis[j]),
+                               P.sparse_value(basis[i], ncol[j])),
+                      mat.sparse_apply(P.basis_row(i, j)))
+             for j in range(n)]
+            for i in range(n)]
 
 
 def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
@@ -169,13 +178,13 @@ def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
     _check_operator(N, P.dim)
     col = _Collector()
     _operator_commutation(col, "N", N, twists)
-    deformed = _deformed_product_raw(P, N)
-    ncol = _columns(N)
+    deformed = _deformed_rows(P, N)
+    ncol = N.sparse_cols
     for i in range(P.dim):
         for j in range(P.dim):
             col.check("nijenhuis-identity", (i, j),
-                      vec_sub(P.value(ncol[i], ncol[j]),
-                              N.apply(deformed.basis_value(i, j))))
+                      _row_sub(P.sparse_value(ncol[i], ncol[j]),
+                               N.sparse_apply(deformed[i][j])), P.dim)
     return col.report()
 
 

@@ -15,17 +15,18 @@ reduces to the unique reduced row echelon form, so results do not depend
 on the order of the rows, and the cost follows the nonzeros rather than the
 shape: the systems of the cochain complex have a few nonzeros per row.
 
-The kernels under the axiom checkers skip zeros too: ``Matrix @ Matrix``
-and :meth:`Matrix.apply` multiply only nonzero pairs, and :func:`vec_add`
-/ :func:`vec_sub` pass an entry through where the other term is zero.
-Structure tensors, twists and action matrices are mostly zeros.
+A :class:`Matrix` is stored as the same sparse rows, and builds its dense
+``entries`` only when they are read.  Its products, sums, Kronecker
+products, transposes and images work on the nonzeros alone, as do the
+axiom checkers, which compute every residual as a sparse row and make it
+dense only for a violation.  Structure tensors, twists and action matrices
+are mostly zeros.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -216,19 +217,94 @@ def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
 
 
 # ---------------------------------------------------------------------------
-# dense exact matrices
+# sparse rows
+# ---------------------------------------------------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _sparse_vector(v: Sequence[Fraction]) -> Row:
+    """The nonzero entries of a dense vector."""
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def _dense_vector(row: Row, n: int) -> tuple[Fraction, ...]:
+    """The dense vector of length ``n`` with these entries."""
+    out = [_ZERO] * n
+    for j, a in row.items():
+        out[j] = a
+    return tuple(out)
+
+
+def _row_add(u: Row, v: Row) -> Row:
+    """``u + v`` without zero entries (``u`` and ``v`` have none)."""
+    out = dict(u)
+    for j, b in v.items():
+        if j in out:
+            s = out[j] + b
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+        else:
+            out[j] = b
+    return out
+
+
+def _row_sub(u: Row, v: Row) -> Row:
+    """``u - v`` without zero entries (``u`` and ``v`` have none)."""
+    out = dict(u)
+    for j, b in v.items():
+        if j in out:
+            s = out[j] - b
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+        else:
+            out[j] = -b
+    return out
+
+
+class _Lazy:
+    """An attribute computed on first read and kept, like
+    :func:`functools.cached_property`, but stored with
+    ``object.__setattr__``: that keeps it in the instance's compact storage
+    (``cached_property`` writes ``__dict__``, which builds a dict for the
+    instance) and gets past :class:`Value`'s frozen ``__setattr__``."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.fn(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
+# ---------------------------------------------------------------------------
+# exact matrices
 # ---------------------------------------------------------------------------
 
 class Matrix(Value):
-    """Immutable matrix of rationals, stored dense and row-major.  Its
-    nonzero entries per row, :attr:`sparse_rows`, are computed once (or
-    given to :meth:`from_sparse`) and are what the eliminations read.
+    """Immutable matrix of rationals, stored as its sparse rows.
 
-    Products and :meth:`apply` skip zero entries, so they cost in
-    proportion to the nonzero products, not to the shape; every entry of a
-    result is a ``Fraction``.  Degenerate shapes (0 rows and/or 0 columns)
-    are legal; they show up as boundary matrices of zero-dimensional
-    cochain spaces.
+    :attr:`sparse_rows` holds the nonzero entries of each row and
+    :attr:`sparse_cols` those of each column, each a ``dict`` from index to
+    ``Fraction``.  Every builder of the class keeps only the sparse rows;
+    the dense row-major :attr:`entries` are built on first read, unless
+    they were given to the constructor, :meth:`from_rows` or
+    :meth:`from_json`, which validate them.  ``==``, ``hash`` and ``repr``
+    are those of the fields ``(rows, cols, entries)``.
+
+    Products, sums, :meth:`apply` and the eliminations read the sparse
+    rows, so they cost in proportion to the nonzeros, not to the shape;
+    every entry of a result is a ``Fraction``.  Degenerate shapes (0 rows
+    and/or 0 columns) are legal; they show up as boundary matrices of
+    zero-dimensional cochain spaces.
     """
 
     rows: int
@@ -244,7 +320,38 @@ class Matrix(Value):
             if len(row) != self.cols:
                 raise LinAlgError("ragged rows in matrix entries")
 
+    @_Lazy
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        cols = self.cols
+        return tuple(_dense_vector(row, cols) for row in self.sparse_rows)
+
+    @_Lazy
+    def sparse_rows(self) -> tuple[Row, ...]:
+        """The nonzero entries of each row; shared, so not to be changed."""
+        return tuple({j: a if a.__class__ is Fraction else Fraction(a)
+                      for j, a in enumerate(row) if a}
+                     for row in self.entries)
+
+    @_Lazy
+    def sparse_cols(self) -> tuple[Row, ...]:
+        """The nonzero entries of each column; shared, so not to be changed."""
+        cols: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, a in row.items():
+                cols[j][i] = a
+        return tuple(cols)
+
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, sparse: tuple[Row, ...], cols: int) -> "Matrix":
+        """The matrix whose sparse rows are ``sparse``, taken as they are:
+        nonzero ``Fraction`` entries in columns below ``cols``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(sparse))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "sparse_rows", sparse)
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int | str | Fraction]],
@@ -263,21 +370,20 @@ class Matrix(Value):
     @classmethod
     def from_sparse(cls, rows: Sequence[Row], cols: int) -> "Matrix":
         """The matrix with these sparse rows (columns below ``cols``), which
-        it keeps, without zero entries, as its :attr:`sparse_rows`."""
-        sparse = tuple({j: x for j, x in row.items() if x} for row in rows)
-        zero = Fraction(0)
-        m = cls(len(sparse), cols, tuple(
-            tuple(row.get(j, zero) for j in range(cols)) for row in sparse))
-        m.__dict__["sparse_rows"] = sparse
-        return m
+        it keeps as its :attr:`sparse_rows`, without zero entries and with
+        every entry a ``Fraction``."""
+        return cls._wrap(tuple(
+            {j: x if x.__class__ is Fraction else as_rational(x)
+             for j, x in row.items() if x}
+            for row in rows), cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(basis_vector(n, i) for i in range(n)))
+        return cls._wrap(tuple({i: _ONE} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, tuple(zero_vector(cols) for _ in range(rows)))
+        return cls._wrap(tuple({} for _ in range(rows)), cols)
 
     @classmethod
     def diagonal(cls, values: Sequence[int | str | Fraction]) -> "Matrix":
@@ -292,47 +398,55 @@ class Matrix(Value):
 
     @property
     def is_zero(self) -> bool:
-        return not any(map(any, self.entries))
+        return not any(self.sparse_rows)
 
     @property
     def is_identity(self) -> bool:
-        return self.is_square and self == Matrix.identity(self.rows)
-
-    @cached_property
-    def sparse_rows(self) -> tuple[Row, ...]:
-        """The nonzero entries of each row; shared, so not to be changed."""
-        return tuple({j: a for j, a in enumerate(row) if a}
-                     for row in self.entries)
+        return self.is_square and all(
+            len(row) == 1 and row.get(i) == 1
+            for i, row in enumerate(self.sparse_rows))
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
+        return _dense_vector(self.sparse_cols[j], self.rows)
 
     def __getitem__(self, index: tuple[int, int]) -> Fraction:
         i, j = index
         return self.entries[i][j]
 
+    def __eq__(self, other: object) -> bool:
+        # the nonzero entries decide, so neither side is made dense
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.sparse_rows == other.sparse_rows)
+
+    __hash__ = Value.__hash__
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            vec_add(r, s) for r, s in zip(self.entries, other.entries)))
+        return Matrix._wrap(tuple(map(_row_add, self.sparse_rows,
+                                      other.sparse_rows)), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            vec_sub(r, s) for r, s in zip(self.entries, other.entries)))
+        return Matrix._wrap(tuple(map(_row_sub, self.sparse_rows,
+                                      other.sparse_rows)), self.cols)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Fraction(-1))
+        return Matrix._wrap(tuple({j: -a for j, a in row.items()}
+                                  for row in self.sparse_rows), self.cols)
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
         q = as_rational(c)
-        return Matrix(self.rows, self.cols,
-                      tuple(vec_scale(q, row) for row in self.entries))
+        if not q:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._wrap(tuple({j: q * a for j, a in row.items()}
+                                  for row in self.sparse_rows), self.cols)
 
     def __rmul__(self, c: int | Fraction) -> "Matrix":
         return self.scale(c)
@@ -342,31 +456,30 @@ class Matrix(Value):
             raise LinAlgError(
                 f"dimension mismatch in product: {self.rows}x{self.cols} @ "
                 f"{other.rows}x{other.cols}")
-        zero = Fraction(0)
-        sparse = [[(j, b) for j, b in enumerate(row) if b]
-                  for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [zero] * other.cols
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in sparse[k]:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix._wrap(tuple(_row_product(self.sparse_rows,
+                                               other.sparse_rows)), other.cols)
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Image of the column vector ``v``."""
         if len(v) != self.cols:
             raise LinAlgError("vector length does not match column count")
-        zero = Fraction(0)
-        support = [(j, b) for j, b in enumerate(v) if b]
-        return tuple(sum((row[j] * b for j, b in support if row[j]), zero)
-                     for row in self.entries)
+        return _dense_vector(self.sparse_apply(_sparse_vector(v)), self.rows)
+
+    def sparse_apply(self, v: Row) -> Row:
+        """Image of the sparse column vector ``v`` (no zero entries, indices
+        below :attr:`cols`), without zero entries."""
+        cols = self.sparse_cols
+        acc: Row = {}
+        for j, b in v.items():
+            for i, a in cols[j].items():
+                if i in acc:
+                    acc[i] += a * b
+                else:
+                    acc[i] = a * b
+        return {i: x for i, x in acc.items() if x}
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
+        return Matrix._wrap(self.sparse_cols, self.rows)
 
     def power(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -385,16 +498,11 @@ class Matrix(Value):
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product with blocks ordered (i outer, j inner):
         ``(A kron B)[(i,j),(k,l)] = A[i][k] * B[j][l]``."""
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.rows):
-                row = []
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    row.extend(a * b for b in other.entries[j])
-                entries.append(tuple(row))
-        return Matrix(self.rows * other.rows, self.cols * other.cols,
-                      tuple(entries))
+        w = other.cols
+        return Matrix._wrap(tuple(
+            {k * w + l: a * b for k, a in arow.items() for l, b in brow.items()}
+            for arow in self.sparse_rows for brow in other.sparse_rows),
+            self.cols * w)
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -423,7 +531,7 @@ def block_diag(*blocks: Matrix) -> Matrix:
     for b in blocks:
         rows.extend({c0 + j: a for j, a in row.items()} for row in b.sparse_rows)
         c0 += b.cols
-    return Matrix.from_sparse(rows, c0)
+    return Matrix._wrap(tuple(rows), c0)
 
 
 def linear_combination(mats: Sequence[Matrix],
@@ -439,8 +547,12 @@ def linear_combination(mats: Sequence[Matrix],
         if c:
             for arow, mrow in zip(acc, m.sparse_rows):
                 for j, a in mrow.items():
-                    arow[j] = arow.get(j, 0) + c * a
-    return Matrix.from_sparse(acc, mats[0].cols)
+                    if j in arow:
+                        arow[j] += c * a
+                    else:
+                        arow[j] = c * a
+    return Matrix._wrap(tuple({j: x for j, x in row.items() if x}
+                              for row in acc), mats[0].cols)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +610,10 @@ def _row_product(rows: Sequence[Row], kt: Sequence[Row]) -> list[Row]:
         acc: Row = {}
         for s, c in row.items():
             for j, x in kt[s].items():
-                acc[j] = acc.get(j, 0) + c * x
+                if j in acc:
+                    acc[j] += c * x
+                else:
+                    acc[j] = c * x
         out.append({j: x for j, x in acc.items() if x})
     return out
 
@@ -543,8 +658,8 @@ def inverse(m: Matrix) -> Matrix:
     reduced, pivots = _rref(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular")
-    return Matrix.from_sparse(
-        [{j - n: a for j, a in row.items() if j >= n} for row in reduced], n)
+    return Matrix._wrap(tuple(
+        {j - n: a for j, a in row.items() if j >= n} for row in reduced), n)
 
 
 def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:

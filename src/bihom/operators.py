@@ -32,13 +32,14 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
+    _basis_rows,
     _columns,
     _operator_commutation,
     check_prelie,
     is_lie_morphism,
     subadjacent,
 )
-from .linalg import Matrix, basis_vector, inverse, rank, vec_sub
+from .linalg import Matrix, _row_add, _row_sub, basis_vector, inverse, rank
 from .representation import LieRep
 
 __all__ = [
@@ -71,18 +72,18 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     col.check_matrix("T-phi-intertwining", (), g.alpha @ T - T @ r.phi)
     col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
 
-    tcol = _columns(T)
-    rho_t = [r.rho_of(t) for t in tcol]
+    tcol = T.sparse_cols
+    rho_t = [r.rho_of(t).sparse_cols for t in _columns(T)]
     # rho(T(phi^-1 psi v)) and (phi psi^-1)(u), once per carrier basis vector
     rho_twisted = [r.rho_of(T.apply(v)) for v in _columns(inverse(r.phi) @ r.psi)]
-    phi_psinv = _columns(r.phi @ inverse(r.psi))
+    phi_psinv = (r.phi @ inverse(r.psi)).sparse_cols
     for u in range(m):
         for v in range(m):
-            lhs = g.bracket.value(tcol[u], tcol[v])
-            first = rho_t[u].col(v)
-            second = rho_twisted[v].apply(phi_psinv[u])
-            rhs = T.apply(vec_sub(first, second))
-            col.check("o-operator-identity", (u, v), vec_sub(lhs, rhs))
+            lhs = g.bracket.sparse_value(tcol[u], tcol[v])
+            first = rho_t[u][v]
+            second = rho_twisted[v].sparse_apply(phi_psinv[u])
+            rhs = T.sparse_apply(_row_sub(first, second))
+            col.check("o-operator-identity", (u, v), _row_sub(lhs, rhs), g.dim)
     return col.report()
 
 
@@ -138,17 +139,16 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     _check_shape(R, n, n)
     col = _Collector()
     _operator_commutation(col, "R", R, g.twists)
-    rcol = _columns(R)
-    basis = [basis_vector(n, i) for i in range(n)]
+    B = g.bracket
+    rcol = R.sparse_cols
+    basis = _basis_rows(n)
     for i in range(n):
         for j in range(n):
-            lhs = g.bracket.value(rcol[i], rcol[j])
-            inner = tuple(
-                x + y for x, y in zip(
-                    g.bracket.value(rcol[i], basis[j]),
-                    g.bracket.value(basis[i], rcol[j])))
+            lhs = B.sparse_value(rcol[i], rcol[j])
+            inner = _row_add(B.sparse_value(rcol[i], basis[j]),
+                             B.sparse_value(basis[i], rcol[j]))
             col.check("rota-baxter-identity", (i, j),
-                      vec_sub(lhs, R.apply(inner)))
+                      _row_sub(lhs, R.sparse_apply(inner)), n)
     return col.report()
 
 

@@ -8,6 +8,9 @@
   ``Matrix @ Matrix`` and ``Matrix.apply`` as full ``Fraction`` sums over
   every index, and ``BilinearProduct.value`` scanning every structure
   constant of each pair of nonzero coordinates.
+* The rest of the dense ``Matrix`` the library had before it stored sparse
+  rows: ``+``, ``-``, ``scale``, ``transpose``, ``kron``, ``is_zero`` and
+  ``col``, each computed from the row-major ``entries``.
 * The axiom checkers as they were before each identity got one shared
   implementation: ``check_prelie`` with its own associator,
   ``check_bihom_lie`` with its own Jacobi sum, the deformation checkers
@@ -125,6 +128,45 @@ def dense_matmul(a: Matrix, b: Matrix) -> Matrix:
 def dense_apply(m: Matrix, v) -> tuple[Fraction, ...]:
     return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0))
                  for row in m.entries)
+
+
+def dense_add(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, a.cols, tuple(
+        vec_add(r, s) for r, s in zip(a.entries, b.entries, strict=True)))
+
+
+def dense_sub(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.rows, a.cols, tuple(
+        vec_sub(r, s) for r, s in zip(a.entries, b.entries, strict=True)))
+
+
+def dense_scale(m: Matrix, c) -> Matrix:
+    return Matrix(m.rows, m.cols,
+                  tuple(tuple(Q(c) * a for a in row) for row in m.entries))
+
+
+def dense_col(m: Matrix, j: int) -> tuple[Fraction, ...]:
+    return tuple(row[j] for row in m.entries)
+
+
+def dense_transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows,
+                  tuple(dense_col(m, j) for j in range(m.cols)))
+
+
+def dense_kron(a: Matrix, b: Matrix) -> Matrix:
+    entries = []
+    for i in range(a.rows):
+        for j in range(b.rows):
+            row = []
+            for k in range(a.cols):
+                row.extend(a.entries[i][k] * x for x in b.entries[j])
+            entries.append(tuple(row))
+    return Matrix(a.rows * b.rows, a.cols * b.cols, tuple(entries))
+
+
+def dense_is_zero(m: Matrix) -> bool:
+    return not any(map(any, m.entries))
 
 
 def dense_value(p, u, v) -> tuple[Fraction, ...]:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,38 @@ class TestCohomology:
     def test_bad_range(self, capsys, abelian_file):
         assert run(["cohomology", str(abelian_file),
                     "--degrees", "x..y"]) == 2
+
+    @pytest.mark.parametrize("degrees, message", [
+        ("5..6", "lies beyond --max-degree 4"),
+        ("0..2", "is empty or starts below 1"),
+        ("3..2", "is empty or starts below 1"),
+    ])
+    def test_range_messages(self, capsys, abelian_file, degrees, message):
+        assert run(["cohomology", str(abelian_file), "--degrees", degrees]) == 2
+        assert capsys.readouterr().err == (
+            f"error: degree range {degrees!r} {message}\n")
+
+    def test_huge_upper_bound_is_clipped_before_the_walk(self, abelian_file):
+        # walking 1..10^12 before applying --max-degree would take hours, so
+        # each run is a process with a time limit
+        env = dict(os.environ, BIHOM_COLOR="0",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+
+        def cohomology(degrees):
+            return subprocess.run(
+                [sys.executable, "-m", "bihom.cli", "cohomology",
+                 str(abelian_file), "--degrees", degrees, "--json"],
+                env=env, capture_output=True, text=True, timeout=60)
+
+        huge, capped = cohomology("1..1000000000000"), cohomology("1..4")
+        assert huge.returncode == capped.returncode == 0
+        assert huge.stdout == capped.stdout and huge.stderr == ""
+        assert [d["degree"] for d in json.loads(huge.stdout)["dimensions"]] == [
+            1, 2, 3, 4]
+        beyond = cohomology("5..1000000000000")
+        assert beyond.returncode == 2 and beyond.stdout == ""
+        assert beyond.stderr == ("error: degree range '5..1000000000000' lies "
+                                 "beyond --max-degree 4\n")
 
 
 class TestConstructiveVerbs:
@@ -480,6 +516,63 @@ class TestUsage:
 
     def test_missing_file_is_input_error(self, capsys):
         assert run(["verify", "/nonexistent/thing.json"]) == 2
+
+
+class TestParserParity:
+    """A parser built for the verb that ``argv`` names holds only that
+    verb's sub-parser, yet prints the same help, usage errors and exit
+    codes as the parser of every verb."""
+
+    VERBS = ["verify", "subadjacent", "semidirect", "induced-rep", "twist-rep",
+             "tensor-rep", "o-operator", "rota-baxter", "cohomology",
+             "deform-check", "nijenhuis", "equivalence", "push-lie"]
+
+    @staticmethod
+    def outcome(parser, argv, capsys):
+        try:
+            parser.parse_args(argv)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_one_verb_parser_matches_the_full_one(self, capsys, verb):
+        cases = [[verb, "--help"], [verb], [verb] + ["x"] * 6,
+                 [verb, "x", "--bogus"]]
+        if verb == "induced-rep":
+            cases.append([verb, "x", "--variant", "bogus"])
+        if verb == "cohomology":
+            cases.append([verb, "x", "--max-degree", "two"])
+        for argv in cases:
+            one = self.outcome(cli._build_parser(argv), argv, capsys)
+            assert one == self.outcome(cli._build_parser(), argv, capsys)
+            assert one[0] == (0 if "--help" in argv else 2)
+
+    def test_every_verb_is_listed(self, capsys):
+        assert list(cli._VERBS) == self.VERBS
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(self.VERBS) + "}" in out
+        assert all(f"    {verb}" in out for verb in self.VERBS)
+
+    def test_only_the_named_verb_is_built(self, capsys):
+        parser = cli._build_parser(["verify", "x"])
+        assert parser.parse_args(["verify", "x"]).command == "verify"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["subadjacent", "x"])
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "bihom: error: the following arguments are required: command\n"),
+        (["frobnicate"],
+         "bihom: error: argument command: invalid choice: 'frobnicate' ("),
+    ])
+    def test_no_verb_errors(self, capsys, argv, error):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bihom [-h]")
+        assert "{" + ",".join(self.VERBS) + "}" in err and error in err
 
 
 class TestInternalDefect:
