@@ -261,20 +261,26 @@ def _cmd_rota_baxter(args) -> CliResult:
 _DEGREES_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 
+def _magnitude(numeral: str) -> tuple[int, str]:
+    """A key that orders decimal numerals of any length by value."""
+    digits = "".join(str(int(c)) for c in numeral).lstrip("0")
+    return len(digits), digits
+
+
 def _parse_degrees(spec: str, max_degree: int) -> list[int]:
     m = _DEGREES_RE.match(spec)
     if not m:
         raise DocumentError(f"cannot parse degree range {spec!r}; use 'a..b'")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
-    if lo < 1 or hi < lo:
+    # compared as numerals and clipped to --max-degree before int() reads
+    # them: int() refuses more than 4300 digits
+    lo, hi, cap = map(_magnitude, (m.group(1), m.group(2) or m.group(1),
+                                   str(max(max_degree, 0))))
+    if not lo[0] or hi < lo:
         raise DocumentError(f"degree range {spec!r} is empty or starts below 1")
-    # clipped first, so that a huge upper bound costs nothing
-    degrees = list(range(lo, min(hi, max_degree) + 1))
-    if not degrees:
+    if lo > cap:
         raise DocumentError(
             f"degree range {spec!r} lies beyond --max-degree {max_degree}")
-    return degrees
+    return list(range(int(lo[1]), int(min(hi, cap)[1]) + 1))
 
 
 def _cmd_cohomology(args) -> CliResult:

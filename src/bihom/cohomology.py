@@ -6,12 +6,11 @@ skew-symmetric in its first n-1 arguments and intertwines the twists:
 
     phi . f = f . alpha^(x n)      and      psi . f = f . beta^(x n).
 
-A :class:`Cochain` stores the full value tensor ``t[i_1]...[i_n][k]``.
-The computations work on the free coordinates S^n instead: the values on
+A :class:`Cochain` stores its free coordinates S^n: the values on the
 canonical tuples (strictly increasing first n-1 indices), one per carrier
-index.  Two sparse maps act on them: the equivariance system ``E_n``,
-whose kernel basis ``K_n`` spans C^n, and the four-sum coboundary
-``D_n: S^n -> S^(n+1)``
+index; skew-symmetry gives the rest.  Two sparse maps act on S^n: the
+equivariance system ``E_n``, whose kernel basis ``K_n`` spans C^n, and the
+four-sum coboundary ``D_n: S^n -> S^(n+1)``
 
   (d f)(x_1, ..., x_{n+1}) =
       sum_{i<=n} (-1)^(i+1) L(alpha^(n-1) beta^(n-1) x_i)
@@ -52,15 +51,15 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
-from math import prod
+from functools import cached_property, lru_cache, reduce
+from math import comb
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (Matrix, Row, Value, _row_product, _subtract,
-                     basis_vector, kernel_basis, nonzero_items, rank,
-                     rational_from_json, rational_to_json, try_solve,
-                     vec_is_zero, zero_vector)
+from .linalg import (Matrix, Row, Value, _row_product, _sparse_vector,
+                     _subtract, kernel_basis, rank, rational_from_json,
+                     rational_to_json, try_solve, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -71,103 +70,119 @@ __all__ = [
 ]
 
 
-def _nest(adim: int, depth: int,
-          get: Callable[[tuple[int, ...]], tuple[Fraction, ...]]):
-    def build(prefix: tuple[int, ...], d: int):
-        if d == 0:
-            return get(prefix)
-        return tuple(build(prefix + (i,), d - 1) for i in range(adim))
-    return build((), depth)
-
-
 class Cochain(Value):
-    """Degree-n multilinear map A^n -> V expanded on basis tuples."""
+    """Degree-n multilinear map A^n -> V, skew-symmetric in its first n-1
+    arguments, stored as its free coordinates ``coords``: ``vdim`` values
+    per canonical tuple, in the order of ``_index``."""
 
     degree: int
     adim: int
     vdim: int
-    tensor: tuple
+    coords: tuple
 
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise ValueError("cochains have degree >= 1")
-
-        def walk(node, depth: int) -> None:
-            if depth == 0:
-                if len(node) != self.vdim:
-                    raise ValueError("cochain values must have carrier dimension")
-                return
-            if len(node) != self.adim:
-                raise ValueError("cochain tensor does not match algebra dimension")
-            for child in node:
-                walk(child, depth - 1)
-
-        walk(self.tensor, self.degree)
+        if len(self.coords) != _width(self.adim, self.degree, self.vdim):
+            raise ValueError("cochain coordinates do not match the algebra "
+                             "and carrier dimensions")
 
     @classmethod
     def zero(cls, degree: int, adim: int, vdim: int) -> "Cochain":
-        return cls(degree, adim, vdim,
-                   _nest(adim, degree, lambda _: zero_vector(vdim)))
+        return cls(degree, adim, vdim, zero_vector(_width(adim, degree, vdim)))
 
     @classmethod
     def from_map(cls, degree: int, adim: int, vdim: int,
                  get: Callable[[tuple[int, ...]], Sequence[Fraction]]) -> "Cochain":
-        return cls(degree, adim, vdim,
-                   _nest(adim, degree, lambda idx: tuple(get(idx))))
+        """The cochain with value ``get(idx)`` at every basis n-tuple
+        ``idx``; ValueError unless the values have ``vdim`` entries and are
+        skew-symmetric in the first n-1 arguments."""
+        f = cls(degree, adim, vdim,
+                tuple(x for idx in _index(adim, degree) for x in get(idx)))
+        # adim = 0 has no tuples; product() would still allocate `degree` pools
+        for idx in itertools.product(range(adim), repeat=degree) if adim else ():
+            value = tuple(get(idx))
+            if len(value) != vdim:
+                raise ValueError("cochain values must have carrier dimension")
+            if value != f.at(idx):
+                raise ValueError("not a cochain: fails skew-symmetry in the "
+                                 "leading arguments")
+        return f
+
+    @property
+    def tensor(self) -> tuple:
+        """The full value tensor ``t[i_1]...[i_n][k]``, built on each read."""
+        return self._nested(tuple, self.at)
+
+    def _nested(self, node: type, leaf: Callable, idx: tuple[int, ...] = ()):
+        """``leaf(idx)`` at every basis n-tuple ``idx``, nested in ``node``s."""
+        if len(idx) == self.degree:
+            return leaf(idx)
+        return node(self._nested(node, leaf, idx + (i,)) for i in range(self.adim))
 
     def at(self, idx: tuple[int, ...]) -> tuple[Fraction, ...]:
-        node = self.tensor
-        for i in idx:
-            node = node[i]
-        return node
+        """The value at the basis n-tuple ``idx``."""
+        sign, canon = _resolve(idx)
+        if canon is None:
+            return zero_vector(self.vdim)
+        base = _index(self.adim, self.degree)[canon] * self.vdim
+        return tuple(sign * x for x in self.coords[base:base + self.vdim])
 
     def value(self, args: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-        """Multilinear evaluation on coordinate vectors (sparsity-aware)."""
+        """Multilinear evaluation on coordinate vectors: ``f(w, v_n)`` for
+        the wedge ``w`` of the first n-1 (sparsity-aware)."""
         if len(args) != self.degree:
             raise ValueError("argument count must equal the degree")
         acc = list(zero_vector(self.vdim))
-        for pairs in itertools.product(*(nonzero_items(v) for v in args)):
-            coeff = prod(c for _, c in pairs)
-            for k, val in enumerate(self.at(tuple(i for i, _ in pairs))):
-                acc[k] += coeff * val
+        last = _sparse_vector(args[-1])
+        for J, w in _wedge([_sparse_vector(v) for v in args[:-1]]).items():
+            for l, c in last.items():
+                for k, x in enumerate(self.at(J + (l,))):
+                    acc[k] += w * c * x
         return tuple(acc)
 
     @property
     def is_zero(self) -> bool:
-        return all(vec_is_zero(self.at(idx)) for idx in
-                   itertools.product(range(self.adim), repeat=self.degree))
+        return not any(self.coords)
 
     def to_json(self) -> dict:
-        def encode(node, depth: int):
-            if depth == 0:
-                return [rational_to_json(a) for a in node]
-            return [encode(child, depth - 1) for child in node]
-        return {"degree": self.degree, "tensor": encode(self.tensor, self.degree)}
+        return {"degree": self.degree, "tensor": self._nested(
+            list, lambda idx: [rational_to_json(a) for a in self.at(idx)])}
 
     @classmethod
     def from_json(cls, data: dict, adim: int, vdim: int) -> "Cochain":
         degree = data["degree"]
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise ValueError("cochain degree must be an integer")
+        if degree < 1:
+            raise ValueError("cochains have degree >= 1")
 
         def decode(node, depth: int):
             if not isinstance(node, list):
                 raise ValueError("cochain tensor must be a nested array")
             if depth == 0:
+                if len(node) != vdim:
+                    raise ValueError("cochain values must have carrier dimension")
                 return tuple(rational_from_json(a) for a in node)
+            if len(node) != adim:
+                raise ValueError("cochain tensor does not match algebra dimension")
             return tuple(decode(child, depth - 1) for child in node)
 
-        return cls(degree, adim, vdim, decode(data["tensor"], degree))
+        tensor = decode(data["tensor"], degree)
+        return cls.from_map(degree, adim, vdim,
+                            lambda idx: reduce(getitem, idx, tensor))
 
 
 def cochain_from_linear_map(m: Matrix) -> Cochain:
     """Degree-1 cochain from a matrix (column convention)."""
-    return Cochain.from_map(1, m.cols, m.rows, lambda idx: m.col(idx[0]))
+    return Cochain(1, m.cols, m.rows,
+                   tuple(x for j in range(m.cols) for x in m.col(j)))
 
 
 def cochain_from_bilinear(p: BilinearProduct) -> Cochain:
     """Degree-2 cochain with values in the algebra itself."""
-    return Cochain(2, p.dim, p.dim, p.c)
+    return Cochain(2, p.dim, p.dim,
+                   tuple(x for plane in p.c for vec in plane for x in vec))
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +200,29 @@ def _resolve(idx: tuple[int, ...]) -> tuple[int, tuple[int, ...] | None]:
     return (-1) ** inversions, tuple(sorted(head)) + idx[-1:]
 
 
-def _canonical(adim: int, n: int) -> list[tuple[int, ...]]:
-    """The canonical n-tuples; tuple i has free coordinates i*vdim + k."""
-    return [head + (last,) for head in itertools.combinations(range(adim), n - 1)
-            for last in range(adim)]
+@lru_cache(maxsize=16)
+def _index(adim: int, n: int) -> dict[tuple[int, ...], int]:
+    """The canonical n-tuples in order; tuple i has free coordinates
+    i*vdim + k.  None unless 0 < n <= adim + 1 (tested first, as
+    ``combinations`` allocates n - 1 slots).  Shared, not to be changed."""
+    heads = itertools.combinations(range(adim), n - 1) if 0 < n <= adim + 1 else ()
+    return {head + (last,): i for i, (head, last)
+            in enumerate(itertools.product(heads, range(adim)))}
 
 
-def _coordinates(f: Cochain) -> tuple[Fraction, ...]:
-    return tuple(x for idx in _canonical(f.adim, f.degree) for x in f.at(idx))
+def _width(adim: int, n: int, vdim: int) -> int:
+    """``dim S^n = C(adim, n-1) * adim * vdim``, or 0 below degree 1."""
+    return comb(adim, n - 1) * adim * vdim if n >= 1 else 0
 
 
-def _unpack(vec: Sequence[Fraction], n: int, adim: int, vdim: int) -> Cochain:
-    """The skew cochain with free coordinates ``vec``."""
-    index = {idx: i for i, idx in enumerate(_canonical(adim, n))}
-
-    def get(idx: tuple[int, ...]) -> tuple[Fraction, ...]:
-        sign, canon = _resolve(idx)
-        if canon is None:
-            return zero_vector(vdim)
-        base = index[canon] * vdim
-        return tuple(sign * vec[base + k] for k in range(vdim))
-
-    return Cochain.from_map(n, adim, vdim, get)
-
-
-def _wedge(vectors: Sequence[tuple[tuple[int, Fraction], ...]]
-           ) -> dict[tuple[int, ...], Fraction]:
+def _wedge(vectors: Sequence[Row]) -> dict[tuple[int, ...], Fraction]:
     """``f(v_1, ..., v_m, -)`` for f skew in its first m slots, as the
     coefficients (minors) of ``f(e_J, -)`` over strictly increasing J."""
     out: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
     for v in vectors:
         nxt: dict[tuple[int, ...], Fraction] = {}
         for J, w in out.items():
-            for j, c in v:
+            for j, c in v.items():
                 at = bisect_left(J, j)
                 if at < len(J) and J[at] == j:
                     continue
@@ -252,13 +257,12 @@ class _Degree:
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
         self.a, self.r, self.n, self.vdim = a, r, n, r.vdim
         self.eye = Matrix.identity(r.vdim).sparse_rows
-        self.index = {idx: i for i, idx in enumerate(_canonical(a.dim, n))}
-        self.width = len(self.index) * r.vdim
-        self.cols = {name: [nonzero_items(m.col(i)) for i in range(a.dim)]
+        self.index = _index(a.dim, n)
+        self.width = _width(a.dim, n, r.vdim)
+        self.cols = {name: m.sparse_cols
                      for name, m in (("alpha", a.alpha), ("beta", a.beta),
                                      ("ab", a.alpha @ a.beta),
-                                     ("an1", a.alpha.power(n - 1)),
-                                     ("e", Matrix.identity(a.dim)))}
+                                     ("an1", a.alpha.power(n - 1)))}
         self._wedges: dict = {}
 
     def _heads(self, family: str, idx: tuple[int, ...],
@@ -273,13 +277,13 @@ class _Degree:
             self._wedges[key] = _wedge(vectors)
         return self._wedges[key]
 
-    def _evaluate(self, rows: list[Row], heads: dict, last,
+    def _evaluate(self, rows: list[Row], heads: dict, last: Row,
                   outer: Sequence[Row], coeff: int) -> None:
         """``rows[k] += coeff * (outer f(heads, last))[k]`` as functionals of
         f's free coordinates, for the sparse rows ``outer`` of a matrix."""
         vdim, index = self.vdim, self.index
         for J, w in heads.items():
-            for l, c in last:
+            for l, c in last.items():
                 base = index[J + (l,)] * vdim
                 x = coeff * w * c
                 for row, entries in zip(rows, outer):
@@ -296,8 +300,7 @@ class _Degree:
                               ("beta", self.r.psi.sparse_rows)):
             for idx in self.index:
                 rows: list[Row] = [{} for _ in range(self.vdim)]
-                self._evaluate(rows, {idx[:-1]: 1}, self.cols["e"][idx[-1]],
-                               outer, 1)
+                self._evaluate(rows, {idx[:-1]: 1}, {idx[-1]: 1}, outer, 1)
                 self._evaluate(rows, self._heads(family, idx[:-1]),
                                self.cols[family][idx[-1]], self.eye, -1)
                 out.extend(row for row in map(_clean, rows) if row)
@@ -317,10 +320,9 @@ class _Degree:
         return {
             "lmat": [r.L_of(an1bn1.col(i)).sparse_rows for i in range(adim)],
             "rmat": [r.R_of(bn1.col(i)).sparse_rows for i in range(adim)],
-            "prod": [[nonzero_items(a.product.value(an1.col(p),
-                                                    basis_vector(adim, q)))
+            "prod": [[a.product.sparse_value(self.cols["an1"][p], {q: 1})
                       for q in range(adim)] for p in range(adim)],
-            "bkt": [[nonzero_items(sub.value(a.beta.col(p), a.alpha.col(q)))
+            "bkt": [[sub.sparse_value(self.cols["beta"][p], self.cols["alpha"][q])
                      for q in range(adim)] for p in range(adim)],
         }
 
@@ -333,7 +335,7 @@ class _Degree:
         for i in range(n):
             sign = 1 if i % 2 == 0 else -1
             rest = X[:i] + X[i + 1:n]
-            self._evaluate(rows, self._heads("alpha", rest), cols["e"][last],
+            self._evaluate(rows, self._heads("alpha", rest), {last: 1},
                            t["lmat"][X[i]], sign)
             self._evaluate(rows, self._heads("beta", rest), cols["an1"][X[i]],
                            t["rmat"][last], sign)
@@ -350,7 +352,7 @@ class _Degree:
     def coboundary(self) -> list[Row]:
         """``D_n``: its rows at the canonical (n+1)-tuples, in the order of
         the free coordinates of S^(n+1)."""
-        return [row for X in _canonical(self.a.dim, self.n + 1)
+        return [row for X in _index(self.a.dim, self.n + 1)
                 for row in self.rows_at(X)]
 
 
@@ -398,14 +400,14 @@ class CochainSpace:
             self.basis = tuple(basis)
             self.adim, self.vdim = ((self.basis[0].adim, self.basis[0].vdim)
                                     if self.basis else (0, 0))
-            vectors = [_coordinates(f) for f in self.basis]
+            vectors = [f.coords for f in self.basis]
         else:
             self.adim, self.vdim, vectors = ops.a.dim, ops.vdim, ops.kernel
         self.vectors = tuple(tuple(v) for v in vectors)
 
     @cached_property
     def basis(self) -> tuple[Cochain, ...]:
-        return tuple(_unpack(v, self.degree, self.adim, self.vdim)
+        return tuple(Cochain(self.degree, self.adim, self.vdim, v)
                      for v in self.vectors)
 
     @property
@@ -417,8 +419,9 @@ class CochainSpace:
             raise ValueError("coordinate count does not match the dimension")
         if not self.vectors:
             return Cochain.zero(self.degree, self.adim, self.vdim)
-        vec = [sum(c * x for c, x in zip(coords, xs)) for xs in zip(*self.vectors)]
-        return _unpack(vec, self.degree, self.adim, self.vdim)
+        vec = tuple(sum(c * x for c, x in zip(coords, xs))
+                    for xs in zip(*self.vectors))
+        return Cochain(self.degree, self.adim, self.vdim, vec)
 
 
 def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
@@ -446,13 +449,9 @@ def _require_cochain(f: Cochain, deg: _Degree) -> tuple[Fraction, ...]:
     if f.adim != deg.a.dim or f.vdim != deg.vdim:
         raise ValueError("cochain shape does not match the algebra and "
                          "representation")
-    coords = _coordinates(f)
-    if _unpack(coords, f.degree, f.adim, f.vdim) != f:
-        raise ValueError("not a cochain: fails skew-symmetry in the leading "
-                         "arguments")
-    if any(_row_product(deg.equivariance, _row_form([coords], len(coords)))):
+    if any(_row_product(deg.equivariance, _row_form([f.coords], deg.width))):
         raise ValueError("not a cochain: fails twist equivariance")
-    return coords
+    return f.coords
 
 
 def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
@@ -463,8 +462,8 @@ def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
     src = _Degree(a, r, n)
     coords = _require_cochain(f, src)
     image = _image(src, _Degree(a, r, n + 1), [coords])
-    return _unpack([row.get(0, Fraction(0)) for row in image], n + 1,
-                   f.adim, f.vdim)
+    return Cochain(n + 1, f.adim, f.vdim,
+                   tuple(row.get(0, Fraction(0)) for row in image))
 
 
 def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:

@@ -15,7 +15,7 @@ leading minus on p); matrices as arrays of rows; structure tensors as
 * operator:       ``{"matrix": M}`` optionally carrying ``"representation"``
                   or ``"algebra"`` references (inline document or path);
 * deformation:    ``{"pi": c}``;   Nijenhuis operator: ``{"N": M}``;
-* cochain:        ``{"degree": n, "tensor": nested arrays}``;
+* cochain:        ``{"degree": n, "tensor": t}``, skew in indices 1..n-1;
 * twist bundle:   ``{"alpha": M, "beta": M, "phi": M, "psi": M}``.
 
 Path references are resolved relative to the referring document's

@@ -48,7 +48,6 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "vec_is_zero",
-    "nonzero_items",
     "Matrix",
     "rank",
     "kernel_basis",
@@ -209,11 +208,6 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def vec_is_zero(v: Sequence[Fraction]) -> bool:
     return not any(v)
-
-
-def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
-    """Sparse view of a vector: the (index, value) pairs with value != 0."""
-    return tuple((i, a) for i, a in enumerate(v) if a)
 
 
 # ---------------------------------------------------------------------------

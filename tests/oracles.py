@@ -18,12 +18,17 @@
   every twisted action inside the loops, and the hypothesis checks of
   ``twist_rep``.  They must report the same violations, in the same order
   and with the same residuals.
+* The tensor-stored cochain, :class:`DenseCochain`: the
+  :class:`~bihom.cohomology.Cochain` the library had before it stored the
+  free coordinates, holding the full value tensor and evaluating it by
+  products over every nonzero coordinate.
 * The per-image cohomology pipeline: the cochain space solved as the
   kernel of the equivariance conditions at every basis tuple, the
   coboundary evaluated image by image on full value tensors, and every
-  image expanded in the target basis by its own linear solve.  It shares
-  only the :class:`~bihom.cohomology.Cochain` container, the algebra data
-  and the sub-adjacent bracket with the library's free-coordinate pipeline.
+  image expanded in the target basis by its own linear solve.  Its
+  cochains are :class:`DenseCochain` instances, so it shares only the
+  algebra data and the sub-adjacent bracket with the library's
+  free-coordinate pipeline.
 * The value types as ``@dataclass(frozen=True)`` declared them before
   their :class:`~bihom.linalg.Value` base: the same names, fields and
   ``__post_init__`` checks.
@@ -34,12 +39,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import make_dataclass
 from fractions import Fraction
+from math import prod
+from typing import Callable, Sequence
 
 from bihom import (AxiomReport, BiHomLieAlgebra, BiHomPreLieAlgebra,
                    BilinearProduct, LieRep, Matrix, PreLieRep, TwistPair,
                    Violation, subadjacent)
 from bihom.cohomology import Cochain, CohomologyReport
-from bihom.linalg import basis_vector, rank, vec_add, vec_sub, zero_vector
+from bihom.linalg import (Value, basis_vector, rank, rational_from_json,
+                          rational_to_json, vec_add, vec_is_zero, vec_sub,
+                          zero_vector)
 
 Q = Fraction
 
@@ -434,6 +443,104 @@ def oracle_twist_rep_hypotheses(classical, alpha, beta, phi, psi) -> AxiomReport
 
 
 # ---------------------------------------------------------------------------
+# the tensor-stored cochain
+# ---------------------------------------------------------------------------
+
+def nonzero_items(v: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    """Sparse view of a vector: the (index, value) pairs with value != 0."""
+    return tuple((i, a) for i, a in enumerate(v) if a)
+
+
+def _nest(adim: int, depth: int,
+          get: Callable[[tuple[int, ...]], tuple[Fraction, ...]]):
+    def build(prefix: tuple[int, ...], d: int):
+        if d == 0:
+            return get(prefix)
+        return tuple(build(prefix + (i,), d - 1) for i in range(adim))
+    return build((), depth)
+
+
+class DenseCochain(Value):
+    """Degree-n multilinear map A^n -> V expanded on basis tuples."""
+
+    degree: int
+    adim: int
+    vdim: int
+    tensor: tuple
+
+    def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError("cochains have degree >= 1")
+
+        def walk(node, depth: int) -> None:
+            if depth == 0:
+                if len(node) != self.vdim:
+                    raise ValueError("cochain values must have carrier dimension")
+                return
+            if len(node) != self.adim:
+                raise ValueError("cochain tensor does not match algebra dimension")
+            for child in node:
+                walk(child, depth - 1)
+
+        walk(self.tensor, self.degree)
+
+    @classmethod
+    def zero(cls, degree: int, adim: int, vdim: int) -> "DenseCochain":
+        return cls(degree, adim, vdim,
+                   _nest(adim, degree, lambda _: zero_vector(vdim)))
+
+    @classmethod
+    def from_map(cls, degree: int, adim: int, vdim: int,
+                 get: Callable[[tuple[int, ...]], Sequence[Fraction]]) -> "DenseCochain":
+        return cls(degree, adim, vdim,
+                   _nest(adim, degree, lambda idx: tuple(get(idx))))
+
+    def at(self, idx: tuple[int, ...]) -> tuple[Fraction, ...]:
+        node = self.tensor
+        for i in idx:
+            node = node[i]
+        return node
+
+    def value(self, args: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
+        """Multilinear evaluation on coordinate vectors (sparsity-aware)."""
+        if len(args) != self.degree:
+            raise ValueError("argument count must equal the degree")
+        acc = list(zero_vector(self.vdim))
+        for pairs in itertools.product(*(nonzero_items(v) for v in args)):
+            coeff = prod(c for _, c in pairs)
+            for k, val in enumerate(self.at(tuple(i for i, _ in pairs))):
+                acc[k] += coeff * val
+        return tuple(acc)
+
+    @property
+    def is_zero(self) -> bool:
+        return all(vec_is_zero(self.at(idx)) for idx in
+                   itertools.product(range(self.adim), repeat=self.degree))
+
+    def to_json(self) -> dict:
+        def encode(node, depth: int):
+            if depth == 0:
+                return [rational_to_json(a) for a in node]
+            return [encode(child, depth - 1) for child in node]
+        return {"degree": self.degree, "tensor": encode(self.tensor, self.degree)}
+
+    @classmethod
+    def from_json(cls, data: dict, adim: int, vdim: int) -> "DenseCochain":
+        degree = data["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise ValueError("cochain degree must be an integer")
+
+        def decode(node, depth: int):
+            if not isinstance(node, list):
+                raise ValueError("cochain tensor must be a nested array")
+            if depth == 0:
+                return tuple(rational_from_json(a) for a in node)
+            return tuple(decode(child, depth - 1) for child in node)
+
+        return cls(degree, adim, vdim, decode(data["tensor"], degree))
+
+
+# ---------------------------------------------------------------------------
 # per-image cohomology
 # ---------------------------------------------------------------------------
 
@@ -446,7 +553,7 @@ def _canonical_sign(idx):
     return (-1) ** inversions, tuple(sorted(head)) + (idx[-1],)
 
 
-def oracle_cochain_basis(a, r, n) -> list[Cochain]:
+def oracle_cochain_basis(a, r, n) -> list[DenseCochain]:
     """A basis of C^n: the kernel of the equivariance conditions at every
     basis tuple, over the free coordinates of skew tensors."""
     adim, vdim = a.dim, r.vdim
@@ -480,12 +587,12 @@ def oracle_cochain_basis(a, r, n) -> list[Cochain]:
             if canon is None:
                 return (Q(0),) * vdim
             return tuple(sign * vec[pos[(canon, k)]] for k in range(vdim))
-        return Cochain.from_map(n, adim, vdim, get)
+        return DenseCochain.from_map(n, adim, vdim, get)
 
     return [unpack(v) for v in kernel]
 
 
-def oracle_coboundary(f: Cochain, a, r) -> Cochain:
+def oracle_coboundary(f: DenseCochain, a, r) -> DenseCochain:
     """The four-sum coboundary evaluated on the full value tensor of f."""
     n, adim, vdim = f.degree, a.dim, r.vdim
     alpha, beta = a.alpha, a.beta
@@ -520,10 +627,10 @@ def oracle_coboundary(f: Cochain, a, r) -> Cochain:
                 add(f.value(args + [beta.col(last)]), (-1) ** (i0 + j0))
         return tuple(total)
 
-    return Cochain.from_map(n + 1, adim, vdim, image)
+    return DenseCochain.from_map(n + 1, adim, vdim, image)
 
 
-def _flatten(f: Cochain) -> tuple[Fraction, ...]:
+def _flatten(f: DenseCochain) -> tuple[Fraction, ...]:
     return tuple(x for idx in itertools.product(range(f.adim), repeat=f.degree)
                  for x in f.at(idx))
 
@@ -576,7 +683,7 @@ VALUE_FIELDS = {
     AxiomReport: ("violations",),
     PreLieRep: ("algebra", "vdim", "L", "R", "phi", "psi"),
     LieRep: ("algebra", "vdim", "rho", "phi", "psi"),
-    Cochain: ("degree", "adim", "vdim", "tensor"),
+    Cochain: ("degree", "adim", "vdim", "coords"),
     CohomologyReport: ("degree", "dimZ", "dimB", "dimH"),
 }
 

@@ -209,6 +209,20 @@ class TestCohomology:
         assert beyond.stderr == ("error: degree range '5..1000000000000' lies "
                                  "beyond --max-degree 4\n")
 
+    def test_bounds_past_the_int_digit_limit(self, capsys, abelian_file):
+        # int() refuses strings of more than 4300 digits
+        huge = "9" * 5000
+        assert run(["cohomology", str(abelian_file), "--degrees", "1..4"]) == 0
+        capped = capsys.readouterr()
+        assert run(["cohomology", str(abelian_file), "--degrees",
+                    f"1..{huge}"]) == 0
+        assert capsys.readouterr() == capped
+        assert run(["cohomology", str(abelian_file), "--degrees",
+                    f"{huge}..{huge}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: degree range '{huge}..{huge}' lies beyond "
+                "--max-degree 4\n")
+
 
 class TestConstructiveVerbs:
     def test_subadjacent_round_trip(self, capsys, tmp_path, nilpotent_file):

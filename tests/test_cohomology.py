@@ -165,12 +165,12 @@ class TestCoboundary:
     def test_rejects_non_skew(self):
         alg = dim2_abelian()
         rep = adjoint_rep(alg)
-        tensor = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
-        tensor[0][1][0] = Q(1)  # not skew in the first two slots at degree 3
-        bad = Cochain(3, 2, 2, (
-            (((Q(0),) * 2, (Q(1), Q(0))), ((Q(0),) * 2, (Q(0),) * 2)),
-            (((Q(0),) * 2, (Q(0),) * 2), ((Q(0),) * 2, (Q(0),) * 2))))
-        with pytest.raises(ValueError):
+        # t[0][0][1] = e_1 is not zero, though the head (0, 0) repeats
+        tensor = ((((Q(0),) * 2, (Q(1), Q(0))), ((Q(0),) * 2, (Q(0),) * 2)),
+                  (((Q(0),) * 2, (Q(0),) * 2), ((Q(0),) * 2, (Q(0),) * 2)))
+        with pytest.raises(ValueError, match="skew"):
+            bad = Cochain.from_map(3, 2, 2,
+                                   lambda idx: tensor[idx[0]][idx[1]][idx[2]])
             coboundary(bad, alg, rep)
 
     def test_output_invariants_hold(self):
@@ -368,8 +368,7 @@ class TestMembership:
         rep = adjoint_rep(alg)
         tensor = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
         tensor[0][1][0] = Q(1)
-        f = Cochain(2, 2, 2, tuple(tuple(tuple(v) for v in plane)
-                                   for plane in tensor))
+        f = Cochain.from_map(2, 2, 2, lambda idx: tensor[idx[0]][idx[1]])
         assert not is_coboundary(f, alg, rep)
         assert coboundary_preimage(f, alg, rep) is None
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,15 @@ class TestCochainDocs:
         with pytest.raises(DocumentError, match="degree must be an integer"):
             cochain_from_doc({"degree": True, "tensor": [[0], [0]]}, 2, 1)
 
+    def test_tensor_that_is_not_skew_rejected(self):
+        # t[i][j] = -t[j][i] and t[i][i] = 0: every one-entry edit breaks it
+        t = cochain_to_doc(Cochain(3, 2, 1, (Q(1), Q(-2))))["tensor"]
+        for i, j, k in itertools.product(range(2), repeat=3):
+            edited = [[[list(v) for v in row] for row in plane] for plane in t]
+            edited[i][j][k][0] += 1
+            with pytest.raises(DocumentError, match="skew-symmetry"):
+                cochain_from_doc({"degree": 3, "tensor": edited}, 2, 1)
+
 
 # ---------------------------------------------------------------------------
 # fuzzing: every loader returns or raises DocumentError
@@ -308,6 +318,8 @@ def _valid_docs() -> dict[str, tuple[str, object]]:
         "twists": ("twists", {"alpha": [[1, 0], [0, 1]], "beta": [[2, 0], [0, 4]],
                               "phi": [[1]], "psi": [[1]]}),
         "cochain": ("cochain", cochain_to_doc(Cochain.zero(2, 2, 1))),
+        # skew in its first two indices, so most one-entry edits are not
+        "cochain-3": ("cochain", cochain_to_doc(Cochain(3, 2, 1, (Q(1), Q(-2))))),
     }
 
 

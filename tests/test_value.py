@@ -12,6 +12,7 @@ import tracemalloc
 from dataclasses import make_dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -61,13 +62,6 @@ def _lie_reps() -> tuple[LieRep, ...]:
 def grids(rows: int, cols: int):
     """``rows`` x ``cols`` nested tuples of rationals."""
     return st.tuples(*[st.tuples(*[rationals] * cols)] * rows)
-
-
-def nested(depth: int, adim: int, vdim: int):
-    """A cochain tensor: ``depth`` levels of ``adim`` over ``vdim`` values."""
-    if depth == 0:
-        return st.tuples(*[rationals] * vdim)
-    return st.tuples(*[nested(depth - 1, adim, vdim)] * adim)
 
 
 def off_by(draw, x: int) -> int:
@@ -137,10 +131,11 @@ def rep_args(draw, reps):
 
 @st.composite
 def cochain_args(draw):
-    degree, adim, vdim = (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+    degree, adim, vdim = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
                           draw(st.integers(0, 2)))
-    return (degree, off_by(draw, adim), vdim,
-            draw(nested(degree, adim, vdim)))
+    width = comb(adim, degree - 1) * adim * vdim if degree else 0
+    return (degree, adim, vdim,
+            draw(st.tuples(*[rationals] * off_by(draw, width))))
 
 
 @st.composite
