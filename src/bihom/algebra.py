@@ -16,6 +16,12 @@ Every pre-Lie product induces a BiHom-Lie bracket (its sub-adjacent algebra)
 
     [x, y] = x . y - (alpha^-1 beta)(y) . (alpha beta^-1)(x).
 
+A structure tensor is stored sparse, as one matrix whose row ``i * dim + j``
+holds the nonzero coordinates of ``e_i . e_j``; the checkers and every
+construction of a tensor work on those rows and on the sparse columns of
+the twists.  Dense tuples appear only at the public API: the nest ``c``,
+``value``, ``basis_value``, a violation's residual and the JSON form.
+
 All axiom checks run over basis tuples only; the identities are multilinear,
 so this is exhaustive.  Checks are exact: a report passes iff every residual
 vector is identically zero.  Invertibility of the twist maps is enforced at
@@ -27,7 +33,7 @@ that defective input data yields a diagnosis rather than an exception.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .linalg import (
@@ -35,20 +41,16 @@ from .linalg import (
     Row,
     SingularMatrixError,
     Value,
+    _Lazy,
     _dense_vector,
     _row_add,
     _row_sub,
     _sparse_vector,
-    as_rational,
+    as_vector,
     inverse,
     rank,
     rational_from_json,
     rational_to_json,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 
 __all__ = [
@@ -68,7 +70,16 @@ __all__ = [
 
 
 class BilinearProduct(Value):
-    """Rank-3 structure-constant tensor: ``e_i * e_j = sum_k c[i][j][k] e_k``."""
+    """Rank-3 structure-constant tensor: ``e_i * e_j = sum_k c[i][j][k] e_k``.
+
+    Stored as one ``dim^2 x dim`` :class:`~bihom.linalg.Matrix`,
+    :attr:`table`, whose row ``i * dim + j`` holds the nonzero coordinates
+    of ``e_i * e_j``.  :meth:`from_sparse` and the arithmetic keep only that
+    table; the dense nest :attr:`c` is built on first read, unless it was
+    given to the constructor, :meth:`from_entries` or :meth:`from_json`,
+    which validate it.  ``==`` compares the tables, so neither side is made
+    dense; ``hash`` and ``repr`` are those of the fields ``(dim, c)``.
+    """
 
     dim: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -80,32 +91,46 @@ class BilinearProduct(Value):
                 for plane in self.c):
             raise ValueError(f"structure tensor is not {n}x{n}x{n}")
 
+    @_Lazy
+    def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        n, entries = self.dim, self.table.entries
+        return tuple(entries[i * n:(i + 1) * n] for i in range(n))
+
+    @_Lazy
+    def table(self) -> Matrix:
+        """The ``dim^2 x dim`` matrix whose row ``i * dim + j`` is
+        ``e_i * e_j``."""
+        n = self.dim
+        return Matrix(n * n, n, tuple(v for plane in self.c for v in plane))
+
+    @classmethod
+    def _wrap(cls, table: Matrix) -> "BilinearProduct":
+        """The product whose table is ``table``, taken as it is."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", table.cols)
+        object.__setattr__(p, "table", table)
+        return p
+
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[Sequence]]) -> "BilinearProduct":
-        n = len(entries)
-        return cls(n, tuple(
-            tuple(tuple(as_rational(a) for a in vec) for vec in plane)
-            for plane in entries))
+        return cls(len(entries), tuple(tuple(as_vector(vec) for vec in plane)
+                                       for plane in entries))
+
+    @classmethod
+    def from_sparse(cls, rows: Sequence[Row], dim: int) -> "BilinearProduct":
+        """The product with ``e_i * e_j`` the sparse row ``rows[i * dim + j]``
+        (indices below ``dim``), kept without zero entries and with every
+        entry a ``Fraction``, as :meth:`Matrix.from_sparse` keeps them."""
+        if len(rows) != dim * dim:
+            raise ValueError(f"structure tensor is not {dim}x{dim}x{dim}")
+        return cls._wrap(Matrix.from_sparse(rows, dim))
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearProduct":
-        z = zero_vector(dim)
-        return cls(dim, tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return cls._wrap(Matrix.zeros(dim * dim, dim))
 
     def basis_value(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.c[i][j]
-
-    @cached_property
-    def terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        """Sparse view of the tensor: ``terms[i][j]`` holds the pairs
-        ``(k, c[i][j][k])`` with a nonzero coefficient."""
-        return tuple(
-            tuple(tuple((k, a) for k, a in enumerate(vec) if a) for vec in plane)
-            for plane in self.c)
-
-    def basis_row(self, i: int, j: int) -> Row:
-        """``e_i * e_j`` as a sparse row."""
-        return dict(self.terms[i][j])
+        return _dense_vector(self.table.sparse_rows[i * self.dim + j], self.dim)
 
     def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension to dense coordinate vectors: the dense form of
@@ -117,13 +142,15 @@ class BilinearProduct(Value):
         """Bilinear extension to sparse coordinate vectors (no zero
         entries), without zero entries; the cost follows the nonzero
         coordinates and structure constants."""
+        rows, n = self.table.sparse_rows, self.dim
         acc: Row = {}
         for i, a in u.items():
-            plane = self.terms[i]
+            base = i * n
             for j, b in v.items():
-                if plane[j]:
+                row = rows[base + j]
+                if row:
                     coeff = a * b
-                    for k, val in plane[j]:
+                    for k, val in row.items():
                         if k in acc:
                             acc[k] += coeff * val
                         else:
@@ -132,47 +159,40 @@ class BilinearProduct(Value):
 
     def left_matrices(self) -> tuple[Matrix, ...]:
         """Matrix of ``y -> e_i * y`` for each basis index i."""
-        return tuple(self._action(plane) for plane in self.terms)
+        rows, n = self.table.sparse_rows, self.dim
+        return tuple(Matrix.from_sparse(rows[i * n:(i + 1) * n], n).transpose()
+                     for i in range(n))
 
     def right_matrices(self) -> tuple[Matrix, ...]:
         """Matrix of ``y -> y * e_i`` for each basis index i."""
-        return tuple(self._action([plane[i] for plane in self.terms])
-                     for i in range(self.dim))
+        rows, n = self.table.sparse_rows, self.dim
+        return tuple(Matrix.from_sparse(rows[i::n], n).transpose()
+                     for i in range(n))
 
-    def _action(self, columns) -> Matrix:
-        """The matrix whose column j has the nonzero entries ``columns[j]``,
-        given as ``(row, value)`` pairs."""
-        rows: list[Row] = [{} for _ in range(self.dim)]
-        for j, pairs in enumerate(columns):
-            for k, a in pairs:
-                rows[k][j] = a
-        return Matrix.from_sparse(rows, self.dim)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.table == other.table
+
+    __hash__ = Value.__hash__
 
     def __add__(self, other: "BilinearProduct") -> "BilinearProduct":
         self._same_dim(other)
-        return BilinearProduct(self.dim, tuple(
-            tuple(vec_add(self.c[i][j], other.c[i][j]) for j in range(self.dim))
-            for i in range(self.dim)))
+        return BilinearProduct._wrap(self.table + other.table)
 
     def __sub__(self, other: "BilinearProduct") -> "BilinearProduct":
         self._same_dim(other)
-        return BilinearProduct(self.dim, tuple(
-            tuple(vec_sub(self.c[i][j], other.c[i][j]) for j in range(self.dim))
-            for i in range(self.dim)))
+        return BilinearProduct._wrap(self.table - other.table)
 
     def scale(self, q: int | str | Fraction) -> "BilinearProduct":
-        r = as_rational(q)
-        return BilinearProduct(self.dim, tuple(
-            tuple(vec_scale(r, self.c[i][j]) for j in range(self.dim))
-            for i in range(self.dim)))
+        return BilinearProduct._wrap(self.table.scale(q))
 
     def __neg__(self) -> "BilinearProduct":
-        return self.scale(-1)
+        return BilinearProduct._wrap(-self.table)
 
     @property
     def is_zero(self) -> bool:
-        return all(vec_is_zero(self.c[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
+        return self.table.is_zero
 
     def _same_dim(self, other: "BilinearProduct") -> None:
         if self.dim != other.dim:
@@ -188,9 +208,9 @@ class BilinearProduct(Value):
                 isinstance(plane, list) and all(isinstance(vec, list) for vec in plane)
                 for plane in data)):
             raise ValueError("structure tensor JSON must be a nested array")
-        return cls.from_entries(
-            [[[rational_from_json(a) for a in vec] for vec in plane]
-             for plane in data])
+        return cls(len(data), tuple(
+            tuple(tuple(map(rational_from_json, vec)) for vec in plane)
+            for plane in data))
 
 
 class TwistPair(Value):
@@ -227,11 +247,11 @@ class TwistPair(Value):
     def commute(self) -> bool:
         return self.alpha @ self.beta == self.beta @ self.alpha
 
-    @cached_property
+    @_Lazy
     def alpha_inv(self) -> Matrix:
         return inverse(self.alpha)
 
-    @cached_property
+    @_Lazy
     def beta_inv(self) -> Matrix:
         return inverse(self.beta)
 
@@ -389,15 +409,6 @@ class _Collector:
 # one implementation per identity, shared by every checker
 # ---------------------------------------------------------------------------
 
-def _columns(m: Matrix) -> list[tuple[Fraction, ...]]:
-    return [m.col(j) for j in range(m.cols)]
-
-
-def _basis_rows(n: int) -> list[Row]:
-    """The standard basis vectors of dimension n as sparse rows."""
-    return [{i: Fraction(1)} for i in range(n)]
-
-
 def _twist_violations(col: _Collector, twists: TwistPair) -> None:
     col.check_commute("alpha-beta-commutation", twists.alpha, twists.beta)
     # unreachable through the constructor, kept for defence in depth
@@ -420,11 +431,11 @@ def _map_violations(col: _Collector, axiom: str, f: Matrix,
     """``f(e_i . e_j) - f(e_i) . f(e_j)`` on every ordered basis pair, for a
     linear map f from the space of the product P to that of P2."""
     n = P.dim
-    fcol = f.sparse_cols
+    rows, fcol = P.table.sparse_rows, f.sparse_cols
     for i in range(n):
         for j in range(n):
             col.check(axiom, (i, j),
-                      _row_sub(f.sparse_apply(P.basis_row(i, j)),
+                      _row_sub(f.sparse_apply(rows[i * n + j]),
                                P2.sparse_value(fcol[i], fcol[j])), P2.dim)
 
 
@@ -462,7 +473,7 @@ def _left_symmetry_violations(col: _Collector, twists: TwistPair,
     n = twists.dim
     acol, bcol = twists.alpha.sparse_cols, twists.beta.sparse_cols
     abcol = (twists.alpha @ twists.beta).sparse_cols
-    basis = _basis_rows(n)
+    basis = Matrix.identity(n).sparse_rows
     inners = _inner_products(checks)
     # inner(alpha e_y, e_k), which does not depend on x
     right = {q: [[Q.sparse_value(acol[y], e) for e in basis] for y in range(n)]
@@ -528,14 +539,12 @@ def _jacobi_violations(col: _Collector, twists: TwistPair,
 
 def _subadjacent_tensor(c: BilinearProduct, twists: TwistPair) -> BilinearProduct:
     """``c(x, y) - c(alpha^-1 beta y, alpha beta^-1 x)`` on basis pairs."""
-    n = c.dim
+    n, rows = c.dim, c.table.sparse_rows
     ainv_b = (twists.alpha_inv @ twists.beta).sparse_cols
     a_binv = (twists.alpha @ twists.beta_inv).sparse_cols
-    return BilinearProduct(n, tuple(
-        tuple(_dense_vector(_row_sub(c.basis_row(i, j),
-                                     c.sparse_value(ainv_b[j], a_binv[i])), n)
-              for j in range(n))
-        for i in range(n)))
+    return BilinearProduct.from_sparse(
+        [_row_sub(rows[i * n + j], c.sparse_value(ainv_b[j], a_binv[i]))
+         for i in range(n) for j in range(n)], n)
 
 
 # ---------------------------------------------------------------------------

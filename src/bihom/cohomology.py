@@ -57,9 +57,10 @@ from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (Matrix, Row, Value, _row_product, _sparse_vector,
-                     _subtract, kernel_basis, rank, rational_from_json,
-                     rational_to_json, try_solve, zero_vector)
+from .linalg import (Matrix, Row, Value, _combination, _row_product,
+                     _sparse_vector, _subtract, kernel_basis, rank,
+                     rational_from_json, rational_to_json, try_solve,
+                     zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -318,8 +319,8 @@ class _Degree:
         an1bn1 = an1 @ bn1
         sub = subadjacent(a).bracket
         return {
-            "lmat": [r.L_of(an1bn1.col(i)).sparse_rows for i in range(adim)],
-            "rmat": [r.R_of(bn1.col(i)).sparse_rows for i in range(adim)],
+            "lmat": [_combination(r.L, x).sparse_rows for x in an1bn1.sparse_cols],
+            "rmat": [_combination(r.R, x).sparse_rows for x in bn1.sparse_cols],
             "prod": [[a.product.sparse_value(self.cols["an1"][p], {q: 1})
                       for q in range(adim)] for p in range(adim)],
             "bkt": [[sub.sparse_value(self.cols["beta"][p], self.cols["alpha"][q])

@@ -40,7 +40,6 @@ from .algebra import (
     TwistPair,
     Violation,
     _Collector,
-    _basis_rows,
     _jacobi_violations,
     _left_symmetry_violations,
     _multiplicativity_violations,
@@ -52,7 +51,7 @@ from .algebra import (
     merge_reports,
     subadjacent,
 )
-from .linalg import Matrix, Row, _dense_vector, _row_add, _row_sub
+from .linalg import Matrix, _row_add, _row_sub
 
 __all__ = [
     "check_linear_deformation",
@@ -119,15 +118,16 @@ def check_equivalence(a: BiHomPreLieAlgebra, pi1: BilinearProduct,
     n = a.dim
     P = a.product
     ncol = N.sparse_cols
-    basis = _basis_rows(n)
-    derived = _deformed_rows(P, N)
+    basis = Matrix.identity(n).sparse_rows
+    pi1_rows, pi2_rows = pi1.table.sparse_rows, pi2.table.sparse_rows
+    derived = _deformed(P, N).table.sparse_rows
     for i in range(n):
         for j in range(n):
             e_i, e_j = basis[i], basis[j]
-            pi2_ij = pi2.basis_row(i, j)
+            pi2_ij = pi2_rows[i * n + j]
             col.check("equivalence-linear", (i, j),
-                      _row_sub(_row_sub(pi2_ij, pi1.basis_row(i, j)),
-                               derived[i][j]), n)
+                      _row_sub(_row_sub(pi2_ij, pi1_rows[i * n + j]),
+                               derived[i * n + j]), n)
             lhs = _row_add(pi1.sparse_value(e_i, ncol[j]),
                            pi1.sparse_value(ncol[i], e_j))
             rhs = _row_sub(N.sparse_apply(pi2_ij),
@@ -150,26 +150,19 @@ def deformed_product(a: BiHomPreLieAlgebra, N: Matrix) -> BilinearProduct:
     report = col.report()
     if not report.passed:
         raise AxiomError("operator does not commute with the twist maps", report)
-    return _deformed_product_raw(a.product, N)
+    return _deformed(a.product, N)
 
 
-def _deformed_product_raw(P: BilinearProduct, mat: Matrix) -> BilinearProduct:
-    n = P.dim
-    return BilinearProduct(n, tuple(
-        tuple(_dense_vector(row, n) for row in rows)
-        for rows in _deformed_rows(P, mat)))
-
-
-def _deformed_rows(P: BilinearProduct, mat: Matrix) -> list[list[Row]]:
-    """``e_i *_N e_j`` as sparse rows, for N = mat."""
-    n = P.dim
+def _deformed(P: BilinearProduct, mat: Matrix) -> BilinearProduct:
+    """The product ``*_N`` for N = mat."""
+    n, rows = P.dim, P.table.sparse_rows
     ncol = mat.sparse_cols
-    basis = _basis_rows(n)
-    return [[_row_sub(_row_add(P.sparse_value(ncol[i], basis[j]),
-                               P.sparse_value(basis[i], ncol[j])),
-                      mat.sparse_apply(P.basis_row(i, j)))
-             for j in range(n)]
-            for i in range(n)]
+    basis = Matrix.identity(n).sparse_rows
+    return BilinearProduct.from_sparse(
+        [_row_sub(_row_add(P.sparse_value(ncol[i], basis[j]),
+                           P.sparse_value(basis[i], ncol[j])),
+                  mat.sparse_apply(rows[i * n + j]))
+         for i in range(n) for j in range(n)], n)
 
 
 def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
@@ -178,13 +171,14 @@ def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
     _check_operator(N, P.dim)
     col = _Collector()
     _operator_commutation(col, "N", N, twists)
-    deformed = _deformed_rows(P, N)
+    n = P.dim
+    deformed = _deformed(P, N).table.sparse_rows
     ncol = N.sparse_cols
-    for i in range(P.dim):
-        for j in range(P.dim):
+    for i in range(n):
+        for j in range(n):
             col.check("nijenhuis-identity", (i, j),
                       _row_sub(P.sparse_value(ncol[i], ncol[j]),
-                               N.sparse_apply(deformed[i][j])), P.dim)
+                               N.sparse_apply(deformed[i * n + j])), n)
     return col.report()
 
 
@@ -206,7 +200,7 @@ def nijenhuis_trivial_deformation(
     nij = check_nijenhuis_prelie(a, N)
     if not nij.passed:
         raise AxiomError("not a Nijenhuis operator", nij)
-    pi = _deformed_product_raw(a.product, N)
+    pi = _deformed(a.product, N)
     deform = check_linear_deformation(a, pi)
     if not deform.passed:
         raise RuntimeError("internal defect: Nijenhuis image is not a linear "

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * scalars are :class:`fractions.Fraction` (arbitrary precision, kept in
   canonical form by the standard library, never rounded);
-* vectors are plain tuples of ``Fraction``;
+* inside the package a vector is a sparse row, a ``dict`` from index to
+  nonzero ``Fraction``; the public API takes and returns plain tuples;
 * a :class:`Matrix` acts on column vectors, i.e. a linear map ``f`` with
   matrix ``M`` satisfies ``f(e_j) = sum_i M[i][j] e_i``.
 
@@ -16,11 +17,13 @@ on the order of the rows, and the cost follows the nonzeros rather than the
 shape: the systems of the cochain complex have a few nonzeros per row.
 
 A :class:`Matrix` is stored as the same sparse rows, and builds its dense
-``entries`` only when they are read.  Its products, sums, Kronecker
-products, transposes and images work on the nonzeros alone, as do the
-axiom checkers, which compute every residual as a sparse row and make it
-dense only for a violation.  Structure tensors, twists and action matrices
-are mostly zeros.
+``entries`` only when they are read; a structure tensor is stored as one
+such matrix (:class:`~bihom.algebra.BilinearProduct`).  Products, sums,
+Kronecker products, transposes, images and linear combinations of action
+matrices work on the nonzeros alone, as do the axiom checkers, which
+compute every residual as a sparse row and make it dense only for a
+violation.  Structure tensors, twists and action matrices are mostly
+zeros; dense tuples appear only where the public API reads or writes them.
 """
 
 from __future__ import annotations
@@ -43,11 +46,6 @@ __all__ = [
     "rational_to_json",
     "as_vector",
     "zero_vector",
-    "basis_vector",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
-    "vec_is_zero",
     "Matrix",
     "rank",
     "kernel_basis",
@@ -187,27 +185,6 @@ def as_vector(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
 
 def zero_vector(n: int) -> tuple[Fraction, ...]:
     return (Fraction(0),) * n
-
-
-def basis_vector(n: int, i: int) -> tuple[Fraction, ...]:
-    zero = Fraction(0)
-    return tuple(Fraction(1) if j == i else zero for j in range(n))
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +327,13 @@ class Matrix(Value):
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int | str | Fraction]],
                   cols: int | None = None) -> "Matrix":
-        rows = [as_vector(row) for row in data]
+        return cls._dense([as_vector(row) for row in data], cols)
+
+    @classmethod
+    def _dense(cls, rows: list[tuple[Fraction, ...]],
+               cols: int | None) -> "Matrix":
+        """The matrix with these dense rows of ``Fraction``s, its column
+        count checked against ``cols`` when that is given."""
         if rows:
             width = len(rows[0])
         elif cols is not None:
@@ -511,8 +494,8 @@ class Matrix(Value):
     def from_json(cls, data: object, cols: int | None = None) -> "Matrix":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("matrix JSON must be an array of rows")
-        return cls.from_rows(
-            [[rational_from_json(a) for a in row] for row in data], cols=cols)
+        return cls._dense(
+            [tuple(map(rational_from_json, row)) for row in data], cols)
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
@@ -531,20 +514,27 @@ def block_diag(*blocks: Matrix) -> Matrix:
 def linear_combination(mats: Sequence[Matrix],
                        coeffs: Sequence[Fraction]) -> Matrix:
     """``sum_i coeffs[i] * mats[i]``; used to evaluate basis-indexed
-    families of action matrices on an algebra element."""
+    families of action matrices on an algebra element.  The dense form of
+    :func:`_combination`."""
     if len(mats) != len(coeffs):
         raise LinAlgError("coefficient count does not match matrix count")
+    return _combination(mats, _sparse_vector(coeffs))
+
+
+def _combination(mats: Sequence[Matrix], coeffs: Row) -> Matrix:
+    """``sum_i coeffs[i] * mats[i]`` for sparse coefficients (no zero
+    entries, indices below ``len(mats)``): an action family evaluated on a
+    sparse vector."""
     if not mats:
         raise LinAlgError("empty linear combination has no shape")
     acc: list[Row] = [{} for _ in range(mats[0].rows)]
-    for m, c in zip(mats, coeffs):
-        if c:
-            for arow, mrow in zip(acc, m.sparse_rows):
-                for j, a in mrow.items():
-                    if j in arow:
-                        arow[j] += c * a
-                    else:
-                        arow[j] = c * a
+    for i, c in coeffs.items():
+        for arow, mrow in zip(acc, mats[i].sparse_rows):
+            for j, a in mrow.items():
+                if j in arow:
+                    arow[j] += c * a
+                else:
+                    arow[j] = c * a
     return Matrix._wrap(tuple({j: x for j, x in row.items() if x}
                               for row in acc), mats[0].cols)
 

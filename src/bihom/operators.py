@@ -32,14 +32,12 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
-    _basis_rows,
-    _columns,
     _operator_commutation,
     check_prelie,
     is_lie_morphism,
     subadjacent,
 )
-from .linalg import Matrix, _row_add, _row_sub, basis_vector, inverse, rank
+from .linalg import Matrix, _combination, _row_add, _row_sub, inverse, rank
 from .representation import LieRep
 
 __all__ = [
@@ -73,9 +71,10 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
 
     tcol = T.sparse_cols
-    rho_t = [r.rho_of(t).sparse_cols for t in _columns(T)]
+    rho_t = [_combination(r.rho, t).sparse_cols for t in tcol]
     # rho(T(phi^-1 psi v)) and (phi psi^-1)(u), once per carrier basis vector
-    rho_twisted = [r.rho_of(T.apply(v)) for v in _columns(inverse(r.phi) @ r.psi)]
+    rho_twisted = [_combination(r.rho, T.sparse_apply(v))
+                   for v in (inverse(r.phi) @ r.psi).sparse_cols]
     phi_psinv = (r.phi @ inverse(r.psi)).sparse_cols
     for u in range(m):
         for v in range(m):
@@ -98,10 +97,10 @@ def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     report = check_o_operator(T, r)
     if not report.passed:
         raise AxiomError("not an O-operator for this representation", report)
-    m = r.vdim
-    entries = tuple(tuple(_columns(r.rho_of(t))) for t in _columns(T))
-    out = BiHomPreLieAlgebra(BilinearProduct(m, entries),
-                             TwistPair(r.phi, r.psi))
+    product = BilinearProduct.from_sparse(
+        [v for t in T.sparse_cols for v in _combination(r.rho, t).sparse_cols],
+        r.vdim)
+    out = BiHomPreLieAlgebra(product, TwistPair(r.phi, r.psi))
     check = check_prelie(out)
     if not check.passed:
         raise RuntimeError(
@@ -141,7 +140,7 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     _operator_commutation(col, "R", R, g.twists)
     B = g.bracket
     rcol = R.sparse_cols
-    basis = _basis_rows(n)
+    basis = Matrix.identity(n).sparse_rows
     for i in range(n):
         for j in range(n):
             lhs = B.sparse_value(rcol[i], rcol[j])
@@ -159,11 +158,11 @@ def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
     report = check_rota_baxter(R, g)
     if not report.passed:
         raise AxiomError("not a Rota-Baxter operator of weight zero", report)
-    n = g.dim
-    basis = [basis_vector(n, j) for j in range(n)]
-    entries = tuple(tuple(g.bracket.value(x, e) for e in basis)
-                    for x in _columns(R))
-    return BiHomPreLieAlgebra(BilinearProduct(n, entries), g.twists)
+    basis = Matrix.identity(g.dim).sparse_rows
+    product = BilinearProduct.from_sparse(
+        [g.bracket.sparse_value(x, e) for x in R.sparse_cols for e in basis],
+        g.dim)
+    return BiHomPreLieAlgebra(product, g.twists)
 
 
 def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
@@ -180,10 +179,10 @@ def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlge
     report = check_o_operator(T, r)
     if not report.passed:
         raise AxiomError("not an O-operator for this representation", report)
-    entries = tuple(
-        tuple(T.apply(v) for v in _columns(r.rho[i] @ tinv))
-        for i in range(n))
-    out = BiHomPreLieAlgebra(BilinearProduct(n, entries), g.twists)
+    product = BilinearProduct.from_sparse(
+        [T.sparse_apply(v) for rho in r.rho for v in (rho @ tinv).sparse_cols],
+        n)
+    out = BiHomPreLieAlgebra(product, g.twists)
     if subadjacent(out).bracket != g.bracket:
         raise RuntimeError("internal defect: induced product is not compatible "
                            "with the original bracket")

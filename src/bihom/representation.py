@@ -35,18 +35,17 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
-    _columns,
     _multiplicativity_violations,
     subadjacent,
 )
 from .linalg import (
     Matrix,
     Value,
-    basis_vector,
+    _combination,
+    _row_sub,
     block_diag,
     inverse,
     linear_combination,
-    vec_sub,
 )
 
 __all__ = [
@@ -133,9 +132,11 @@ def _twisted_actions(r: PreLieRep, alpha: Matrix, beta: Matrix
                      ) -> tuple[list[Matrix], list[Matrix], list[Matrix], list[Matrix]]:
     """``L(alpha e_i)``, ``L(beta e_i)``, ``R(alpha e_i)``, ``R(beta e_i)``
     for every basis index i, each computed once."""
-    acol, bcol = _columns(alpha), _columns(beta)
-    return ([r.L_of(x) for x in acol], [r.L_of(x) for x in bcol],
-            [r.R_of(x) for x in acol], [r.R_of(x) for x in bcol])
+    acol, bcol = alpha.sparse_cols, beta.sparse_cols
+    return ([_combination(r.L, x) for x in acol],
+            [_combination(r.L, x) for x in bcol],
+            [_combination(r.R, x) for x in acol],
+            [_combination(r.R, x) for x in bcol])
 
 
 def _intertwining_violations(col: _Collector, axiom: str, r: PreLieRep,
@@ -162,11 +163,11 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
     col = _Collector()
     a = r.algebra
     n, phi, psi = a.dim, r.phi, r.psi
-    acol, bcol = _columns(a.alpha), _columns(a.beta)
+    acol, bcol = a.alpha.sparse_cols, a.beta.sparse_cols
     P = a.product
     actions = _twisted_actions(r, a.alpha, a.beta)
     La, Lb, Ra, Rb = actions
-    Lab = [r.L_of(x) for x in _columns(a.alpha @ a.beta)]
+    Lab = [_combination(r.L, x) for x in (a.alpha @ a.beta).sparse_cols]
 
     col.check_commute("phi-psi-commutation", phi, psi)
     _intertwining_violations(col, "rep1-{}-{}", r, phi, psi, actions)
@@ -174,16 +175,17 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
     for i in range(n):
         for j in range(i + 1, n):
             # L is linear, so both halves share one L(...) psi
-            skew = vec_sub(P.value(bcol[i], acol[j]), P.value(bcol[j], acol[i]))
-            col.check_matrix("rep2", (i, j), r.L_of(skew) @ psi
+            skew = _row_sub(P.sparse_value(bcol[i], acol[j]),
+                            P.sparse_value(bcol[j], acol[i]))
+            col.check_matrix("rep2", (i, j), _combination(r.L, skew) @ psi
                              - (Lab[i] @ La[j] - Lab[j] @ La[i]))
 
-    basis = [basis_vector(n, i) for i in range(n)]
+    basis = Matrix.identity(n).sparse_rows
     for i in range(n):
         for j in range(n):
             lhs = Rb[i] @ Lb[j] @ phi - Lab[j] @ r.R[i] @ phi
-            rhs = (Rb[i] @ Ra[j] @ psi
-                   - r.R_of(P.value(acol[j], basis[i])) @ phi @ psi)
+            rhs = (Rb[i] @ Ra[j] @ psi - _combination(
+                r.R, P.sparse_value(acol[j], basis[i])) @ phi @ psi)
             col.check_matrix("rep3", (i, j), lhs - rhs)
     return col.report()
 
@@ -193,20 +195,20 @@ def check_lie_rep(r: LieRep) -> AxiomReport:
     col = _Collector()
     g = r.algebra
     n, phi, psi = g.dim, r.phi, r.psi
-    bcol = _columns(g.beta)
-    rho_a = [r.rho_of(x) for x in _columns(g.alpha)]
-    rho_b = [r.rho_of(x) for x in bcol]
-    rho_ab = [r.rho_of(x) for x in _columns(g.alpha @ g.beta)]
+    bcol = g.beta.sparse_cols
+    rho_a = [_combination(r.rho, x) for x in g.alpha.sparse_cols]
+    rho_b = [_combination(r.rho, x) for x in bcol]
+    rho_ab = [_combination(r.rho, x) for x in (g.alpha @ g.beta).sparse_cols]
     B = g.bracket
 
     col.check_commute("phi-psi-commutation", phi, psi)
     for i in range(n):
         col.check_matrix("lie-rep-1", (i,), rho_a[i] @ phi - phi @ r.rho[i])
         col.check_matrix("lie-rep-2", (i,), rho_b[i] @ psi - psi @ r.rho[i])
-    basis = [basis_vector(n, j) for j in range(n)]
+    basis = Matrix.identity(n).sparse_rows
     for i in range(n):
         for j in range(n):
-            lhs = r.rho_of(B.value(bcol[i], basis[j])) @ psi
+            lhs = _combination(r.rho, B.sparse_value(bcol[i], basis[j])) @ psi
             rhs = rho_ab[i] @ r.rho[j] - rho_b[j] @ rho_a[i]
             col.check_matrix("lie-rep-3", (i, j), lhs - rhs)
     return col.report()
@@ -258,19 +260,19 @@ def _semidirect_tensor(top: BilinearProduct, m: int, left: Sequence[Matrix],
     """Structure tensor on A + V (algebra basis first, carrier after) of
     ``(x+u)(y+v) = top(x, y) + left(x) v + right(y) u``, where ``left[i]``
     and ``right[j]`` are the m x m actions of the algebra basis vectors."""
-    n = top.dim
-    N = n + m
-    zero = Fraction(0)
-    entries = [[(zero,) * N] * N for _ in range(N)]
+    n, top_rows = top.dim, top.table.sparse_rows
+
+    def carrier(col):  # an m-vector as a vector of A + V
+        return {n + k: a for k, a in col.items()}
+
+    rows = []
     for i in range(n):
-        for j in range(n):
-            entries[i][j] = top.basis_value(i, j) + (zero,) * m
-        for b in range(m):
-            entries[i][n + b] = (zero,) * n + left[i].col(b)
+        rows += top_rows[i * n:(i + 1) * n]
+        rows += map(carrier, left[i].sparse_cols)
     for u in range(m):
-        for j in range(n):
-            entries[n + u][j] = (zero,) * n + right[j].col(u)
-    return BilinearProduct(N, tuple(tuple(row) for row in entries))
+        rows += [carrier(right[j].sparse_cols[u]) for j in range(n)]
+        rows += [{}] * m
+    return BilinearProduct.from_sparse(rows, n + m)
 
 
 def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
@@ -297,8 +299,8 @@ def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
 def _semidirect_lie_raw(r: LieRep) -> BiHomLieAlgebra:
     g = r.algebra
     phi_psinv = r.phi @ inverse(r.psi)
-    right = [-(r.rho_of(x) @ phi_psinv)
-             for x in _columns(g.twists.alpha_inv @ g.beta)]
+    right = [-(_combination(r.rho, x) @ phi_psinv)
+             for x in (g.twists.alpha_inv @ g.beta).sparse_cols]
     bracket = _semidirect_tensor(g.bracket, r.vdim, r.rho, right)
     twists = TwistPair(block_diag(g.alpha, r.phi), block_diag(g.beta, r.psi))
     return BiHomLieAlgebra(bracket, twists)
@@ -332,8 +334,8 @@ def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
     basis index i."""
     a = r.algebra
     phinv_psi = inverse(r.phi) @ r.psi
-    return tuple(L - r.R_of(x) @ phinv_psi
-                 for L, x in zip(r.L, _columns(a.alpha @ a.twists.beta_inv)))
+    return tuple(L - _combination(r.R, x) @ phinv_psi
+                 for L, x in zip(r.L, (a.alpha @ a.twists.beta_inv).sparse_cols))
 
 
 def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
@@ -371,10 +373,9 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
     if not report.passed:
         raise AxiomError("twisting hypotheses are violated", report)
 
-    acol, bcol = _columns(alpha), _columns(beta)
-    twisted = BilinearProduct(n, tuple(
-        tuple(a.product.value(acol[i], bcol[j]) for j in range(n))
-        for i in range(n)))
+    acol, bcol = alpha.sparse_cols, beta.sparse_cols
+    twisted = BilinearProduct.from_sparse(
+        [a.product.sparse_value(x, y) for x in acol for y in bcol], n)
     algebra2 = BiHomPreLieAlgebra(twisted, TwistPair(alpha, beta))
     La, _, _, Rb = actions
     LL = tuple(L @ psi for L in La)

@@ -18,6 +18,13 @@
   every twisted action inside the loops, and the hypothesis checks of
   ``twist_rep``.  They must report the same violations, in the same order
   and with the same residuals.
+* The structure tensor as the nest ``c`` the library stored before its
+  sparse table: ``+``, ``-``, ``scale``, ``is_zero`` and the left and
+  right multiplication matrices computed from ``c``, and the seven
+  constructions that built a tensor entry by entry from dense columns (the
+  sub-adjacent bracket, the semidirect products, the twisted product of
+  ``twist_rep``, ``*_N``, and the products induced by O- and Rota-Baxter
+  operators).
 * The tensor-stored cochain, :class:`DenseCochain`: the
   :class:`~bihom.cohomology.Cochain` the library had before it stored the
   free coordinates, holding the full value tensor and evaluating it by
@@ -46,11 +53,30 @@ from bihom import (AxiomReport, BiHomLieAlgebra, BiHomPreLieAlgebra,
                    BilinearProduct, LieRep, Matrix, PreLieRep, TwistPair,
                    Violation, subadjacent)
 from bihom.cohomology import Cochain, CohomologyReport
-from bihom.linalg import (Value, basis_vector, rank, rational_from_json,
-                          rational_to_json, vec_add, vec_is_zero, vec_sub,
+from bihom.linalg import (Value, rank, rational_from_json, rational_to_json,
                           zero_vector)
 
 Q = Fraction
+
+
+# ---------------------------------------------------------------------------
+# dense vectors
+# ---------------------------------------------------------------------------
+
+def basis_vector(n: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(Q(int(j == i)) for j in range(n))
+
+
+def vec_add(u, v) -> tuple[Fraction, ...]:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_sub(u, v) -> tuple[Fraction, ...]:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def vec_is_zero(v) -> bool:
+    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +466,134 @@ def oracle_twist_rep_hypotheses(classical, alpha, beta, phi, psi) -> AxiomReport
         col.check_matrix("psi-R-intertwining", (i,),
                          psi @ classical.R[i] - classical.R_of(bcol[i]) @ psi)
     return col.report()
+
+
+# ---------------------------------------------------------------------------
+# the dense structure tensor and the constructions that built it
+# ---------------------------------------------------------------------------
+
+def _dense_product(n: int, get) -> BilinearProduct:
+    """The product with ``e_i * e_j = get(i, j)``, a dense vector, given to
+    the constructor as the nest ``c``."""
+    return BilinearProduct(n, tuple(tuple(tuple(get(i, j)) for j in range(n))
+                                    for i in range(n)))
+
+
+def dense_tensor_add(p, q) -> BilinearProduct:
+    return _dense_product(p.dim, lambda i, j: vec_add(p.c[i][j], q.c[i][j]))
+
+
+def dense_tensor_sub(p, q) -> BilinearProduct:
+    return _dense_product(p.dim, lambda i, j: vec_sub(p.c[i][j], q.c[i][j]))
+
+
+def dense_tensor_scale(p, c) -> BilinearProduct:
+    return _dense_product(p.dim,
+                          lambda i, j: tuple(Q(c) * a for a in p.c[i][j]))
+
+
+def dense_tensor_is_zero(p) -> bool:
+    return all(vec_is_zero(v) for plane in p.c for v in plane)
+
+
+def dense_left_matrices(p) -> tuple[Matrix, ...]:
+    """The matrix of ``y -> e_i * y``: its column j is ``c[i][j]``."""
+    n = p.dim
+    return tuple(Matrix(n, n, tuple(tuple(p.c[i][j][k] for j in range(n))
+                                    for k in range(n)))
+                 for i in range(n))
+
+
+def dense_right_matrices(p) -> tuple[Matrix, ...]:
+    """The matrix of ``y -> y * e_i``: its column j is ``c[j][i]``."""
+    n = p.dim
+    return tuple(Matrix(n, n, tuple(tuple(p.c[j][i][k] for j in range(n))
+                                    for k in range(n)))
+                 for i in range(n))
+
+
+def _dense_combination(mats, coeffs) -> Matrix:
+    total = Matrix(mats[0].rows, mats[0].cols,
+                   tuple(zero_vector(mats[0].cols) for _ in range(mats[0].rows)))
+    for m, c in zip(mats, coeffs):
+        total = dense_add(total, dense_scale(m, c))
+    return total
+
+
+def dense_subadjacent_tensor(p, alpha: Matrix, beta: Matrix) -> BilinearProduct:
+    """``x.y - (alpha^-1 beta y).(alpha beta^-1 x)`` on basis pairs."""
+    n = p.dim
+    ainv_b = dense_matmul(dense_inverse(alpha), beta)
+    a_binv = dense_matmul(alpha, dense_inverse(beta))
+    return _dense_product(n, lambda i, j: vec_sub(
+        p.c[i][j], dense_value(p, dense_col(ainv_b, j), dense_col(a_binv, i))))
+
+
+def dense_semidirect_tensor(top, m: int, left, right) -> BilinearProduct:
+    """``(x+u)(y+v) = top(x, y) + left(x) v + right(y) u`` on A + V, the
+    algebra basis first."""
+    n = top.dim
+    N = n + m
+    zero = Q(0)
+    entries = [[(zero,) * N] * N for _ in range(N)]
+    for i in range(n):
+        for j in range(n):
+            entries[i][j] = tuple(top.c[i][j]) + (zero,) * m
+        for b in range(m):
+            entries[i][n + b] = (zero,) * n + dense_col(left[i], b)
+    for u in range(m):
+        for j in range(n):
+            entries[n + u][j] = (zero,) * n + dense_col(right[j], u)
+    return BilinearProduct(N, tuple(tuple(row) for row in entries))
+
+
+def dense_semidirect_lie_right(r) -> list[Matrix]:
+    """``u -> -rho(alpha^-1 beta e_j) phi psi^-1 u`` for each basis index j."""
+    g = r.algebra
+    ainv_b = dense_matmul(dense_inverse(g.alpha), g.beta)
+    phi_psinv = dense_matmul(r.phi, dense_inverse(r.psi))
+    return [dense_scale(dense_matmul(
+        _dense_combination(r.rho, dense_col(ainv_b, j)), phi_psinv), -1)
+        for j in range(g.dim)]
+
+
+def dense_twisted_product(p, alpha: Matrix, beta: Matrix) -> BilinearProduct:
+    """``x * y = alpha(x).beta(y)``."""
+    return _dense_product(p.dim, lambda i, j: dense_value(
+        p, dense_col(alpha, i), dense_col(beta, j)))
+
+
+def dense_deformed_product(p, N: Matrix) -> BilinearProduct:
+    """``x *_N y = N(x).y + x.N(y) - N(x.y)``."""
+    n = p.dim
+
+    def get(i, j):
+        e_i, e_j = basis_vector(n, i), basis_vector(n, j)
+        return vec_sub(vec_add(dense_value(p, dense_col(N, i), e_j),
+                               dense_value(p, e_i, dense_col(N, j))),
+                       dense_apply(N, p.c[i][j]))
+
+    return _dense_product(n, get)
+
+
+def dense_o_induced_product(T: Matrix, r) -> BilinearProduct:
+    """``u * v = rho(T(u)) v`` on the carrier."""
+    return _dense_product(r.vdim, lambda u, v: dense_col(
+        _dense_combination(r.rho, dense_col(T, u)), v))
+
+
+def dense_rb_induced_product(R: Matrix, g) -> BilinearProduct:
+    """``x * y = [R(x), y]``."""
+    n = g.dim
+    return _dense_product(n, lambda i, j: dense_value(
+        g.bracket, dense_col(R, i), basis_vector(n, j)))
+
+
+def dense_compatible_product(T: Matrix, r) -> BilinearProduct:
+    """``x . y = T(rho(x) T^-1(y))``."""
+    tinv = dense_inverse(T)
+    return _dense_product(T.rows, lambda i, j: dense_apply(
+        T, dense_col(dense_matmul(r.rho[i], tinv), j)))
 
 
 # ---------------------------------------------------------------------------

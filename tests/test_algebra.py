@@ -118,7 +118,7 @@ class TestCheckPrelie:
             def assoc(x, y, z):
                 def val(u, v):
                     return p.value(u, v)
-                from bihom.linalg import basis_vector, vec_sub
+                from oracles import basis_vector, vec_sub
                 ex, ey, ez = (basis_vector(dim, x), basis_vector(dim, y),
                               basis_vector(dim, z))
                 return vec_sub(val(val(ex, ey), ez), val(ex, val(ey, ez)))

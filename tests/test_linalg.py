@@ -18,9 +18,6 @@ from bihom.linalg import (
     rational_to_json,
     solve,
     try_solve,
-    vec_add,
-    vec_is_zero,
-    vec_sub,
 )
 
 from oracles import (
@@ -145,15 +142,6 @@ class TestSparseProducts:
         assert image == dense_apply(b, v)
         assert all_fractions(image)
 
-    @given(product_operands())
-    def test_vector_sums_match_dense(self, operands):
-        _, b, v = operands
-        for row in b.entries:
-            total, difference = vec_add(row, v), vec_sub(row, v)
-            assert total == tuple(x + y for x, y in zip(row, v))
-            assert difference == tuple(x - y for x, y in zip(row, v))
-            assert all_fractions(total + difference)
-
     @pytest.mark.parametrize("k", [0, 3])
     def test_zero_size_shapes(self, k):
         inner = Matrix.zeros(0, k) @ Matrix.zeros(k, 0)
@@ -191,7 +179,7 @@ class TestKernel:
             m = small_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             basis = kernel_basis(m)
             for v in basis:
-                assert vec_is_zero(m.apply(v))
+                assert not any(m.apply(v))
             if basis:
                 stacked = Matrix.from_rows(list(zip(*basis)))
                 assert rank(stacked) == len(basis)

@@ -298,12 +298,18 @@ class TestFrozen:
         assert m.sparse_rows is vars(m)["sparse_rows"]
         assert m == Matrix.from_rows([[0, 2], [0, 0]])
 
-    def test_product_terms_cache(self):
-        p = BilinearProduct.from_entries([[[0, 1], [0, 0]], [[0, 0], [2, 0]]])
-        assert "terms" not in vars(p)
-        terms = p.terms
-        assert terms[0][0] == ((1, Q(1)),) and terms[1][1] == ((0, Q(2)),)
-        assert p.terms is terms and vars(p)["terms"] is terms
+    def test_product_table_cache(self):
+        p = BilinearProduct.from_sparse([{1: 1}, {}, {0: 0}, {0: "2"}], 2)
+        assert "c" not in vars(p)
+        assert p.table.sparse_rows == ({1: Q(1)}, {}, {}, {0: Q(2)})
+        c = p.c
+        assert c == (((0, 1), (0, 0)), ((0, 0), (2, 0)))
+        assert p.c is c and vars(p)["c"] is c
+        dense = BilinearProduct.from_entries([[[0, 1], [0, 0]], [[0, 0], [2, 0]]])
+        assert "table" not in vars(dense)
+        table = dense.table
+        assert dense.table is table and vars(dense)["table"] is table
+        assert dense == p and repr(dense) == repr(p)
         assert hash(p) == hash(FROZEN_TWINS[BilinearProduct](p.dim, p.c))
 
 
