@@ -31,7 +31,9 @@ n = 1, so B^1 = {0} and H^1 equals the 1-cocycles.
 One ``_Degree`` per degree assembles ``E_n``, ``K_n`` and ``D_n`` when
 first read, and each function builds the degrees it touches once per call:
 the space from :func:`cochain_space` keeps its ``_Degree`` for the
-coboundary functions.  Rows reach :mod:`bihom.linalg` as
+coboundary functions.  ``K_n`` is a sparse ``dim S^n x dim C^n``
+``Matrix`` read straight off the reduced row echelon form of ``E_n``, the
+one store of a :class:`CochainSpace`; rows reach :mod:`bihom.linalg` as
 ``Matrix.from_sparse``, which keeps them for the elimination.
 
 Every evaluation of D_n on cochains K (:func:`coboundary`,
@@ -57,10 +59,9 @@ from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (Matrix, Row, Value, _combination, _row_product,
-                     _sparse_vector, _subtract, kernel_basis, rank,
-                     rational_from_json, rational_to_json, try_solve,
-                     zero_vector)
+from .linalg import (Matrix, Row, Value, _combination, _kernel, _row_product,
+                     _sparse_vector, _subtract, rank, rational_from_json,
+                     rational_to_json, try_solve, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -239,16 +240,6 @@ def _clean(row: dict) -> dict:
     return {p: x for p, x in row.items() if x}
 
 
-def _row_form(vectors: Sequence[Sequence[Fraction]], length: int) -> list[Row]:
-    """The matrix with columns ``vectors``, in row form."""
-    kt: list[Row] = [{} for _ in range(length)]
-    for j, v in enumerate(vectors):
-        for s, x in enumerate(v):
-            if x:
-                kt[s][j] = x
-    return kt
-
-
 class _Degree:
     """Degree n of the complex over S^n: the sparse rows of ``E_n`` and
     ``D_n``, built from the twist columns and the ``lmat``/``rmat``/
@@ -256,6 +247,8 @@ class _Degree:
     is built when first read and kept."""
 
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
+        if r.algebra != a:
+            raise ValueError("representation is over a different algebra")
         self.a, self.r, self.n, self.vdim = a, r, n, r.vdim
         self.eye = Matrix.identity(r.vdim).sparse_rows
         self.index = _index(a.dim, n)
@@ -308,9 +301,10 @@ class _Degree:
         return out
 
     @cached_property
-    def kernel(self) -> list[tuple[Fraction, ...]]:
-        """``K_n``: the kernel basis of ``E_n``, a basis of C^n."""
-        return kernel_basis(Matrix.from_sparse(self.equivariance, self.width))
+    def kernel(self) -> Matrix:
+        """``K_n``: the kernel basis of ``E_n`` as the columns of a sparse
+        ``width x dim C^n`` matrix, a basis of C^n."""
+        return _kernel([dict(row) for row in self.equivariance], self.width)
 
     @cached_property
     def tables(self) -> dict:
@@ -357,14 +351,13 @@ class _Degree:
                 for row in self.rows_at(X)]
 
 
-def _image(src: _Degree, dst: _Degree,
-           inputs: Sequence[Sequence[Fraction]]) -> list[Row]:
-    """``D_n K`` in row form for the free-coordinate columns K = ``inputs``,
+def _image(src: _Degree, dst: _Degree, K: Matrix) -> list[Row]:
+    """``D_n K`` in row form for the free-coordinate columns of K,
     asserting ``E_n K = 0``, skew images at every (n+1)-tuple and
     ``E_(n+1) D_n K = 0``."""
-    if not inputs:
+    if not K.cols:
         return [{} for _ in range(dst.width)]
-    kt = _row_form(inputs, src.width)
+    kt = K.sparse_rows
     if any(_row_product(src.equivariance, kt)):
         raise RuntimeError("internal defect: E_n K != 0, a coboundary input "
                            "is not a cochain")
@@ -388,11 +381,13 @@ def _image(src: _Degree, dst: _Degree,
 
 
 class CochainSpace:
-    """A basis of C^n, held as free-coordinate ``vectors``: the kernel basis
-    K_n of the degree-n system ``ops`` that :func:`cochain_space` solved
-    (and the coboundary functions reuse), or the coordinates of any basis
-    of cochains given as ``CochainSpace(n, basis)``.  The :class:`Cochain`
-    form of the basis is built when first read."""
+    """A basis of C^n, held as one sparse ``kernel`` matrix: its columns
+    are the free coordinates of the basis, ``dim S^n x dim C^n``.  It is
+    the kernel basis K_n of the degree-n system ``ops`` that
+    :func:`cochain_space` solved (and the coboundary functions reuse), or
+    the coordinates of any basis of cochains of degree n and one shape,
+    given as ``CochainSpace(n, basis)``.  The dense ``vectors`` and the
+    :class:`Cochain` form ``basis`` are built when first read."""
 
     def __init__(self, degree: int, basis: Sequence[Cochain] = (), *,
                  ops: _Degree | None = None) -> None:
@@ -401,10 +396,19 @@ class CochainSpace:
             self.basis = tuple(basis)
             self.adim, self.vdim = ((self.basis[0].adim, self.basis[0].vdim)
                                     if self.basis else (0, 0))
-            vectors = [f.coords for f in self.basis]
+            if any((f.degree, f.adim, f.vdim) != (degree, self.adim, self.vdim)
+                   for f in self.basis):
+                raise ValueError("a cochain space basis needs cochains of its "
+                                 "degree and of one shape")
+            self.kernel = Matrix.from_sparse(
+                [_sparse_vector(f.coords) for f in self.basis],
+                _width(self.adim, degree, self.vdim)).transpose()
         else:
-            self.adim, self.vdim, vectors = ops.a.dim, ops.vdim, ops.kernel
-        self.vectors = tuple(tuple(v) for v in vectors)
+            self.adim, self.vdim, self.kernel = ops.a.dim, ops.vdim, ops.kernel
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.kernel.transpose().entries
 
     @cached_property
     def basis(self) -> tuple[Cochain, ...]:
@@ -413,16 +417,13 @@ class CochainSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.kernel.cols
 
     def combine(self, coords: Sequence[Fraction]) -> Cochain:
         if len(coords) != self.dim:
             raise ValueError("coordinate count does not match the dimension")
-        if not self.vectors:
-            return Cochain.zero(self.degree, self.adim, self.vdim)
-        vec = tuple(sum(c * x for c, x in zip(coords, xs))
-                    for xs in zip(*self.vectors))
-        return Cochain(self.degree, self.adim, self.vdim, vec)
+        return Cochain(self.degree, self.adim, self.vdim,
+                       self.kernel.apply(coords))
 
 
 def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
@@ -431,28 +432,39 @@ def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
     of ``E_n`` over the free coordinates."""
     if n < 1:
         raise ValueError("cochain spaces are defined for degree >= 1")
-    if r.algebra != a:
-        raise ValueError("representation is over a different algebra")
     return CochainSpace(n, ops=_Degree(a, r, n))
 
 
 def _ops(space: CochainSpace, a: BiHomPreLieAlgebra, r: PreLieRep,
-         n: int) -> _Degree:
-    """``space.ops`` if it was solved for (a, r, n), else a new one."""
+         n: int, role: str) -> _Degree:
+    """``space.ops`` if it was solved for (a, r, n), else a new one;
+    ValueError unless the ``role`` space has degree n and, when it is not
+    {0}, the shape of (a, r) and members in C^n."""
+    if space.degree != n:
+        raise ValueError(f"{role} space has degree {space.degree}, not {n}")
+    if space.dim and (space.adim, space.vdim) != (a.dim, r.vdim):
+        raise ValueError(f"{role} space shape does not match the algebra and "
+                         "representation")
     ops = space.ops
     if ops is None or (ops.a, ops.r, ops.n) != (a, r, n):
         ops = _Degree(a, r, n)
+        if space.dim and any(_row_product(ops.equivariance,
+                                          space.kernel.sparse_rows)):
+            raise ValueError(f"{role} space holds a non-cochain: fails twist "
+                             "equivariance")
     return ops
 
 
-def _require_cochain(f: Cochain, deg: _Degree) -> tuple[Fraction, ...]:
-    """The free coordinates of f, after checking that it is in C^n of ``deg``."""
+def _require_cochain(f: Cochain, deg: _Degree) -> Matrix:
+    """The free coordinates of f as a one-column matrix, after checking
+    that f is in C^n of ``deg``."""
     if f.adim != deg.a.dim or f.vdim != deg.vdim:
         raise ValueError("cochain shape does not match the algebra and "
                          "representation")
-    if any(_row_product(deg.equivariance, _row_form([f.coords], deg.width))):
+    column = CochainSpace(f.degree, [f]).kernel
+    if any(_row_product(deg.equivariance, column.sparse_rows)):
         raise ValueError("not a cochain: fails twist equivariance")
-    return f.coords
+    return column
 
 
 def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
@@ -461,8 +473,7 @@ def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
     RuntimeError."""
     n = f.degree
     src = _Degree(a, r, n)
-    coords = _require_cochain(f, src)
-    image = _image(src, _Degree(a, r, n + 1), [coords])
+    image = _image(src, _Degree(a, r, n + 1), _require_cochain(f, src))
     return Cochain(n + 1, f.adim, f.vdim,
                    tuple(row.get(0, Fraction(0)) for row in image))
 
@@ -486,19 +497,17 @@ def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int,
         raise ValueError("coboundary matrices are defined for degree >= 1")
     source = source or cochain_space(a, r, n)
     target = target or cochain_space(a, r, n + 1)
-    if source.dim == 0:
-        return Matrix.zeros(target.dim, 0)
-    dst = _ops(target, a, r, n + 1)
-    image = _image(_ops(source, a, r, n), dst, source.vectors)
+    dst = _ops(target, a, r, n + 1, "target")
+    image = _image(_ops(source, a, r, n, "source"), dst, source.kernel)
     t, s = target.dim, source.dim
-    rows = _row_form(target.vectors, dst.width)
-    for row, extra in zip(rows, image):
-        row.update({t + j: x for j, x in extra.items()})
-    null = kernel_basis(Matrix.from_sparse(rows, t + s))
-    if len(null) != s:
+    rows = [{t + j: x for j, x in extra.items()} for extra in image]
+    for row, trow in zip(rows, target.kernel.sparse_rows):
+        row.update(trow)
+    null = _kernel(rows, t + s)
+    if null.cols != s:
         raise RuntimeError("internal defect: coboundary image falls outside "
                            "the cochain space")
-    return Matrix(t, s, tuple(tuple(-v[i] for v in null) for i in range(t)))
+    return -Matrix.from_sparse(null.sparse_rows[:t], s)
 
 
 class CohomologyReport(Value):
@@ -538,7 +547,7 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
     ranks = {}
     for m in range(lo, hi):
         dst = degs[m + 1]
-        image = _image(degs[m], dst, spaces[m].vectors)
+        image = _image(degs[m], dst, spaces[m].kernel)
         if any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
@@ -559,12 +568,12 @@ def coboundary_preimage(f: Cochain, a: BiHomPreLieAlgebra,
     """
     n = f.degree
     dst = _Degree(a, r, n)
-    coords = _require_cochain(f, dst)
+    _require_cochain(f, dst)
     if n == 1:
         return None
     source = cochain_space(a, r, n - 1)
-    image = _image(source.ops, dst, source.vectors)
-    x = try_solve(Matrix.from_sparse(image, source.dim), coords)
+    image = _image(source.ops, dst, source.kernel)
+    x = try_solve(Matrix.from_sparse(image, source.dim), f.coords)
     return None if x is None else source.combine(x)
 
 

@@ -611,25 +611,30 @@ def rank(m: Matrix) -> int:
     return len(_rref(_sparse(m), m.cols)[1])
 
 
+def _kernel(rows: list[Row], width: int) -> Matrix:
+    """Basis of the right null space of sparse rows in the columns below
+    ``width`` (consumed), as the columns of a ``width x (width - rank)``
+    :class:`Matrix` read off the RREF: column i sets the i-th free column
+    to 1, and the row of pivot p holds ``-R_p[j]`` at the index of each
+    free column j."""
+    reduced, pivots = _rref(rows, width)
+    pivot_set = set(pivots)
+    free = {j: i for i, j in enumerate(
+        j for j in range(width) if j not in pivot_set)}
+    out: list[Row] = [{free[j]: _ONE} if j in free else {}
+                      for j in range(width)]
+    for row, p in zip(reduced, pivots):
+        out[p] = {free[j]: -a for j, a in row.items() if j != p}
+    return Matrix._wrap(tuple(out), len(free))
+
+
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space ``{v : m @ v = 0}`` as column vectors.
 
     The vectors are linearly independent and there are exactly
     ``cols - rank`` of them (one per free column, that coordinate set to 1).
     """
-    reduced, pivots = _rref(_sparse(m), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(m.cols):
-        if j in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            if j in row:
-                v[p] = -row[j]
-        basis.append(tuple(v))
-    return basis
+    return list(_kernel(_sparse(m), m.cols).transpose().entries)
 
 
 def inverse(m: Matrix) -> Matrix:
