@@ -42,7 +42,9 @@ from .linalg import (
     SingularMatrixError,
     Value,
     _Lazy,
+    _axpy,
     _dense_vector,
+    _require_exact,
     _row_add,
     _row_sub,
     _sparse_vector,
@@ -90,6 +92,9 @@ class BilinearProduct(Value):
                 len(plane) != n or any(len(v) != n for v in plane)
                 for plane in self.c):
             raise ValueError(f"structure tensor is not {n}x{n}x{n}")
+        for plane in self.c:
+            for v in plane:
+                _require_exact(v)
 
     @_Lazy
     def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -135,6 +140,8 @@ class BilinearProduct(Value):
     def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension to dense coordinate vectors: the dense form of
         :meth:`sparse_value`."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("vector length does not match the dimension")
         return _dense_vector(self.sparse_value(_sparse_vector(u),
                                                _sparse_vector(v)), self.dim)
 
@@ -149,13 +156,8 @@ class BilinearProduct(Value):
             for j, b in v.items():
                 row = rows[base + j]
                 if row:
-                    coeff = a * b
-                    for k, val in row.items():
-                        if k in acc:
-                            acc[k] += coeff * val
-                        else:
-                            acc[k] = coeff * val
-        return {k: x for k, x in acc.items() if x}
+                    _axpy(acc, a * b, row)
+        return acc
 
     def left_matrices(self) -> tuple[Matrix, ...]:
         """Matrix of ``y -> e_i * y`` for each basis index i."""

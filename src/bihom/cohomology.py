@@ -59,9 +59,10 @@ from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
-from .linalg import (Matrix, Row, Value, _combination, _kernel, _row_product,
-                     _sparse_vector, _subtract, rank, rational_from_json,
-                     rational_to_json, try_solve, zero_vector)
+from .linalg import (Matrix, Row, Value, _axpy, _combination, _dense_vector,
+                     _kernel, _require_exact, _row_product, _sparse_vector,
+                     rank, rational_from_json, rational_to_json, try_solve,
+                     zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -88,6 +89,7 @@ class Cochain(Value):
         if len(self.coords) != _width(self.adim, self.degree, self.vdim):
             raise ValueError("cochain coordinates do not match the algebra "
                              "and carrier dimensions")
+        _require_exact(self.coords)
 
     @classmethod
     def zero(cls, degree: int, adim: int, vdim: int) -> "Cochain":
@@ -135,13 +137,15 @@ class Cochain(Value):
         the wedge ``w`` of the first n-1 (sparsity-aware)."""
         if len(args) != self.degree:
             raise ValueError("argument count must equal the degree")
-        acc = list(zero_vector(self.vdim))
+        if any(len(v) != self.adim for v in args):
+            raise ValueError("vector length does not match the algebra "
+                             "dimension")
+        acc: Row = {}
         last = _sparse_vector(args[-1])
         for J, w in _wedge([_sparse_vector(v) for v in args[:-1]]).items():
             for l, c in last.items():
-                for k, x in enumerate(self.at(J + (l,))):
-                    acc[k] += w * c * x
-        return tuple(acc)
+                _axpy(acc, w * c, _sparse_vector(self.at(J + (l,))))
+        return _dense_vector(acc, self.vdim)
 
     @property
     def is_zero(self) -> bool:
@@ -224,20 +228,16 @@ def _wedge(vectors: Sequence[Row]) -> dict[tuple[int, ...], Fraction]:
     for v in vectors:
         nxt: dict[tuple[int, ...], Fraction] = {}
         for J, w in out.items():
+            signed = {}
             for j, c in v.items():
                 at = bisect_left(J, j)
                 if at < len(J) and J[at] == j:
                     continue
                 # sorting j into slot `at` passes len(J) - at indices
-                term = w * c if (len(J) - at) % 2 == 0 else -w * c
-                K = J[:at] + (j,) + J[at:]
-                nxt[K] = nxt.get(K, 0) + term
-        out = _clean(nxt)
+                signed[J[:at] + (j,) + J[at:]] = c if (len(J) - at) % 2 == 0 else -c
+            _axpy(nxt, w, signed)
+        out = nxt
     return out
-
-
-def _clean(row: dict) -> dict:
-    return {p: x for p, x in row.items() if x}
 
 
 class _Degree:
@@ -281,8 +281,7 @@ class _Degree:
                 base = index[J + (l,)] * vdim
                 x = coeff * w * c
                 for row, entries in zip(rows, outer):
-                    for kk, m in entries.items():
-                        row[base + kk] = row.get(base + kk, 0) + x * m
+                    _axpy(row, x, {base + kk: m for kk, m in entries.items()})
 
     @cached_property
     def equivariance(self) -> list[Row]:
@@ -297,7 +296,7 @@ class _Degree:
                 self._evaluate(rows, {idx[:-1]: 1}, {idx[-1]: 1}, outer, 1)
                 self._evaluate(rows, self._heads(family, idx[:-1]),
                                self.cols[family][idx[-1]], self.eye, -1)
-                out.extend(row for row in map(_clean, rows) if row)
+                out.extend(row for row in rows if row)
         return out
 
     @cached_property
@@ -341,7 +340,7 @@ class _Degree:
                 self._evaluate(rows, self._heads("ab", rest, (X[i], X[j])),
                                cols["beta"][last], self.eye,
                                1 if (i + j) % 2 == 0 else -1)
-        return [_clean(row) for row in rows]
+        return rows
 
     @cached_property
     def coboundary(self) -> list[Row]:
@@ -370,7 +369,7 @@ def _image(src: _Degree, dst: _Degree, K: Matrix) -> list[Row]:
         if c is not None:
             base = dst.index[c] * vdim
             for row, expected in zip(rows, canon[base:base + vdim]):
-                _subtract(row, sign, expected)
+                _axpy(row, -sign, expected)
         if any(_row_product(rows, kt)):
             raise RuntimeError("internal defect: coboundary image is not skew")
     image = _row_product(canon, kt)
@@ -439,7 +438,9 @@ def _ops(space: CochainSpace, a: BiHomPreLieAlgebra, r: PreLieRep,
          n: int, role: str) -> _Degree:
     """``space.ops`` if it was solved for (a, r, n), else a new one;
     ValueError unless the ``role`` space has degree n and, when it is not
-    {0}, the shape of (a, r) and members in C^n."""
+    {0}, the shape of (a, r) and members in C^n.  A target space that was
+    not solved for (a, r, n) must also be a basis of C^n: independent
+    members, as many as ``dim C^n``."""
     if space.degree != n:
         raise ValueError(f"{role} space has degree {space.degree}, not {n}")
     if space.dim and (space.adim, space.vdim) != (a.dim, r.vdim):
@@ -452,6 +453,9 @@ def _ops(space: CochainSpace, a: BiHomPreLieAlgebra, r: PreLieRep,
                                           space.kernel.sparse_rows)):
             raise ValueError(f"{role} space holds a non-cochain: fails twist "
                              "equivariance")
+        if role == "target" and not (rank(space.kernel) == space.dim
+                                     == ops.kernel.cols):
+            raise ValueError(f"target space is not a basis of C^{n}")
     return ops
 
 

@@ -16,6 +16,15 @@ reduces to the unique reduced row echelon form, so results do not depend
 on the order of the rows, and the cost follows the nonzeros rather than the
 shape: the systems of the cochain complex have a few nonzeros per row.
 
+Every ``acc += c * row`` on sparse rows goes through one in-place kernel,
+:func:`_axpy`, which deletes each entry that cancels: the elimination's
+row updates, :meth:`Matrix.sparse_apply`, matrix products, linear
+combinations of action matrices, bilinear values and the rows of the
+coboundary in :mod:`bihom.cohomology`.  No row is ever left holding a
+zero, so no caller filters one out.  Values enter a sparse row by one
+rule, :func:`_sparse_entries`, which refuses what :func:`as_rational`
+refuses.
+
 A :class:`Matrix` is stored as the same sparse rows, and builds its dense
 ``entries`` only when they are read; a structure tensor is stored as one
 such matrix (:class:`~bihom.algebra.BilinearProduct`).  Products, sums,
@@ -195,9 +204,25 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _require_exact(values: Iterable) -> None:
+    """ValueError, as :func:`as_rational` raises it, unless every value is
+    an exact rational (a float is not)."""
+    for a in values:
+        if a.__class__ is not Fraction:
+            as_rational(a)
+
+
+def _sparse_entries(items: Iterable[tuple[int, object]]) -> Row:
+    """The nonzero entries of ``(index, value)`` pairs, each made a
+    ``Fraction`` by :func:`as_rational`: the one rule by which values enter
+    a sparse row, so a float raises ValueError."""
+    return {j: q for j, a in items
+            if (q := a if a.__class__ is Fraction else as_rational(a))}
+
+
 def _sparse_vector(v: Sequence[Fraction]) -> Row:
-    """The nonzero entries of a dense vector."""
-    return {i: a for i, a in enumerate(v) if a}
+    """The nonzero entries of a dense vector, by :func:`_sparse_entries`."""
+    return _sparse_entries(enumerate(v))
 
 
 def _dense_vector(row: Row, n: int) -> tuple[Fraction, ...]:
@@ -236,6 +261,22 @@ def _row_sub(u: Row, v: Row) -> Row:
         else:
             out[j] = -b
     return out
+
+
+def _axpy(acc: Row, factor: Fraction, other: Row) -> None:
+    """``acc += factor * other`` in place, deleting each entry that cancels:
+    the package's one accumulation of a scaled sparse row.  ``acc`` is a
+    row the caller owns and has no zero entry; ``factor`` and the entries
+    of ``other`` are nonzero, so neither has one afterwards."""
+    for j, b in other.items():
+        if j in acc:
+            v = acc[j] + factor * b
+            if v:
+                acc[j] = v
+            else:
+                del acc[j]
+        else:
+            acc[j] = factor * b
 
 
 class _Lazy:
@@ -290,6 +331,7 @@ class Matrix(Value):
         for row in self.entries:
             if len(row) != self.cols:
                 raise LinAlgError("ragged rows in matrix entries")
+            _require_exact(row)
 
     @_Lazy
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -299,9 +341,7 @@ class Matrix(Value):
     @_Lazy
     def sparse_rows(self) -> tuple[Row, ...]:
         """The nonzero entries of each row; shared, so not to be changed."""
-        return tuple({j: a if a.__class__ is Fraction else Fraction(a)
-                      for j, a in enumerate(row) if a}
-                     for row in self.entries)
+        return tuple(map(_sparse_vector, self.entries))
 
     @_Lazy
     def sparse_cols(self) -> tuple[Row, ...]:
@@ -348,11 +388,9 @@ class Matrix(Value):
     def from_sparse(cls, rows: Sequence[Row], cols: int) -> "Matrix":
         """The matrix with these sparse rows (columns below ``cols``), which
         it keeps as its :attr:`sparse_rows`, without zero entries and with
-        every entry a ``Fraction``."""
-        return cls._wrap(tuple(
-            {j: x if x.__class__ is Fraction else as_rational(x)
-             for j, x in row.items() if x}
-            for row in rows), cols)
+        every entry made a ``Fraction`` by :func:`_sparse_entries`."""
+        return cls._wrap(tuple(_sparse_entries(row.items()) for row in rows),
+                         cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -448,12 +486,8 @@ class Matrix(Value):
         cols = self.sparse_cols
         acc: Row = {}
         for j, b in v.items():
-            for i, a in cols[j].items():
-                if i in acc:
-                    acc[i] += a * b
-                else:
-                    acc[i] = a * b
-        return {i: x for i, x in acc.items() if x}
+            _axpy(acc, b, cols[j])
+        return acc
 
     def transpose(self) -> "Matrix":
         return Matrix._wrap(self.sparse_cols, self.rows)
@@ -530,13 +564,8 @@ def _combination(mats: Sequence[Matrix], coeffs: Row) -> Matrix:
     acc: list[Row] = [{} for _ in range(mats[0].rows)]
     for i, c in coeffs.items():
         for arow, mrow in zip(acc, mats[i].sparse_rows):
-            for j, a in mrow.items():
-                if j in arow:
-                    arow[j] += c * a
-                else:
-                    arow[j] = c * a
-    return Matrix._wrap(tuple({j: x for j, x in row.items() if x}
-                              for row in acc), mats[0].cols)
+            _axpy(arow, c, mrow)
+    return Matrix._wrap(tuple(acc), mats[0].cols)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +588,7 @@ def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
     rest = []
     for row in rows:
         for c in [c for c in row if c in pivot_rows]:
-            _subtract(row, row[c], pivot_rows[c])
+            _axpy(row, -row[c], pivot_rows[c])
         pivot = min((c for c in row if c < width), default=None)
         if pivot is None:
             if row:
@@ -570,21 +599,10 @@ def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
             row = {j: a / lead for j, a in row.items()}
         for other in pivot_rows.values():
             if pivot in other:
-                _subtract(other, other[pivot], row)
+                _axpy(other, -other[pivot], row)
         pivot_rows[pivot] = row
     pivots = sorted(pivot_rows)
     return [pivot_rows[c] for c in pivots] + rest, pivots
-
-
-def _subtract(row: Row, factor: Fraction, other: Row) -> None:
-    """``row -= factor * other`` on sparse rows, dropping cancelled entries
-    (``factor`` and the entries of ``other`` are nonzero)."""
-    for j, b in other.items():
-        v = row.get(j, 0) - factor * b
-        if v:
-            row[j] = v
-        else:
-            del row[j]
 
 
 def _row_product(rows: Sequence[Row], kt: Sequence[Row]) -> list[Row]:
@@ -593,12 +611,8 @@ def _row_product(rows: Sequence[Row], kt: Sequence[Row]) -> list[Row]:
     for row in rows:
         acc: Row = {}
         for s, c in row.items():
-            for j, x in kt[s].items():
-                if j in acc:
-                    acc[j] += c * x
-                else:
-                    acc[j] = c * x
-        out.append({j: x for j, x in acc.items() if x})
+            _axpy(acc, c, kt[s])
+        out.append(acc)
     return out
 
 

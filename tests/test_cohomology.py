@@ -554,6 +554,20 @@ class TestCallerErrors:
             coboundary_matrix(alg, rep, 1,
                               target=CochainSpace(2, [not_a_cochain]))
 
+    @pytest.mark.parametrize("members", [lambda basis: basis[:1],
+                                         lambda basis: basis + basis[:1]],
+                             ids=["one_short", "dependent"])
+    def test_coboundary_matrix_target_must_be_a_basis(self, members):
+        alg = dim2_nilpotent()
+        rep = adjoint_rep(alg)
+        basis = cochain_space(alg, rep, 2).basis
+        with pytest.raises(ValueError,
+                           match="target space is not a basis of C\\^2"):
+            coboundary_matrix(alg, rep, 1,
+                              target=CochainSpace(2, members(basis)))
+        assert (coboundary_matrix(alg, rep, 1, target=CochainSpace(2, basis))
+                == coboundary_matrix(alg, rep, 1))
+
     def test_space_members_share_degree_and_shape(self):
         f = Cochain.zero(1, 2, 2)
         for other in (Cochain.zero(2, 2, 2), Cochain.zero(1, 3, 2),

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bihom.algebra import BilinearProduct
 from bihom.linalg import (
     InconsistentSystemError,
     LinAlgError,
     Matrix,
     SingularMatrixError,
+    _axpy,
+    _combination,
+    _row_product,
     as_rational,
     inverse,
     kernel_basis,
@@ -156,6 +160,40 @@ class TestSparseProducts:
         b = Matrix(2, 2, ((0, 3), (0, 0)))
         assert all_fractions(x for row in (a @ b).entries for x in row)
         assert all_fractions(a.apply((0, 5)))
+
+
+class TestAxpy:
+    """``_axpy``, the one accumulation of a scaled sparse row, and the
+    kernels that accumulate through it.  Values from {-1, 1, 2, 1/2} make
+    cancellation common."""
+
+    values = st.sampled_from([Q(-1), Q(1), Q(2), Q(1, 2)])
+    rows = st.dictionaries(st.integers(0, 4), values, max_size=5)
+
+    @given(acc=rows, factor=values, other=rows)
+    def test_matches_the_dense_sum_and_leaves_no_zero(self, acc, factor, other):
+        expected = [acc.get(j, Q(0)) + factor * other.get(j, Q(0))
+                    for j in range(5)]
+        row = dict(acc)
+        _axpy(row, factor, other)
+        assert [row.get(j, Q(0)) for j in range(5)] == expected
+        assert all(row.values()) and all_fractions(row.values())
+
+    @given(row=rows, factor=values)
+    def test_cancelling_a_multiple_empties_the_row(self, row, factor):
+        acc = {j: factor * x for j, x in row.items()}
+        _axpy(acc, -factor, row)
+        assert acc == {}
+
+    def test_kernels_return_zero_free_rows_on_cancelling_inputs(self):
+        both = {0: Q(1), 1: Q(1)}
+        assert Matrix.from_rows([[1, -1]]).sparse_apply(both) == {}
+        m, minus_m = mat([[1, 2], [0, 3]]), mat([[-1, -2], [0, -3]])
+        assert _combination([m, minus_m], both).sparse_rows == ({}, {})
+        assert _row_product([both], [{0: Q(1)}, {0: Q(-1)}]) == [{}]
+        # e_0 . e_0 = e_0 and e_0 . e_1 = -e_0
+        p = BilinearProduct.from_sparse([{0: Q(1)}, {0: Q(-1)}, {}, {}], 2)
+        assert p.sparse_value({0: Q(1)}, both) == {}
 
 
 class TestKernel:
