@@ -44,6 +44,8 @@ from .linalg import (
     _Lazy,
     _axpy,
     _dense_vector,
+    _json_entries,
+    _json_row,
     _require_exact,
     _row_add,
     _row_sub,
@@ -51,7 +53,6 @@ from .linalg import (
     as_vector,
     inverse,
     rank,
-    rational_from_json,
     rational_to_json,
 )
 
@@ -71,27 +72,31 @@ __all__ = [
 ]
 
 
+def _require_cube(nest: Sequence[Sequence[Sequence]], n: int) -> None:
+    """ValueError unless ``nest`` is an ``n x n x n`` nest."""
+    if len(nest) != n or any(len(plane) != n or any(len(v) != n for v in plane)
+                             for plane in nest):
+        raise ValueError(f"structure tensor is not {n}x{n}x{n}")
+
+
 class BilinearProduct(Value):
     """Rank-3 structure-constant tensor: ``e_i * e_j = sum_k c[i][j][k] e_k``.
 
     Stored as one ``dim^2 x dim`` :class:`~bihom.linalg.Matrix`,
     :attr:`table`, whose row ``i * dim + j`` holds the nonzero coordinates
-    of ``e_i * e_j``.  :meth:`from_sparse` and the arithmetic keep only that
-    table; the dense nest :attr:`c` is built on first read, unless it was
-    given to the constructor, :meth:`from_entries` or :meth:`from_json`,
-    which validate it.  ``==`` compares the tables, so neither side is made
-    dense; ``hash`` and ``repr`` are those of the fields ``(dim, c)``.
+    of ``e_i * e_j``.  :meth:`from_sparse`, :meth:`from_json`,
+    :meth:`to_json` and the arithmetic keep or read only that table; the
+    dense nest :attr:`c` is built on first read, unless it was given to the
+    constructor or :meth:`from_entries`, which validate it.  ``==``
+    compares the tables, so neither side is made dense; ``hash`` and
+    ``repr`` are those of the fields ``(dim, c)``.
     """
 
     dim: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        n = self.dim
-        if len(self.c) != n or any(
-                len(plane) != n or any(len(v) != n for v in plane)
-                for plane in self.c):
-            raise ValueError(f"structure tensor is not {n}x{n}x{n}")
+        _require_cube(self.c, self.dim)
         for plane in self.c:
             for v in plane:
                 _require_exact(v)
@@ -201,18 +206,25 @@ class BilinearProduct(Value):
             raise ValueError("products live on spaces of different dimension")
 
     def to_json(self) -> list:
-        return [[[rational_to_json(a) for a in vec] for vec in plane]
-                for plane in self.c]
+        """The nest ``c`` as JSON arrays, written from the table's sparse
+        rows: ``0`` for every absent entry."""
+        rows, n = self.table.sparse_rows, self.dim
+        return [[_json_row(rows[i * n + j], n) for j in range(n)]
+                for i in range(n)]
 
     @classmethod
     def from_json(cls, data: object) -> "BilinearProduct":
+        """The product of a JSON nest ``c[i][j][k]``, decoded straight into
+        the table's sparse rows by :func:`~bihom.linalg._json_entries`.
+        Every entry is decoded before the shape is checked, as
+        :meth:`Matrix.from_json` does."""
         if not (isinstance(data, list) and all(
                 isinstance(plane, list) and all(isinstance(vec, list) for vec in plane)
                 for plane in data)):
             raise ValueError("structure tensor JSON must be a nested array")
-        return cls(len(data), tuple(
-            tuple(tuple(map(rational_from_json, vec)) for vec in plane)
-            for plane in data))
+        rows = tuple(_json_entries(vec) for plane in data for vec in plane)
+        _require_cube(data, len(data))
+        return cls._wrap(Matrix._wrap(rows, len(data)))
 
 
 class TwistPair(Value):

@@ -552,7 +552,8 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
     for m in range(lo, hi):
         dst = degs[m + 1]
         image = _image(degs[m], dst, spaces[m].kernel)
-        if any(_row_product(dst.coboundary, image)):
+        # D 0 = 0, so D_(m+1) is built only for a nonzero image
+        if any(image) and any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
         ranks[m] = rank(Matrix.from_sparse([row for row in image if row],

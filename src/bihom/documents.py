@@ -18,6 +18,13 @@ leading minus on p); matrices as arrays of rows; structure tensors as
 * cochain:        ``{"degree": n, "tensor": t}``, skew in indices 1..n-1;
 * twist bundle:   ``{"alpha": M, "beta": M, "phi": M, "psi": M}``.
 
+The loaders of matrices and structure tensors (every document but the
+cochain) decode each JSON array straight into the sparse rows that store
+the value (:meth:`Matrix.from_json <bihom.linalg.Matrix.from_json>`,
+:meth:`BilinearProduct.from_json <bihom.algebra.BilinearProduct.from_json>`):
+a JSON ``0`` never becomes a ``Fraction``, and no dense row is built.  The
+encoders write from the same rows, a ``0`` for every absent entry.
+
 Path references are resolved relative to the referring document's
 directory.  A document may itself be a path string; such a chain of
 references is followed for at most :data:`MAX_REFERENCE_DEPTH` files and

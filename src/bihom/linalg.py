@@ -23,7 +23,12 @@ combinations of action matrices, bilinear values and the rows of the
 coboundary in :mod:`bihom.cohomology`.  No row is ever left holding a
 zero, so no caller filters one out.  Values enter a sparse row by one
 rule, :func:`_sparse_entries`, which refuses what :func:`as_rational`
-refuses.
+refuses.  JSON entries enter by its decoding twin, :func:`_json_entries`:
+an integer ``0`` is skipped after one class test, before any ``Fraction``
+exists; another integer ``n`` becomes ``Fraction(n)``; every other leaf
+goes through :func:`rational_from_json`, which refuses booleans, floats
+and malformed literals.  The direct constructors of the value types take
+``Fraction`` and ``int`` entries only (:func:`_require_exact`).
 
 A :class:`Matrix` is stored as the same sparse rows, and builds its dense
 ``entries`` only when they are read; a structure tensor is stored as one
@@ -157,10 +162,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:
-    """Coerce ``value`` to a Fraction; floats are rejected to keep exactness."""
+    """Coerce ``value`` to a Fraction; floats are rejected to keep exactness,
+    and booleans as :func:`rational_from_json` rejects them."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -205,24 +211,52 @@ _ONE = Fraction(1)
 
 
 def _require_exact(values: Iterable) -> None:
-    """ValueError, as :func:`as_rational` raises it, unless every value is
-    an exact rational (a float is not)."""
+    """ValueError unless every value is a ``Fraction`` or an ``int`` (not a
+    ``bool``): what a direct constructor stores unconverted, so that it
+    hashes, compares and encodes as the equal ``Fraction``."""
     for a in values:
-        if a.__class__ is not Fraction:
-            as_rational(a)
+        if a.__class__ is not Fraction and (
+                isinstance(a, bool) or not isinstance(a, (int, Fraction))):
+            raise ValueError(f"cannot store {a!r} as an exact rational: "
+                             "expected a Fraction or an int")
 
 
 def _sparse_entries(items: Iterable[tuple[int, object]]) -> Row:
     """The nonzero entries of ``(index, value)`` pairs, each made a
-    ``Fraction`` by :func:`as_rational`: the one rule by which values enter
-    a sparse row, so a float raises ValueError."""
+    ``Fraction`` by :func:`as_rational`: the one rule by which values of
+    the API enter a sparse row (JSON leaves enter by
+    :func:`_json_entries`), so a float raises ValueError."""
     return {j: q for j, a in items
             if (q := a if a.__class__ is Fraction else as_rational(a))}
+
+
+def _json_entries(values: list) -> Row:
+    """The nonzero entries of a JSON array of rationals: an integer ``0``
+    is skipped after one class test, another integer becomes a
+    ``Fraction``, and every other leaf is decoded by
+    :func:`rational_from_json` (so a boolean, a float or a malformed
+    literal raises ValueError, and ``"0/3"`` is dropped once decoded)."""
+    out: Row = {}
+    for j, a in enumerate(values):
+        if a.__class__ is int:
+            if a:
+                out[j] = Fraction(a)
+        elif q := rational_from_json(a):
+            out[j] = q
+    return out
 
 
 def _sparse_vector(v: Sequence[Fraction]) -> Row:
     """The nonzero entries of a dense vector, by :func:`_sparse_entries`."""
     return _sparse_entries(enumerate(v))
+
+
+def _json_row(row: Row, n: int) -> list[int | str]:
+    """The JSON array of length ``n`` with these entries, ``0`` elsewhere."""
+    out: list[int | str] = [0] * n
+    for j, a in row.items():
+        out[j] = rational_to_json(a)
+    return out
 
 
 def _dense_vector(row: Row, n: int) -> tuple[Fraction, ...]:
@@ -306,11 +340,12 @@ class Matrix(Value):
 
     :attr:`sparse_rows` holds the nonzero entries of each row and
     :attr:`sparse_cols` those of each column, each a ``dict`` from index to
-    ``Fraction``.  Every builder of the class keeps only the sparse rows;
-    the dense row-major :attr:`entries` are built on first read, unless
-    they were given to the constructor, :meth:`from_rows` or
-    :meth:`from_json`, which validate them.  ``==``, ``hash`` and ``repr``
-    are those of the fields ``(rows, cols, entries)``.
+    ``Fraction``.  Every builder of the class, :meth:`from_json` and
+    :meth:`to_json` included, keeps or reads only the sparse rows; the
+    dense row-major :attr:`entries` are built on first read, unless they
+    were given to the constructor or :meth:`from_rows`, which validate
+    them.  ``==`` compares the sparse rows; ``hash`` and ``repr`` are those
+    of the fields ``(rows, cols, entries)``.
 
     Products, sums, :meth:`apply` and the eliminations read the sparse
     rows, so they cost in proportion to the nonzeros, not to the shape;
@@ -367,22 +402,8 @@ class Matrix(Value):
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[int | str | Fraction]],
                   cols: int | None = None) -> "Matrix":
-        return cls._dense([as_vector(row) for row in data], cols)
-
-    @classmethod
-    def _dense(cls, rows: list[tuple[Fraction, ...]],
-               cols: int | None) -> "Matrix":
-        """The matrix with these dense rows of ``Fraction``s, its column
-        count checked against ``cols`` when that is given."""
-        if rows:
-            width = len(rows[0])
-        elif cols is not None:
-            width = cols
-        else:
-            raise LinAlgError("cannot infer column count of an empty matrix")
-        if cols is not None and rows and width != cols:
-            raise LinAlgError("explicit column count does not match data")
-        return cls(len(rows), width, tuple(rows))
+        rows = [as_vector(row) for row in data]
+        return cls(len(rows), _width(rows, cols), tuple(rows))
 
     @classmethod
     def from_sparse(cls, rows: Sequence[Row], cols: int) -> "Matrix":
@@ -522,18 +543,39 @@ class Matrix(Value):
     # -- JSON --------------------------------------------------------------
 
     def to_json(self) -> list[list[int | str]]:
-        return [[rational_to_json(a) for a in row] for row in self.entries]
+        """The rows as JSON arrays, written from the sparse rows: ``0`` for
+        every absent entry."""
+        return [_json_row(row, self.cols) for row in self.sparse_rows]
 
     @classmethod
     def from_json(cls, data: object, cols: int | None = None) -> "Matrix":
+        """The matrix of a JSON array of rows, decoded straight into sparse
+        rows by :func:`_json_entries`.  Every entry is decoded before any
+        shape is checked, so a bad literal is reported before a ragged
+        row; ``[]`` takes its column count from ``cols``."""
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("matrix JSON must be an array of rows")
-        return cls._dense(
-            [tuple(map(rational_from_json, row)) for row in data], cols)
+        sparse = tuple(map(_json_entries, data))
+        width = _width(data, cols)
+        if any(len(row) != width for row in data):
+            raise LinAlgError("ragged rows in matrix entries")
+        return cls._wrap(sparse, width)
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self.entries)
         return f"[{body}]"
+
+
+def _width(rows: Sequence[Sequence], cols: int | None) -> int:
+    """The column count of dense rows: the length of the first, checked
+    against ``cols`` when that is given, or ``cols`` when there is no row."""
+    if rows:
+        if cols is not None and len(rows[0]) != cols:
+            raise LinAlgError("explicit column count does not match data")
+        return len(rows[0])
+    if cols is None:
+        raise LinAlgError("cannot infer column count of an empty matrix")
+    return cols
 
 
 def block_diag(*blocks: Matrix) -> Matrix:

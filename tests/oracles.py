@@ -39,6 +39,11 @@
 * The value types as ``@dataclass(frozen=True)`` declared them before
   their :class:`~bihom.linalg.Value` base: the same names, fields and
   ``__post_init__`` checks.
+* The dense JSON codec the library had before it decoded and encoded
+  documents straight to and from sparse rows: ``Matrix.from_json`` and
+  ``BilinearProduct.from_json`` making every leaf a ``Fraction`` in a
+  dense tuple and leaving the shape checks to the dense constructors, and
+  the ``to_json`` of both written from the dense ``entries`` and ``c``.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ from bihom import (AxiomReport, BiHomLieAlgebra, BiHomPreLieAlgebra,
                    BilinearProduct, LieRep, Matrix, PreLieRep, TwistPair,
                    Violation, subadjacent)
 from bihom.cohomology import Cochain, CohomologyReport
-from bihom.linalg import (Value, rank, rational_from_json, rational_to_json,
-                          zero_vector)
+from bihom.linalg import (LinAlgError, Value, rank, rational_from_json,
+                          rational_to_json, zero_vector)
 
 Q = Fraction
 
@@ -848,3 +853,43 @@ FROZEN_TWINS = {
                         namespace={"__post_init__": cls.__post_init__})
     for cls, fields in VALUE_FIELDS.items()
 }
+
+
+# ---------------------------------------------------------------------------
+# the dense JSON codec
+# ---------------------------------------------------------------------------
+
+def dense_matrix_from_json(data: object, cols: int | None = None) -> Matrix:
+    """``Matrix.from_json`` through dense ``Fraction`` rows."""
+    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
+        raise ValueError("matrix JSON must be an array of rows")
+    rows = [tuple(map(rational_from_json, row)) for row in data]
+    if rows:
+        width = len(rows[0])
+    elif cols is not None:
+        width = cols
+    else:
+        raise LinAlgError("cannot infer column count of an empty matrix")
+    if cols is not None and rows and width != cols:
+        raise LinAlgError("explicit column count does not match data")
+    return Matrix(len(rows), width, tuple(rows))
+
+
+def dense_matrix_to_json(m: Matrix) -> list:
+    return [[rational_to_json(a) for a in row] for row in m.entries]
+
+
+def dense_tensor_from_json(data: object) -> BilinearProduct:
+    """``BilinearProduct.from_json`` through the dense nest ``c``."""
+    if not (isinstance(data, list) and all(
+            isinstance(plane, list) and all(isinstance(vec, list) for vec in plane)
+            for plane in data)):
+        raise ValueError("structure tensor JSON must be a nested array")
+    return BilinearProduct(len(data), tuple(
+        tuple(tuple(map(rational_from_json, vec)) for vec in plane)
+        for plane in data))
+
+
+def dense_tensor_to_json(p: BilinearProduct) -> list:
+    return [[[rational_to_json(a) for a in vec] for vec in plane]
+            for plane in p.c]

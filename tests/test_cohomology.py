@@ -259,6 +259,30 @@ class TestOneSystemPerDegree:
         cohomology_table(alg, adjoint_rep(alg), [1, 2])
         assert sorted(solved) == [1, 2]
 
+    def test_cohomology_table_builds_no_coboundary_of_a_zero_image(
+            self, monkeypatch):
+        # dim C^2 = 0, so both images, D_1 K_1 (which lies in C^2) and
+        # D_2 K_2, have no nonzero row, and d o d = 0 on them needs neither
+        # D_2 nor D_3; D_1 is still built for the first image.
+        built = []
+        coboundary = cohomology._Degree.coboundary.func
+
+        def counted(self):
+            built.append(self.n)
+            return coboundary(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(cohomology._Degree, "coboundary")
+        monkeypatch.setattr(cohomology._Degree, "coboundary", prop)
+        alg = dim2_abelian(Matrix.diagonal([2, 3]), Matrix.diagonal([5, 7]))
+        rep = adjoint_rep(alg)
+        assert [cochain_space(alg, rep, m).dim for m in (1, 2)] == [2, 0]
+        built.clear()
+        reports = cohomology_table(alg, rep, [1, 2])
+        assert built == [1]
+        assert [(r.dimZ, r.dimB, r.dimH) for r in reports] == [(2, 0, 2),
+                                                               (0, 0, 0)]
+
     def test_coboundary_functions(self, built):
         alg = dim2_nilpotent()
         rep = adjoint_rep(alg)

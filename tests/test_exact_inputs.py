@@ -1,9 +1,12 @@
 """Every public entry point that turns dense values into exact ones applies
 one rule, :func:`~bihom.linalg.as_rational`: ``Fraction``, ``int`` and
-``"p/q"`` strings are read exactly, and anything else, a float above all,
-raises ValueError.  The dense evaluators also check vector lengths, as
-:meth:`Matrix.apply` does, instead of failing inside the arithmetic or
-padding a short vector with zeros."""
+``"p/q"`` strings are read exactly, and anything else, a float or a
+boolean above all, raises ValueError, as the JSON loader does.  The direct
+constructors of ``Matrix``, ``BilinearProduct`` and ``Cochain`` store what
+they are given, so they take only ``Fraction`` and ``int`` entries.  The
+dense evaluators also check vector lengths, as :meth:`Matrix.apply` does,
+instead of failing inside the arithmetic or padding a short vector with
+zeros."""
 
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ from bihom import (
     adjoint_rep,
     cochain_space,
 )
+from bihom.linalg import as_rational
 
 Q = Fraction
 
@@ -55,12 +59,47 @@ def test_floats_are_refused(make):
 def test_rational_strings_are_read_exactly():
     assert Matrix.identity(1).apply(["1/2"]) == (Q(1, 2),)
     assert line().product.value(["1/2"], ["-3"]) == (Q(-3, 2),)
-    assert Matrix(1, 2, (("1/2", 0),)).sparse_rows == ({0: Q(1, 2)},)
+    assert Matrix.from_rows([["1/2", 0]]).sparse_rows == ({0: Q(1, 2)},)
 
 
 def test_zero_strings_leave_no_stored_zero():
     assert Matrix.from_sparse([{0: "0", 1: "0/5"}], 2).sparse_rows == ({},)
-    assert Matrix(1, 1, (("0",),)).sparse_rows == ({},)
+    assert Matrix.from_rows([["0"]]).sparse_rows == ({},)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix(1, 2, (("1/2", 0),)),
+    lambda: Matrix(1, 1, ((True,),)),
+    lambda: BilinearProduct(1, ((("1/2",),),)),
+    lambda: BilinearProduct(1, (((False,),),)),
+    lambda: Cochain(1, 1, 1, ("1/2",)),
+], ids=["Matrix_str", "Matrix_bool", "BilinearProduct_str",
+        "BilinearProduct_bool", "Cochain_str"])
+def test_direct_constructors_take_fractions_and_ints_only(make):
+    with pytest.raises(ValueError, match="expected a Fraction or an int"):
+        make()
+
+
+def test_direct_int_entries_hash_and_encode_as_fractions():
+    m, f = Matrix(1, 2, ((3, 0),)), Matrix.from_rows([[Q(3), Q(0)]])
+    assert m == f and hash(m) == hash(f)
+    assert m.to_json() == f.to_json() == [[3, 0]]
+    p = BilinearProduct(1, (((2,),),))
+    assert p == BilinearProduct.from_entries([[[Q(2)]]])
+    assert p.to_json() == [[[2]]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: as_rational(True),
+    lambda: Matrix.identity(1).apply([True]),
+    lambda: Matrix.from_rows([[True, False]]),
+    lambda: Matrix.diagonal([False]),
+    lambda: Matrix.identity(1).scale(True),
+    lambda: line().product.value([True], [1]),
+], ids=["as_rational", "apply", "from_rows", "diagonal", "scale", "value"])
+def test_booleans_are_refused(make):
+    with pytest.raises(ValueError, match="exact rational"):
+        make()
 
 
 @pytest.mark.parametrize("make", [
