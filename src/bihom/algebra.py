@@ -382,6 +382,13 @@ class AxiomError(ValueError):
         self.report = report
 
 
+def _require_passed(report: AxiomReport, message: str) -> None:
+    """Raise :class:`AxiomError` with ``message`` and ``report`` unless the
+    report passed."""
+    if not report.passed:
+        raise AxiomError(message, report)
+
+
 def merge_reports(*reports: AxiomReport) -> AxiomReport:
     violations: list[Violation] = []
     for r in reports:
@@ -412,9 +419,6 @@ class _Collector:
         """Reports the commutator ``a b - b a`` unless it vanishes."""
         self.check_matrix(axiom, (), a @ b - b @ a)
 
-    def flag(self, axiom: str, indices: tuple[int, ...] = ()) -> None:
-        self.violations.append(Violation(axiom, indices, ()))
-
     def report(self) -> AxiomReport:
         return AxiomReport(tuple(self.violations))
 
@@ -424,12 +428,9 @@ class _Collector:
 # ---------------------------------------------------------------------------
 
 def _twist_violations(col: _Collector, twists: TwistPair) -> None:
+    """Commuting twists; :class:`TwistPair` has already proved both
+    invertible."""
     col.check_commute("alpha-beta-commutation", twists.alpha, twists.beta)
-    # unreachable through the constructor, kept for defence in depth
-    if rank(twists.alpha) != twists.dim:
-        col.flag("alpha-invertible")
-    if rank(twists.beta) != twists.dim:
-        col.flag("beta-invertible")
 
 
 def _operator_commutation(col: _Collector, name: str, mat: Matrix,
@@ -568,11 +569,12 @@ def _subadjacent_tensor(c: BilinearProduct, twists: TwistPair) -> BilinearProduc
 def check_prelie(a: BiHomPreLieAlgebra) -> AxiomReport:
     """Verify every BiHom-pre-Lie axiom on all basis tuples.
 
-    Checks, in order: alpha/beta commute and are invertible, both are
-    multiplicative for the product, and the twisted associator
+    Checks, in order: alpha/beta commute, both are multiplicative for the
+    product, and the twisted associator
     ``(beta(x).alpha(y)).beta(z) - alpha beta(x).(alpha(y).z)`` is symmetric
     under x <-> y.  The symmetry residual is antisymmetric in (x, y), so
-    pairs are reported once, for i < j.
+    pairs are reported once, for i < j.  Invertibility of the twists is not
+    re-checked: :class:`TwistPair` refuses a singular twist.
     """
     col = _Collector()
     _twist_violations(col, a.twists)
@@ -586,11 +588,12 @@ def check_prelie(a: BiHomPreLieAlgebra) -> AxiomReport:
 def check_bihom_lie(g: BiHomLieAlgebra) -> AxiomReport:
     """Verify the BiHom-Lie axioms on all basis tuples.
 
-    Checks twist commutation/invertibility, that alpha and beta are bracket
-    morphisms, BiHom-skew-symmetry (including the diagonal pairs, where it
-    forces ``[beta(x), alpha(x)] = 0``), and the cyclic BiHom-Jacobi
-    identity.  The Jacobi sum is invariant under cyclic rotation, so each
-    orbit is reported once (smallest index first).
+    Checks twist commutation (:class:`TwistPair` has proved invertibility),
+    that alpha and beta are bracket morphisms, BiHom-skew-symmetry
+    (including the diagonal pairs, where it forces
+    ``[beta(x), alpha(x)] = 0``), and the cyclic BiHom-Jacobi identity.  The
+    Jacobi sum is invariant under cyclic rotation, so each orbit is reported
+    once (smallest index first).
     """
     col = _Collector()
     _twist_violations(col, g.twists)

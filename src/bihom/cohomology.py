@@ -36,14 +36,17 @@ coboundary functions.  ``K_n`` is a sparse ``dim S^n x dim C^n``
 one store of a :class:`CochainSpace`; rows reach :mod:`bihom.linalg` as
 ``Matrix.from_sparse``, which keeps them for the elimination.
 
-Every evaluation of D_n on cochains K (:func:`coboundary`,
-:func:`is_cocycle`, :func:`coboundary_matrix`, :func:`coboundary_preimage`,
-:func:`cohomology_table`) asserts ``E_n K = 0`` (the inputs are cochains),
-that the images are skew on every (n+1)-tuple, and ``E_(n+1) D_n K = 0``
-(the images are equivariant).  :func:`cohomology_table` also asserts
-``d o d = 0`` as ``D_(n+1) D_n K_n = 0`` on canonical rows for each degree
-it computes; :func:`coboundary` does not, as it also evaluates the formula
-for coefficients that form no representation.  A failure raises
+Each identity is asserted in one place.  ``E_n K_n = 0`` (the solved
+basis consists of cochains) is asserted where ``K_n`` is solved.  Caller
+cochains and caller-built spaces are checked against ``E_n`` on entry and
+refused with ValueError.  Every evaluation of D_n on cochains K
+(:func:`coboundary`, :func:`is_cocycle`, :func:`coboundary_matrix`,
+:func:`coboundary_preimage`, :func:`cohomology_table`) asserts that the
+images are skew on every (n+1)-tuple and ``E_(n+1) D_n K = 0`` (the images
+are equivariant).  :func:`cohomology_table` also asserts ``d o d = 0`` as
+``D_(n+1) D_n K_n = 0`` on canonical rows for each degree it computes;
+:func:`coboundary` does not, as it also evaluates the formula for
+coefficients that form no representation.  A failed assertion raises
 RuntimeError: for a representation of a BiHom-pre-Lie algebra it means the
 implementation, not the data, is wrong.
 """
@@ -58,7 +61,7 @@ from math import comb
 from operator import getitem
 from typing import Callable, Iterable, Sequence
 
-from .algebra import BiHomPreLieAlgebra, BilinearProduct, subadjacent
+from .algebra import BiHomPreLieAlgebra, BilinearProduct, _subadjacent_tensor
 from .linalg import (Matrix, Row, Value, _axpy, _combination, _dense_vector,
                      _kernel, _require_exact, _row_product, _sparse_vector,
                      rank, rational_from_json, rational_to_json, try_solve,
@@ -253,10 +256,11 @@ class _Degree:
         self.eye = Matrix.identity(r.vdim).sparse_rows
         self.index = _index(a.dim, n)
         self.width = _width(a.dim, n, r.vdim)
+        self.an1 = a.alpha.power(n - 1)
         self.cols = {name: m.sparse_cols
                      for name, m in (("alpha", a.alpha), ("beta", a.beta),
                                      ("ab", a.alpha @ a.beta),
-                                     ("an1", a.alpha.power(n - 1)))}
+                                     ("an1", self.an1))}
         self._wedges: dict = {}
 
     def _heads(self, family: str, idx: tuple[int, ...],
@@ -302,17 +306,22 @@ class _Degree:
     @cached_property
     def kernel(self) -> Matrix:
         """``K_n``: the kernel basis of ``E_n`` as the columns of a sparse
-        ``width x dim C^n`` matrix, a basis of C^n."""
-        return _kernel([dict(row) for row in self.equivariance], self.width)
+        ``width x dim C^n`` matrix, a basis of C^n; asserts ``E_n K_n = 0``
+        (the columns are cochains) when C^n is not {0}."""
+        K = _kernel([dict(row) for row in self.equivariance], self.width)
+        if K.cols and any(_row_product(self.equivariance, K.sparse_rows)):
+            raise RuntimeError("internal defect: E_n K != 0, a solved basis "
+                               "of C^n is not a cochain")
+        return K
 
     @cached_property
     def tables(self) -> dict:
         a, r, n, adim = self.a, self.r, self.n, self.a.dim
-        an1, bn1 = a.alpha.power(n - 1), a.beta.power(n - 1)
-        an1bn1 = an1 @ bn1
-        sub = subadjacent(a).bracket
+        bn1 = a.beta.power(n - 1)
+        sub = _subadjacent_tensor(a.product, a.twists)
         return {
-            "lmat": [_combination(r.L, x).sparse_rows for x in an1bn1.sparse_cols],
+            "lmat": [_combination(r.L, x).sparse_rows
+                     for x in (self.an1 @ bn1).sparse_cols],
             "rmat": [_combination(r.R, x).sparse_rows for x in bn1.sparse_cols],
             "prod": [[a.product.sparse_value(self.cols["an1"][p], {q: 1})
                       for q in range(adim)] for p in range(adim)],
@@ -351,15 +360,12 @@ class _Degree:
 
 
 def _image(src: _Degree, dst: _Degree, K: Matrix) -> list[Row]:
-    """``D_n K`` in row form for the free-coordinate columns of K,
-    asserting ``E_n K = 0``, skew images at every (n+1)-tuple and
-    ``E_(n+1) D_n K = 0``."""
+    """``D_n K`` in row form for the free-coordinate columns of K, which
+    are cochains (``src.kernel`` or checked by the caller), asserting skew
+    images at every (n+1)-tuple and ``E_(n+1) D_n K = 0``."""
     if not K.cols:
         return [{} for _ in range(dst.width)]
     kt = K.sparse_rows
-    if any(_row_product(src.equivariance, kt)):
-        raise RuntimeError("internal defect: E_n K != 0, a coboundary input "
-                           "is not a cochain")
     canon, vdim = src.coboundary, src.vdim
     for X in itertools.product(range(src.a.dim), repeat=src.n + 1):
         sign, c = _resolve(X)
@@ -436,18 +442,19 @@ def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
 
 def _ops(space: CochainSpace, a: BiHomPreLieAlgebra, r: PreLieRep,
          n: int, role: str) -> _Degree:
-    """``space.ops`` if it was solved for (a, r, n), else a new one;
-    ValueError unless the ``role`` space has degree n and, when it is not
-    {0}, the shape of (a, r) and members in C^n.  A target space that was
-    not solved for (a, r, n) must also be a basis of C^n: independent
-    members, as many as ``dim C^n``."""
+    """``space.ops`` if the space still holds the kernel solved for
+    (a, r, n), else a new one; ValueError unless the ``role`` space has
+    degree n and, when it is not {0}, the shape of (a, r) and members in
+    C^n.  A target space that was not solved for (a, r, n) must also be a
+    basis of C^n: independent members, as many as ``dim C^n``."""
     if space.degree != n:
         raise ValueError(f"{role} space has degree {space.degree}, not {n}")
     if space.dim and (space.adim, space.vdim) != (a.dim, r.vdim):
         raise ValueError(f"{role} space shape does not match the algebra and "
                          "representation")
     ops = space.ops
-    if ops is None or (ops.a, ops.r, ops.n) != (a, r, n):
+    if (ops is None or space.kernel is not ops.kernel
+            or (ops.a, ops.r, ops.n) != (a, r, n)):
         ops = _Degree(a, r, n)
         if space.dim and any(_row_product(ops.equivariance,
                                           space.kernel.sparse_rows)):
@@ -535,8 +542,8 @@ def cohomology_dims(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CohomologyRe
 
 def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
                      degrees: Iterable[int]) -> list[CohomologyReport]:
-    """Cohomology dimensions for several degrees, from one cochain space
-    and one ``rank(D_m K_m)`` per degree m."""
+    """Cohomology dimensions for several degrees, from one kernel basis
+    ``K_m`` and one ``rank(D_m K_m)`` per degree m."""
     wanted = sorted(set(degrees))
     if not wanted:
         return []
@@ -544,23 +551,20 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
         raise ValueError("cohomology degrees start at 1")
     lo = max(1, wanted[0] - 1)
     hi = wanted[-1] + 1
-    spaces = {m: cochain_space(a, r, m) for m in range(lo, hi)}
-    degs = {m: space.ops for m, space in spaces.items()}
-    # At the top degree only E and D are read, never the kernel K.
-    degs[hi] = _Degree(a, r, hi)
+    degs = {m: _Degree(a, r, m) for m in range(lo, hi + 1)}
     ranks = {}
     for m in range(lo, hi):
         dst = degs[m + 1]
-        image = _image(degs[m], dst, spaces[m].kernel)
+        image = _image(degs[m], dst, degs[m].kernel)
         # D 0 = 0, so D_(m+1) is built only for a nonzero image
         if any(image) and any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
         ranks[m] = rank(Matrix.from_sparse([row for row in image if row],
-                                           spaces[m].dim))
+                                           degs[m].kernel.cols))
     reports = []
     for m in wanted:
-        dim_z, dim_b = spaces[m].dim - ranks[m], ranks.get(m - 1, 0)
+        dim_z, dim_b = degs[m].kernel.cols - ranks[m], ranks.get(m - 1, 0)
         reports.append(CohomologyReport(m, dim_z, dim_b, dim_z - dim_b))
     return reports
 

@@ -32,7 +32,6 @@ algebra, where the same t-extraction discharges the Jacobi identity of
 from __future__ import annotations
 
 from .algebra import (
-    AxiomError,
     AxiomReport,
     BiHomLieAlgebra,
     BiHomPreLieAlgebra,
@@ -44,6 +43,7 @@ from .algebra import (
     _left_symmetry_violations,
     _multiplicativity_violations,
     _operator_commutation,
+    _require_passed,
     _skew_violations,
     _subadjacent_tensor,
     check_bihom_lie,
@@ -147,9 +147,8 @@ def deformed_product(a: BiHomPreLieAlgebra, N: Matrix) -> BilinearProduct:
     _check_operator(N, a.dim)
     col = _Collector()
     _operator_commutation(col, "N", N, a.twists)
-    report = col.report()
-    if not report.passed:
-        raise AxiomError("operator does not commute with the twist maps", report)
+    _require_passed(col.report(),
+                    "operator does not commute with the twist maps")
     return _deformed(a.product, N)
 
 
@@ -192,14 +191,13 @@ def nijenhuis_trivial_deformation(
     """The trivial deformation generated by a Nijenhuis operator.
 
     Returns ``pi = *_N`` together with its (passing) deformation report.
-    The operator must pass :func:`check_nijenhuis_prelie`; the conclusions
-    (pi deforms the product linearly, and is equivalent to the zero
-    deformation via ``Id + t N``) are asserted and a failure there is a
-    defect, not a data condition.
+    The algebra must pass :func:`check_prelie` and the operator
+    :func:`check_nijenhuis_prelie`; the conclusions (pi deforms the product
+    linearly, and is equivalent to the zero deformation via ``Id + t N``)
+    are asserted and a failure there is a defect, not a data condition.
     """
-    nij = check_nijenhuis_prelie(a, N)
-    if not nij.passed:
-        raise AxiomError("not a Nijenhuis operator", nij)
+    _require_passed(check_prelie(a), "algebra does not satisfy the axioms")
+    _require_passed(check_nijenhuis_prelie(a, N), "not a Nijenhuis operator")
     pi = _deformed(a.product, N)
     deform = check_linear_deformation(a, pi)
     if not deform.passed:
@@ -225,9 +223,8 @@ def push_deformation_to_lie(a: BiHomPreLieAlgebra,
     asserted to pass :func:`check_lie_linear_deformation` over
     ``subadjacent(a)``.
     """
-    report = check_linear_deformation(a, pi)
-    if not report.passed:
-        raise AxiomError("not a linear deformation of the algebra", report)
+    _require_passed(check_linear_deformation(a, pi),
+                    "not a linear deformation of the algebra")
     pushed = _subadjacent_tensor(pi, a.twists)
     lie_report = check_lie_linear_deformation(subadjacent(a), pushed)
     if not lie_report.passed:

@@ -270,30 +270,14 @@ def _dense_vector(row: Row, n: int) -> tuple[Fraction, ...]:
 def _row_add(u: Row, v: Row) -> Row:
     """``u + v`` without zero entries (``u`` and ``v`` have none)."""
     out = dict(u)
-    for j, b in v.items():
-        if j in out:
-            s = out[j] + b
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-        else:
-            out[j] = b
+    _axpy(out, 1, v)
     return out
 
 
 def _row_sub(u: Row, v: Row) -> Row:
     """``u - v`` without zero entries (``u`` and ``v`` have none)."""
     out = dict(u)
-    for j, b in v.items():
-        if j in out:
-            s = out[j] - b
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-        else:
-            out[j] = -b
+    _axpy(out, -1, v)
     return out
 
 

@@ -25,7 +25,6 @@ Operators are plain :class:`~bihom.linalg.Matrix` objects: T is
 from __future__ import annotations
 
 from .algebra import (
-    AxiomError,
     AxiomReport,
     BiHomLieAlgebra,
     BiHomPreLieAlgebra,
@@ -33,12 +32,14 @@ from .algebra import (
     TwistPair,
     _Collector,
     _operator_commutation,
+    _require_passed,
+    check_bihom_lie,
     check_prelie,
     is_lie_morphism,
     subadjacent,
 )
 from .linalg import Matrix, _combination, _row_add, _row_sub, inverse, rank
-from .representation import LieRep
+from .representation import LieRep, check_lie_rep
 
 __all__ = [
     "check_o_operator",
@@ -89,14 +90,18 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
 def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """BiHom-pre-Lie product ``u * v = rho(T(u)) v`` on the carrier of r.
 
-    Requires a valid O-operator.  The output is verified to satisfy the
+    Requires a BiHom-Lie algebra, a representation and an O-operator that
+    pass :func:`check_bihom_lie`, :func:`check_lie_rep` and
+    :func:`check_o_operator`.  The output is verified to satisfy the
     pre-Lie axioms and T is verified to be a BiHom-Lie morphism from the
     sub-adjacent algebra of the output to the ambient algebra; failure of
     either signals a defect, not a data condition.
     """
-    report = check_o_operator(T, r)
-    if not report.passed:
-        raise AxiomError("not an O-operator for this representation", report)
+    _require_passed(check_bihom_lie(r.algebra),
+                    "algebra does not satisfy the axioms")
+    _require_passed(check_lie_rep(r), "representation does not satisfy the axioms")
+    _require_passed(check_o_operator(T, r),
+                    "not an O-operator for this representation")
     product = BilinearProduct.from_sparse(
         [v for t in T.sparse_cols for v in _combination(r.rho, t).sparse_cols],
         r.vdim)
@@ -155,9 +160,8 @@ def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
     """BiHom-pre-Lie product ``x * y = [R(x), y]`` induced by a Rota-Baxter
     operator of weight zero; coincides with the O-operator construction for
     the adjoint representation with T = R."""
-    report = check_rota_baxter(R, g)
-    if not report.passed:
-        raise AxiomError("not a Rota-Baxter operator of weight zero", report)
+    _require_passed(check_rota_baxter(R, g),
+                    "not a Rota-Baxter operator of weight zero")
     basis = Matrix.identity(g.dim).sparse_rows
     product = BilinearProduct.from_sparse(
         [g.bracket.sparse_value(x, e) for x in R.sparse_cols for e in basis],
@@ -176,9 +180,8 @@ def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlge
     n = g.dim
     _check_shape(T, r.vdim, n)
     tinv = inverse(T)  # raises for singular T; also forces vdim == n
-    report = check_o_operator(T, r)
-    if not report.passed:
-        raise AxiomError("not an O-operator for this representation", report)
+    _require_passed(check_o_operator(T, r),
+                    "not an O-operator for this representation")
     product = BilinearProduct.from_sparse(
         [T.sparse_apply(v) for rho in r.rho for v in (rho @ tinv).sparse_cols],
         n)

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
-    AxiomError,
     AxiomReport,
     BiHomLieAlgebra,
     BiHomPreLieAlgebra,
@@ -36,6 +35,9 @@ from .algebra import (
     TwistPair,
     _Collector,
     _multiplicativity_violations,
+    _require_passed,
+    check_bihom_lie,
+    check_prelie,
     subadjacent,
 )
 from .linalg import (
@@ -246,12 +248,13 @@ def semidirect_prelie(r: PreLieRep) -> BiHomPreLieAlgebra:
     """Semidirect product on A + V: ``(x+u).(y+v) = x.y + L(x)v + R(y)u``
     with twists alpha+phi and beta+psi (algebra basis first, carrier after).
 
-    The input must pass :func:`check_prelie_rep`; the construction is a
-    BiHom-pre-Lie algebra exactly when it does.
+    The algebra must pass :func:`check_prelie` and the representation
+    :func:`check_prelie_rep`; over a valid algebra the construction is a
+    BiHom-pre-Lie algebra exactly when the representation passes.
     """
-    report = check_prelie_rep(r)
-    if not report.passed:
-        raise AxiomError("representation does not satisfy the axioms", report)
+    _require_passed(check_prelie(r.algebra),
+                    "algebra does not satisfy the axioms")
+    _require_passed(check_prelie_rep(r), "representation does not satisfy the axioms")
     return _semidirect_prelie_raw(r)
 
 
@@ -289,10 +292,12 @@ def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
 
 def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
     """Semidirect product on g + V with bracket
-    ``[x+u, y+v] = [x,y] + rho(x)v - rho(alpha^-1 beta y) phi psi^-1 u``."""
-    report = check_lie_rep(r)
-    if not report.passed:
-        raise AxiomError("representation does not satisfy the axioms", report)
+    ``[x+u, y+v] = [x,y] + rho(x)v - rho(alpha^-1 beta y) phi psi^-1 u``.
+    The algebra must pass :func:`check_bihom_lie` and the representation
+    :func:`check_lie_rep`."""
+    _require_passed(check_bihom_lie(r.algebra),
+                    "algebra does not satisfy the axioms")
+    _require_passed(check_lie_rep(r), "representation does not satisfy the axioms")
     return _semidirect_lie_raw(r)
 
 
@@ -369,9 +374,7 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
     actions = _twisted_actions(classical, alpha, beta)
     _intertwining_violations(col, "{}-{}-intertwining", classical, phi, psi,
                              actions)
-    report = col.report()
-    if not report.passed:
-        raise AxiomError("twisting hypotheses are violated", report)
+    _require_passed(col.report(), "twisting hypotheses are violated")
 
     acol, bcol = alpha.sparse_cols, beta.sparse_cols
     twisted = BilinearProduct.from_sparse(

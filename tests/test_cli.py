@@ -463,6 +463,63 @@ class TestDeformationVerbs:
         assert code == 0
 
 
+class TestConstructionHypotheses:
+    """A construction whose theorem assumes a valid algebra or
+    representation refuses one that fails its axioms: exit 1 with the
+    report, and nothing written."""
+
+    ZERO = [[0, 0], [0, 0]]
+    UNIT = [[1, 0], [0, 1]]
+    # e2.e1 = e2 fails left-symmetry
+    NOT_PRELIE = {"dim": 2, "product": [ZERO, [[0, 1], [0, 0]]],
+                  "alpha": UNIT, "beta": UNIT}
+
+    def refused(self, capsys, tmp_path, argv, message, axiom):
+        out_path = tmp_path / "out.json"
+        code, out = run_lines(capsys, argv + ["--output", str(out_path)])
+        assert code == 1
+        assert message in out and axiom in out
+        assert not out_path.exists()
+
+    def test_nijenhuis_over_a_non_prelie_algebra(self, capsys, tmp_path):
+        alg_path, n_path = tmp_path / "alg.json", tmp_path / "n.json"
+        dump_json(alg_path, self.NOT_PRELIE)
+        dump_json(n_path, {"N": self.ZERO})
+        self.refused(capsys, tmp_path,
+                     ["nijenhuis", str(alg_path), str(n_path)],
+                     "algebra does not satisfy the axioms", "left-symmetry")
+
+    def test_o_operator_with_non_commuting_carrier_twists(self, capsys,
+                                                          tmp_path):
+        lie = {"dim": 2, "bracket": [self.ZERO, self.ZERO],
+               "alpha": self.UNIT, "beta": self.UNIT}
+        op_path = tmp_path / "op.json"
+        dump_json(op_path, {"matrix": self.ZERO, "representation": {
+            "algebra": lie, "vdim": 2, "phi": [[1, 1], [0, 1]],
+            "psi": [[2, 0], [0, 1]], "rho": [self.ZERO, self.ZERO]}})
+        self.refused(capsys, tmp_path, ["o-operator", str(op_path)],
+                     "representation does not satisfy the axioms",
+                     "phi-psi-commutation")
+
+    def test_semidirect_over_a_non_prelie_algebra(self, capsys, tmp_path):
+        rep_path = tmp_path / "rep.json"
+        dump_json(rep_path, {"algebra": self.NOT_PRELIE, "vdim": 1,
+                             "phi": [[1]], "psi": [[1]],
+                             "L": [[[0]], [[0]]], "R": [[[0]], [[0]]]})
+        self.refused(capsys, tmp_path, ["semidirect", str(rep_path)],
+                     "algebra does not satisfy the axioms", "left-symmetry")
+
+    def test_semidirect_over_a_non_skew_bracket(self, capsys, tmp_path):
+        # [e2, e1] = e1 only
+        lie = {"dim": 2, "bracket": [self.ZERO, [[1, 0], [0, 0]]],
+               "alpha": self.UNIT, "beta": self.UNIT}
+        rep_path = tmp_path / "rep.json"
+        dump_json(rep_path, {"algebra": lie, "vdim": 1, "phi": [[1]],
+                             "psi": [[1]], "rho": [[[0]], [[0]]]})
+        self.refused(capsys, tmp_path, ["semidirect", str(rep_path)],
+                     "algebra does not satisfy the axioms", "skew-symmetry")
+
+
 class TestWrongShapes:
     """A matrix or tensor that does not fit the algebra it is used with is
     unusable input: exit 2, with the field path."""

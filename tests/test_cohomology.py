@@ -505,20 +505,36 @@ class TestKernelStore:
                 assert space.combine(coords).coords == expected
 
     def test_cohomology_table_keeps_kernels_sparse(self, monkeypatch):
-        spaces = []
-        solve = cohomology.cochain_space
+        solved, spaces = [], []
+        solve = cohomology._Degree.kernel.func
+        init = CochainSpace.__init__
 
-        def spy(a, r, n):
-            spaces.append(solve(a, r, n))
-            return spaces[-1]
+        def spy(self):
+            solved.append((self.n, solve(self)))
+            return solved[-1][1]
 
-        monkeypatch.setattr(cohomology, "cochain_space", spy)
+        def counted(self, *args, **kwargs):
+            spaces.append(self)
+            init(self, *args, **kwargs)
+
+        kernel = cached_property(spy)
+        kernel.__set_name__(cohomology._Degree, "kernel")
+        monkeypatch.setattr(cohomology._Degree, "kernel", kernel)
+        monkeypatch.setattr(CochainSpace, "__init__", counted)
         alg = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
         cohomology_table(alg, adjoint_rep(alg), [1, 2])
-        assert [space.degree for space in spaces] == [1, 2]
-        for space in spaces:
-            assert "entries" not in vars(space.kernel)
-            assert "vectors" not in vars(space)
+        # the top degree 3 is read for E_3 and D_3 only, never solved
+        assert [n for n, _ in solved] == [1, 2]
+        for _, K in solved:
+            assert "entries" not in vars(K)
+        assert spaces == []
+
+    def test_cohomology_table_builds_no_dense_structure(self):
+        alg = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
+        cohomology_table(alg, adjoint_rep(alg), [1])
+        assert "c" not in vars(alg.product)
+        assert "entries" not in vars(alg.product.table)
+        assert "entries" not in vars(alg.alpha)
 
 
 class TestCallerErrors:
@@ -592,6 +608,18 @@ class TestCallerErrors:
         assert (coboundary_matrix(alg, rep, 1, target=CochainSpace(2, basis))
                 == coboundary_matrix(alg, rep, 1))
 
+    def test_coboundary_matrix_refuses_a_solved_space_holding_a_non_cochain(self):
+        alg = dim2_nilpotent(2, 3)
+        rep = adjoint_rep(alg)
+        source = cochain_space(alg, rep, 1)
+        source.kernel = Matrix.from_rows([[Q(0), Q(1), Q(0), Q(0)]]).transpose()
+        with pytest.raises(ValueError, match="source space holds a non-cochain"):
+            coboundary_matrix(alg, rep, 1, source=source)
+        target = cochain_space(alg, rep, 2)
+        target.kernel = Matrix.from_rows([[Q(1)] + [Q(0)] * 7]).transpose()
+        with pytest.raises(ValueError, match="target space holds a non-cochain"):
+            coboundary_matrix(alg, rep, 1, target=target)
+
     def test_space_members_share_degree_and_shape(self):
         f = Cochain.zero(1, 2, 2)
         for other in (Cochain.zero(2, 2, 2), Cochain.zero(1, 3, 2),
@@ -603,17 +631,21 @@ class TestCallerErrors:
 
 
 class TestAssertedIdentities:
-    """Each identity that an evaluation of D_n asserts raises RuntimeError
-    when it fails."""
+    """Each identity that the solve of K_n or an evaluation of D_n asserts
+    raises RuntimeError when it fails."""
 
-    def test_inputs_must_solve_the_equivariance_system(self):
+    def test_inputs_must_solve_the_equivariance_system(self, monkeypatch):
+        def outside(rows, width):
+            # a unit column that the first row of E_n does not annihilate
+            return Matrix.from_sparse([{min(rows[0]): Q(1)}], width).transpose()
+
+        monkeypatch.setattr(cohomology, "_kernel", outside)
         alg = dim2_nilpotent(2, 3)
         rep = adjoint_rep(alg)
-        src, dst = cohomology._Degree(alg, rep, 1), cohomology._Degree(alg, rep, 2)
-        not_a_cochain = (Q(0), Q(1), Q(0), Q(0))
         with pytest.raises(RuntimeError, match="E_n K"):
-            cohomology._image(src, dst,
-                              Matrix.from_rows([not_a_cochain]).transpose())
+            cochain_space(alg, rep, 1)
+        with pytest.raises(RuntimeError, match="E_n K"):
+            cohomology_table(alg, rep, [1, 2])
 
     def test_images_must_be_skew(self, monkeypatch):
         rows_at = cohomology._Degree.rows_at

@@ -38,8 +38,9 @@ bad_leaves = st.one_of(
     st.floats(),
     st.sampled_from(["1/0", "x", "1.5", "", "1/-2", "--1", "1/2/3"]),
     st.none(),
-    st.just([1]),
-    st.just({}),
+    # fresh objects: corrupted() may assign into a drawn list
+    st.builds(lambda: [1]),
+    st.builds(dict),
 )
 
 
