@@ -383,8 +383,7 @@ class AxiomError(ValueError):
 
 
 def _require_passed(report: AxiomReport, message: str) -> None:
-    """Raise :class:`AxiomError` with ``message`` and ``report`` unless the
-    report passed."""
+    """Raise :class:`AxiomError` with ``message`` unless ``report`` passed."""
     if not report.passed:
         raise AxiomError(message, report)
 
@@ -428,8 +427,7 @@ class _Collector:
 # ---------------------------------------------------------------------------
 
 def _twist_violations(col: _Collector, twists: TwistPair) -> None:
-    """Commuting twists; :class:`TwistPair` has already proved both
-    invertible."""
+    """Twist commutation; a :class:`TwistPair` is invertible by construction."""
     col.check_commute("alpha-beta-commutation", twists.alpha, twists.beta)
 
 
@@ -589,11 +587,10 @@ def check_bihom_lie(g: BiHomLieAlgebra) -> AxiomReport:
     """Verify the BiHom-Lie axioms on all basis tuples.
 
     Checks twist commutation (:class:`TwistPair` has proved invertibility),
-    that alpha and beta are bracket morphisms, BiHom-skew-symmetry
-    (including the diagonal pairs, where it forces
-    ``[beta(x), alpha(x)] = 0``), and the cyclic BiHom-Jacobi identity.  The
-    Jacobi sum is invariant under cyclic rotation, so each orbit is reported
-    once (smallest index first).
+    that alpha and beta are bracket morphisms, BiHom-skew-symmetry (with the
+    diagonal pairs, where it forces ``[beta(x), alpha(x)] = 0``), and the
+    cyclic BiHom-Jacobi identity.  The Jacobi sum is invariant under cyclic
+    rotation, so each orbit is reported once (smallest index first).
     """
     col = _Collector()
     _twist_violations(col, g.twists)

@@ -542,8 +542,8 @@ def cohomology_dims(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CohomologyRe
 
 def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
                      degrees: Iterable[int]) -> list[CohomologyReport]:
-    """Cohomology dimensions for several degrees, from one kernel basis
-    ``K_m`` and one ``rank(D_m K_m)`` per degree m."""
+    """Cohomology dimensions for several degrees, from one cochain space
+    and one ``rank(D_m K_m)`` per degree m."""
     wanted = sorted(set(degrees))
     if not wanted:
         return []
@@ -551,20 +551,21 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
         raise ValueError("cohomology degrees start at 1")
     lo = max(1, wanted[0] - 1)
     hi = wanted[-1] + 1
-    degs = {m: _Degree(a, r, m) for m in range(lo, hi + 1)}
+    spaces = {m: cochain_space(a, r, m) for m in range(lo, hi)}
+    degs = {m: space.ops for m, space in spaces.items()} | {hi: _Degree(a, r, hi)}
     ranks = {}
     for m in range(lo, hi):
         dst = degs[m + 1]
-        image = _image(degs[m], dst, degs[m].kernel)
+        image = _image(degs[m], dst, spaces[m].kernel)
         # D 0 = 0, so D_(m+1) is built only for a nonzero image
         if any(image) and any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
         ranks[m] = rank(Matrix.from_sparse([row for row in image if row],
-                                           degs[m].kernel.cols))
+                                           spaces[m].dim))
     reports = []
     for m in wanted:
-        dim_z, dim_b = degs[m].kernel.cols - ranks[m], ranks.get(m - 1, 0)
+        dim_z, dim_b = spaces[m].dim - ranks[m], ranks.get(m - 1, 0)
         reports.append(CohomologyReport(m, dim_z, dim_b, dim_z - dim_b))
     return reports
 

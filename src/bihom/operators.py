@@ -157,9 +157,10 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
 
 
 def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
-    """BiHom-pre-Lie product ``x * y = [R(x), y]`` induced by a Rota-Baxter
-    operator of weight zero; coincides with the O-operator construction for
-    the adjoint representation with T = R."""
+    """BiHom-pre-Lie product ``x * y = [R(x), y]`` for a g passing
+    :func:`check_bihom_lie` and an R passing :func:`check_rota_baxter`;
+    the O-operator construction for the adjoint representation with T = R."""
+    _require_passed(check_bihom_lie(g), "algebra does not satisfy the axioms")
     _require_passed(check_rota_baxter(R, g),
                     "not a Rota-Baxter operator of weight zero")
     basis = Matrix.identity(g.dim).sparse_rows

@@ -292,9 +292,8 @@ def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
 
 def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
     """Semidirect product on g + V with bracket
-    ``[x+u, y+v] = [x,y] + rho(x)v - rho(alpha^-1 beta y) phi psi^-1 u``.
-    The algebra must pass :func:`check_bihom_lie` and the representation
-    :func:`check_lie_rep`."""
+    ``[x+u, y+v] = [x,y] + rho(x)v - rho(alpha^-1 beta y) phi psi^-1 u``,
+    for an algebra passing :func:`check_bihom_lie` and r :func:`check_lie_rep`."""
     _require_passed(check_bihom_lie(r.algebra),
                     "algebra does not satisfy the axioms")
     _require_passed(check_lie_rep(r), "representation does not satisfy the axioms")

@@ -519,6 +519,15 @@ class TestConstructionHypotheses:
         self.refused(capsys, tmp_path, ["semidirect", str(rep_path)],
                      "algebra does not satisfy the axioms", "skew-symmetry")
 
+    def test_rota_baxter_over_non_commuting_twists(self, capsys, tmp_path):
+        lie = {"dim": 2, "bracket": [self.ZERO, self.ZERO],
+               "alpha": [[1, 1], [0, 1]], "beta": [[2, 0], [0, 1]]}
+        op_path = tmp_path / "op.json"
+        dump_json(op_path, {"matrix": self.ZERO, "algebra": lie})
+        self.refused(capsys, tmp_path, ["rota-baxter", str(op_path)],
+                     "algebra does not satisfy the axioms",
+                     "alpha-beta-commutation")
+
 
 class TestWrongShapes:
     """A matrix or tensor that does not fit the algebra it is used with is

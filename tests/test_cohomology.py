@@ -505,29 +505,20 @@ class TestKernelStore:
                 assert space.combine(coords).coords == expected
 
     def test_cohomology_table_keeps_kernels_sparse(self, monkeypatch):
-        solved, spaces = [], []
-        solve = cohomology._Degree.kernel.func
-        init = CochainSpace.__init__
+        spaces = []
+        solve = cohomology.cochain_space
 
-        def spy(self):
-            solved.append((self.n, solve(self)))
-            return solved[-1][1]
+        def spy(a, r, n):
+            spaces.append(solve(a, r, n))
+            return spaces[-1]
 
-        def counted(self, *args, **kwargs):
-            spaces.append(self)
-            init(self, *args, **kwargs)
-
-        kernel = cached_property(spy)
-        kernel.__set_name__(cohomology._Degree, "kernel")
-        monkeypatch.setattr(cohomology._Degree, "kernel", kernel)
-        monkeypatch.setattr(CochainSpace, "__init__", counted)
+        monkeypatch.setattr(cohomology, "cochain_space", spy)
         alg = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
         cohomology_table(alg, adjoint_rep(alg), [1, 2])
-        # the top degree 3 is read for E_3 and D_3 only, never solved
-        assert [n for n, _ in solved] == [1, 2]
-        for _, K in solved:
-            assert "entries" not in vars(K)
-        assert spaces == []
+        assert [space.degree for space in spaces] == [1, 2]
+        for space in spaces:
+            assert "entries" not in vars(space.kernel)
+            assert "vectors" not in vars(space)
 
     def test_cohomology_table_builds_no_dense_structure(self):
         alg = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
