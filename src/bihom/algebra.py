@@ -395,6 +395,12 @@ def merge_reports(*reports: AxiomReport) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
+def _prefixed(report: AxiomReport, prefix: str) -> AxiomReport:
+    return AxiomReport(tuple(
+        Violation(f"{prefix}{v.axiom}", v.indices, v.residual)
+        for v in report.violations))
+
+
 class _Collector:
     """Accumulates violations; an empty residual is discarded."""
 

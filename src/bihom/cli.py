@@ -184,6 +184,9 @@ def _cmd_induced_rep(args) -> CliResult:
     if not isinstance(rep, PreLieRep):
         raise DocumentError("induced-rep requires a pre-Lie representation "
                             "document (keys L and R)")
+    base = check_prelie(rep.algebra)
+    if not base.passed:
+        return _check_result("induced-rep", "input BiHom-pre-Lie", base)
     report = check_prelie_rep(rep)
     if not report.passed:
         return _check_result("induced-rep", "input representation", report)

@@ -28,18 +28,17 @@ with ``ab = alpha beta``, ``..^i..`` omitting the i-th argument and
 rank(D_n K_n)`` and ``dim B^(n+1) = rank(D_n K_n)``.  Degrees start at
 n = 1, so B^1 = {0} and H^1 equals the 1-cocycles.
 
-One ``_Degree`` per degree assembles ``E_n``, ``K_n`` and ``D_n`` when
-first read, and each function builds the degrees it touches once per call:
-the space from :func:`cochain_space` keeps its ``_Degree`` for the
-coboundary functions.  ``K_n`` is a sparse ``dim S^n x dim C^n``
-``Matrix`` read straight off the reduced row echelon form of ``E_n``, the
-one store of a :class:`CochainSpace`; rows reach :mod:`bihom.linalg` as
-``Matrix.from_sparse``, which keeps them for the elimination.
+One :class:`CochainSpace` per degree assembles ``E_n``, ``K_n`` and
+``D_n`` when first read, and each function builds the degrees it touches
+once per call.  ``K_n`` is a sparse ``dim S^n x dim C^n`` ``Matrix`` read
+straight off the reduced row echelon form of ``E_n``, the one store of the
+basis of C^n; rows reach :mod:`bihom.linalg` as ``Matrix.from_sparse``,
+which keeps them for the elimination.
 
 Each identity is asserted in one place.  ``E_n K_n = 0`` (the solved
 basis consists of cochains) is asserted where ``K_n`` is solved.  Caller
-cochains and caller-built spaces are checked against ``E_n`` on entry and
-refused with ValueError.  Every evaluation of D_n on cochains K
+cochains are checked against ``E_n`` on entry and refused with
+ValueError.  Every evaluation of D_n on cochains K
 (:func:`coboundary`, :func:`is_cocycle`, :func:`coboundary_matrix`,
 :func:`coboundary_preimage`, :func:`cohomology_table`) asserts that the
 images are skew on every (n+1)-tuple and ``E_(n+1) D_n K = 0`` (the images
@@ -243,16 +242,19 @@ def _wedge(vectors: Sequence[Row]) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-class _Degree:
-    """Degree n of the complex over S^n: the sparse rows of ``E_n`` and
-    ``D_n``, built from the twist columns and the ``lmat``/``rmat``/
-    ``prod``/``bkt`` tables, and the kernel basis ``K_n`` of ``E_n``.  Each
-    is built when first read and kept."""
+class CochainSpace:
+    """Degree n of the complex of (a, r) over S^n: the sparse rows of
+    ``E_n`` and ``D_n``, built from the twist columns and the ``lmat``/
+    ``rmat``/``prod``/``bkt`` tables, and the kernel basis ``K_n`` of
+    ``E_n``, whose columns are the free coordinates of a basis of C^n.
+    Each is built when first read and kept, as are the dense ``vectors``
+    and the :class:`Cochain` form ``basis`` of that basis."""
 
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
         if r.algebra != a:
             raise ValueError("representation is over a different algebra")
-        self.a, self.r, self.n, self.vdim = a, r, n, r.vdim
+        self.a, self.r, self.degree = a, r, n
+        self.adim, self.vdim = a.dim, r.vdim
         self.eye = Matrix.identity(r.vdim).sparse_rows
         self.index = _index(a.dim, n)
         self.width = _width(a.dim, n, r.vdim)
@@ -316,7 +318,7 @@ class _Degree:
 
     @cached_property
     def tables(self) -> dict:
-        a, r, n, adim = self.a, self.r, self.n, self.a.dim
+        a, r, n, adim = self.a, self.r, self.degree, self.adim
         bn1 = a.beta.power(n - 1)
         sub = _subadjacent_tensor(a.product, a.twists)
         return {
@@ -332,7 +334,7 @@ class _Degree:
     def rows_at(self, X: tuple[int, ...]) -> list[Row]:
         """The rows of ``(D_n f)(e_X)``, one per carrier index, at any
         (n+1)-tuple X."""
-        t, cols, n = self.tables, self.cols, self.n
+        t, cols, n = self.tables, self.cols, self.degree
         rows: list[Row] = [{} for _ in range(self.vdim)]
         last = X[n]
         for i in range(n):
@@ -355,61 +357,8 @@ class _Degree:
     def coboundary(self) -> list[Row]:
         """``D_n``: its rows at the canonical (n+1)-tuples, in the order of
         the free coordinates of S^(n+1)."""
-        return [row for X in _index(self.a.dim, self.n + 1)
+        return [row for X in _index(self.adim, self.degree + 1)
                 for row in self.rows_at(X)]
-
-
-def _image(src: _Degree, dst: _Degree, K: Matrix) -> list[Row]:
-    """``D_n K`` in row form for the free-coordinate columns of K, which
-    are cochains (``src.kernel`` or checked by the caller), asserting skew
-    images at every (n+1)-tuple and ``E_(n+1) D_n K = 0``."""
-    if not K.cols:
-        return [{} for _ in range(dst.width)]
-    kt = K.sparse_rows
-    canon, vdim = src.coboundary, src.vdim
-    for X in itertools.product(range(src.a.dim), repeat=src.n + 1):
-        sign, c = _resolve(X)
-        if c == X:
-            continue
-        rows = src.rows_at(X)
-        if c is not None:
-            base = dst.index[c] * vdim
-            for row, expected in zip(rows, canon[base:base + vdim]):
-                _axpy(row, -sign, expected)
-        if any(_row_product(rows, kt)):
-            raise RuntimeError("internal defect: coboundary image is not skew")
-    image = _row_product(canon, kt)
-    if any(_row_product(dst.equivariance, image)):
-        raise RuntimeError("internal defect: E_(n+1) D_n K != 0, a coboundary "
-                           "image is not twist-equivariant")
-    return image
-
-
-class CochainSpace:
-    """A basis of C^n, held as one sparse ``kernel`` matrix: its columns
-    are the free coordinates of the basis, ``dim S^n x dim C^n``.  It is
-    the kernel basis K_n of the degree-n system ``ops`` that
-    :func:`cochain_space` solved (and the coboundary functions reuse), or
-    the coordinates of any basis of cochains of degree n and one shape,
-    given as ``CochainSpace(n, basis)``.  The dense ``vectors`` and the
-    :class:`Cochain` form ``basis`` are built when first read."""
-
-    def __init__(self, degree: int, basis: Sequence[Cochain] = (), *,
-                 ops: _Degree | None = None) -> None:
-        self.degree, self.ops = degree, ops
-        if ops is None:
-            self.basis = tuple(basis)
-            self.adim, self.vdim = ((self.basis[0].adim, self.basis[0].vdim)
-                                    if self.basis else (0, 0))
-            if any((f.degree, f.adim, f.vdim) != (degree, self.adim, self.vdim)
-                   for f in self.basis):
-                raise ValueError("a cochain space basis needs cochains of its "
-                                 "degree and of one shape")
-            self.kernel = Matrix.from_sparse(
-                [_sparse_vector(f.coords) for f in self.basis],
-                _width(self.adim, degree, self.vdim)).transpose()
-        else:
-            self.adim, self.vdim, self.kernel = ops.a.dim, ops.vdim, ops.kernel
 
     @cached_property
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -431,49 +380,52 @@ class CochainSpace:
                        self.kernel.apply(coords))
 
 
+def _image(src: CochainSpace, dst: CochainSpace, K: Matrix) -> list[Row]:
+    """``D_n K`` in row form for the free-coordinate columns of K, which
+    are cochains (``src.kernel`` or checked by the caller), asserting skew
+    images at every (n+1)-tuple and ``E_(n+1) D_n K = 0``."""
+    if not K.cols:
+        return [{} for _ in range(dst.width)]
+    kt = K.sparse_rows
+    canon, vdim = src.coboundary, src.vdim
+    for X in itertools.product(range(src.adim), repeat=src.degree + 1):
+        sign, c = _resolve(X)
+        if c == X:
+            continue
+        rows = src.rows_at(X)
+        if c is not None:
+            base = dst.index[c] * vdim
+            for row, expected in zip(rows, canon[base:base + vdim]):
+                _axpy(row, -sign, expected)
+        if any(_row_product(rows, kt)):
+            raise RuntimeError("internal defect: coboundary image is not skew")
+    image = _row_product(canon, kt)
+    if any(_row_product(dst.equivariance, image)):
+        raise RuntimeError("internal defect: E_(n+1) D_n K != 0, a coboundary "
+                           "image is not twist-equivariant")
+    return image
+
+
 def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
     """Solve for a basis of C^n: all tensors that are skew in the first n-1
     slots and equivariant for both twist pairs, as the exact kernel basis
     of ``E_n`` over the free coordinates."""
     if n < 1:
         raise ValueError("cochain spaces are defined for degree >= 1")
-    return CochainSpace(n, ops=_Degree(a, r, n))
+    space = CochainSpace(a, r, n)
+    space.kernel  # solved here, with its E_n K_n = 0 assertion
+    return space
 
 
-def _ops(space: CochainSpace, a: BiHomPreLieAlgebra, r: PreLieRep,
-         n: int, role: str) -> _Degree:
-    """``space.ops`` if the space still holds the kernel solved for
-    (a, r, n), else a new one; ValueError unless the ``role`` space has
-    degree n and, when it is not {0}, the shape of (a, r) and members in
-    C^n.  A target space that was not solved for (a, r, n) must also be a
-    basis of C^n: independent members, as many as ``dim C^n``."""
-    if space.degree != n:
-        raise ValueError(f"{role} space has degree {space.degree}, not {n}")
-    if space.dim and (space.adim, space.vdim) != (a.dim, r.vdim):
-        raise ValueError(f"{role} space shape does not match the algebra and "
-                         "representation")
-    ops = space.ops
-    if (ops is None or space.kernel is not ops.kernel
-            or (ops.a, ops.r, ops.n) != (a, r, n)):
-        ops = _Degree(a, r, n)
-        if space.dim and any(_row_product(ops.equivariance,
-                                          space.kernel.sparse_rows)):
-            raise ValueError(f"{role} space holds a non-cochain: fails twist "
-                             "equivariance")
-        if role == "target" and not (rank(space.kernel) == space.dim
-                                     == ops.kernel.cols):
-            raise ValueError(f"target space is not a basis of C^{n}")
-    return ops
-
-
-def _require_cochain(f: Cochain, deg: _Degree) -> Matrix:
+def _require_cochain(f: Cochain, space: CochainSpace) -> Matrix:
     """The free coordinates of f as a one-column matrix, after checking
-    that f is in C^n of ``deg``."""
-    if f.adim != deg.a.dim or f.vdim != deg.vdim:
+    that f is in C^n of ``space``."""
+    if f.adim != space.adim or f.vdim != space.vdim:
         raise ValueError("cochain shape does not match the algebra and "
                          "representation")
-    column = CochainSpace(f.degree, [f]).kernel
-    if any(_row_product(deg.equivariance, column.sparse_rows)):
+    column = Matrix.from_sparse([_sparse_vector(f.coords)],
+                                space.width).transpose()
+    if any(_row_product(space.equivariance, column.sparse_rows)):
         raise ValueError("not a cochain: fails twist equivariance")
     return column
 
@@ -483,8 +435,8 @@ def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
     non-cochain input raises ValueError, a failed assertion on the output
     RuntimeError."""
     n = f.degree
-    src = _Degree(a, r, n)
-    image = _image(src, _Degree(a, r, n + 1), _require_cochain(f, src))
+    src = CochainSpace(a, r, n)
+    image = _image(src, CochainSpace(a, r, n + 1), _require_cochain(f, src))
     return Cochain(n + 1, f.adim, f.vdim,
                    tuple(row.get(0, Fraction(0)) for row in image))
 
@@ -494,9 +446,7 @@ def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
     return coboundary(f, a, r).is_zero
 
 
-def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int,
-                      source: CochainSpace | None = None,
-                      target: CochainSpace | None = None) -> Matrix:
+def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> Matrix:
     """Matrix of the degree-n coboundary with respect to the bases of C^n
     (columns) and C^(n+1) (rows).
 
@@ -506,10 +456,8 @@ def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int,
     """
     if n < 1:
         raise ValueError("coboundary matrices are defined for degree >= 1")
-    source = source or cochain_space(a, r, n)
-    target = target or cochain_space(a, r, n + 1)
-    dst = _ops(target, a, r, n + 1, "target")
-    image = _image(_ops(source, a, r, n, "source"), dst, source.kernel)
+    source, target = cochain_space(a, r, n), cochain_space(a, r, n + 1)
+    image = _image(source, target, source.kernel)
     t, s = target.dim, source.dim
     rows = [{t + j: x for j, x in extra.items()} for extra in image]
     for row, trow in zip(rows, target.kernel.sparse_rows):
@@ -552,11 +500,11 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
     lo = max(1, wanted[0] - 1)
     hi = wanted[-1] + 1
     spaces = {m: cochain_space(a, r, m) for m in range(lo, hi)}
-    degs = {m: space.ops for m, space in spaces.items()} | {hi: _Degree(a, r, hi)}
+    spaces[hi] = CochainSpace(a, r, hi)
     ranks = {}
     for m in range(lo, hi):
-        dst = degs[m + 1]
-        image = _image(degs[m], dst, spaces[m].kernel)
+        dst = spaces[m + 1]
+        image = _image(spaces[m], dst, spaces[m].kernel)
         # D 0 = 0, so D_(m+1) is built only for a nonzero image
         if any(image) and any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
@@ -577,12 +525,12 @@ def coboundary_preimage(f: Cochain, a: BiHomPreLieAlgebra,
     cochain qualifies and it has no structural preimage (None is returned).
     """
     n = f.degree
-    dst = _Degree(a, r, n)
+    dst = CochainSpace(a, r, n)
     _require_cochain(f, dst)
     if n == 1:
         return None
     source = cochain_space(a, r, n - 1)
-    image = _image(source.ops, dst, source.kernel)
+    image = _image(source, dst, source.kernel)
     x = try_solve(Matrix.from_sparse(image, source.dim), f.coords)
     return None if x is None else source.combine(x)
 

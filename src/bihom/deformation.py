@@ -37,12 +37,12 @@ from .algebra import (
     BiHomPreLieAlgebra,
     BilinearProduct,
     TwistPair,
-    Violation,
     _Collector,
     _jacobi_violations,
     _left_symmetry_violations,
     _multiplicativity_violations,
     _operator_commutation,
+    _prefixed,
     _require_passed,
     _skew_violations,
     _subadjacent_tensor,
@@ -73,12 +73,6 @@ def _check_tensor(pi: BilinearProduct, dim: int) -> None:
 def _check_operator(N: Matrix, dim: int) -> None:
     if N.rows != dim or N.cols != dim:
         raise ValueError(f"operator must be {dim}x{dim}")
-
-
-def _prefixed(report: AxiomReport, prefix: str) -> AxiomReport:
-    return AxiomReport(tuple(
-        Violation(f"{prefix}{v.axiom}", v.indices, v.residual)
-        for v in report.violations))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +182,10 @@ def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
 
 
 def check_nijenhuis_prelie(a: BiHomPreLieAlgebra, N: Matrix) -> AxiomReport:
-    """Twist commutation plus ``N(x).N(y) = N(x *_N y)`` on basis pairs."""
-    return _nijenhuis_report(a.product, a.twists, N)
+    """Twist commutation plus ``N(x).N(y) = N(x *_N y)`` on basis pairs,
+    and the algebra's own axioms (prefixed ``base:``)."""
+    return merge_reports(_prefixed(check_prelie(a), "base:"),
+                         _nijenhuis_report(a.product, a.twists, N))
 
 
 def nijenhuis_trivial_deformation(
@@ -197,12 +193,12 @@ def nijenhuis_trivial_deformation(
     """The trivial deformation generated by a Nijenhuis operator.
 
     Returns ``pi = *_N`` together with its (passing) deformation report.
-    The algebra must pass :func:`check_prelie` and the operator
-    :func:`check_nijenhuis_prelie`; the conclusions (pi deforms the product
-    linearly, and is equivalent to the zero deformation via ``Id + t N``)
-    are asserted and a failure there is a defect, not a data condition.
+    The algebra and the operator must pass :func:`check_nijenhuis_prelie`
+    (which checks the algebra as its ``base:`` part); the conclusions (pi
+    deforms the product linearly, and is equivalent to the zero deformation
+    via ``Id + t N``) are asserted and a failure there is a defect, not a
+    data condition.
     """
-    _require_passed(check_prelie(a), "algebra does not satisfy the axioms")
     _require_passed(check_nijenhuis_prelie(a, N), "not a Nijenhuis operator")
     pi = _deformed(a.product, N)
     deform = _deformation_report(a, pi)  # its base: part passed just above
@@ -246,9 +242,11 @@ def check_nijenhuis_lie(g: BiHomLieAlgebra, N: Matrix) -> AxiomReport:
 
     Commutation with alpha and with beta are reported as separate axioms;
     the alpha-only reading of the notion is recoverable by filtering out
-    ``N-beta-commutation`` violations.
+    ``N-beta-commutation`` violations.  The algebra's own axioms are
+    reported with the prefix ``base:``.
     """
-    return _nijenhuis_report(g.bracket, g.twists, N)
+    return merge_reports(_prefixed(check_bihom_lie(g), "base:"),
+                         _nijenhuis_report(g.bracket, g.twists, N))
 
 
 def check_lie_linear_deformation(g: BiHomLieAlgebra,

@@ -32,10 +32,12 @@ from .algebra import (
     TwistPair,
     _Collector,
     _operator_commutation,
+    _prefixed,
     _require_passed,
     check_bihom_lie,
     check_prelie,
     is_lie_morphism,
+    merge_reports,
     subadjacent,
 )
 from .linalg import Matrix, _combination, _row_add, _row_sub, inverse, rank
@@ -62,7 +64,9 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
 
     Reports twist-intertwining failures (``T phi = alpha T``,
     ``T psi = beta T``) separately from failures of the defining identity,
-    which is checked on every ordered pair of carrier basis vectors.
+    which is checked on every ordered pair of carrier basis vectors, and
+    reports the algebra's and the representation's own axioms with the
+    prefixes ``base:`` and ``rep:``.
     """
     g = r.algebra
     m = r.vdim
@@ -84,22 +88,20 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
             second = rho_twisted[v].sparse_apply(phi_psinv[u])
             rhs = T.sparse_apply(_row_sub(first, second))
             col.check("o-operator-identity", (u, v), _row_sub(lhs, rhs), g.dim)
-    return col.report()
+    return merge_reports(_prefixed(check_bihom_lie(g), "base:"),
+                         _prefixed(check_lie_rep(r), "rep:"), col.report())
 
 
 def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """BiHom-pre-Lie product ``u * v = rho(T(u)) v`` on the carrier of r.
 
-    Requires a BiHom-Lie algebra, a representation and an O-operator that
-    pass :func:`check_bihom_lie`, :func:`check_lie_rep` and
-    :func:`check_o_operator`.  The output is verified to satisfy the
-    pre-Lie axioms and T is verified to be a BiHom-Lie morphism from the
-    sub-adjacent algebra of the output to the ambient algebra; failure of
-    either signals a defect, not a data condition.
+    Requires an O-operator that passes :func:`check_o_operator`, which
+    also checks the BiHom-Lie algebra and the representation.  The output
+    is verified to satisfy the pre-Lie axioms and T is verified to be a
+    BiHom-Lie morphism from the sub-adjacent algebra of the output to the
+    ambient algebra; failure of either signals a defect, not a data
+    condition.
     """
-    _require_passed(check_bihom_lie(r.algebra),
-                    "algebra does not satisfy the axioms")
-    _require_passed(check_lie_rep(r), "representation does not satisfy the axioms")
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")
     product = BilinearProduct.from_sparse(
@@ -138,7 +140,8 @@ def induced_prelie_on_image(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
 def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     """Verify the weight-zero Rota-Baxter conditions on all basis pairs:
     commutation with both twists and
-    ``[R(x), R(y)] = R([R(x), y] + [x, R(y)])``."""
+    ``[R(x), R(y)] = R([R(x), y] + [x, R(y)])``; the algebra's own axioms
+    are reported with the prefix ``base:``."""
     n = g.dim
     _check_shape(R, n, n)
     col = _Collector()
@@ -153,14 +156,13 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
                              B.sparse_value(basis[i], rcol[j]))
             col.check("rota-baxter-identity", (i, j),
                       _row_sub(lhs, R.sparse_apply(inner)), n)
-    return col.report()
+    return merge_reports(_prefixed(check_bihom_lie(g), "base:"), col.report())
 
 
 def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
-    """BiHom-pre-Lie product ``x * y = [R(x), y]`` for a g passing
-    :func:`check_bihom_lie` and an R passing :func:`check_rota_baxter`;
-    the O-operator construction for the adjoint representation with T = R."""
-    _require_passed(check_bihom_lie(g), "algebra does not satisfy the axioms")
+    """BiHom-pre-Lie product ``x * y = [R(x), y]`` for an R passing
+    :func:`check_rota_baxter` (which checks g as its ``base:`` part); the
+    O-operator construction for the adjoint representation with T = R."""
     _require_passed(check_rota_baxter(R, g),
                     "not a Rota-Baxter operator of weight zero")
     basis = Matrix.identity(g.dim).sparse_rows
@@ -174,8 +176,9 @@ def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlge
     """Compatible pre-Lie structure ``x . y = T(rho(x) T^-1(y))`` on the
     algebra of r, defined by an invertible O-operator.
 
-    The sub-adjacent bracket of the result equals the ambient bracket; that
-    equality is asserted exactly.
+    T must pass :func:`check_o_operator`, which also checks the algebra and
+    the representation.  The sub-adjacent bracket of the result equals the
+    ambient bracket; that equality is asserted exactly.
     """
     g = r.algebra
     n = g.dim

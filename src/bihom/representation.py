@@ -395,10 +395,16 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
         rho_W(x) = L_W(x) - R_W(alpha beta^-1 x) phi_W^-1 psi_W,
         R(x) = R_V(x) (x) phi_W,
 
-    and twists ``phi_V (x) phi_W``, ``psi_V (x) psi_W``.
+    and twists ``phi_V (x) phi_W``, ``psi_V (x) psi_W``.  The algebra must
+    pass :func:`check_prelie` and both factors :func:`check_prelie_rep`.
     """
     if rv.algebra != rw.algebra:
         raise ValueError("tensor factors must represent the same algebra")
+    _require_passed(check_prelie(rv.algebra),
+                    "algebra does not satisfy the axioms")
+    for r in (rv, rw):
+        _require_passed(check_prelie_rep(r),
+                        "representation does not satisfy the axioms")
     L = tuple(Lv.kron(rw.psi) + rv.psi.kron(rho_w)
               for Lv, rho_w in zip(rv.L, _induced_rho(rw)))
     R = tuple(Rv.kron(rw.phi) for Rv in rv.R)

@@ -96,9 +96,7 @@ def complex_fixtures():
             reps.append(("adjoint", adjoint_rep(alg)))
         for rep_name, rep in reps:
             spaces = {n: cochain_space(alg, rep, n) for n in range(1, 6)}
-            matrices = {n: coboundary_matrix(alg, rep, n, source=spaces[n],
-                                             target=spaces[n + 1])
-                        for n in range(1, 5)}
+            matrices = {n: coboundary_matrix(alg, rep, n) for n in range(1, 5)}
             out.append((f"{name}/{rep_name}", alg, rep, spaces, matrices))
     _COMPLEXES = out
     return out

@@ -466,40 +466,67 @@ class TestDeformationVerbs:
 class TestConstructionHypotheses:
     """A construction whose theorem assumes a valid algebra or
     representation refuses one that fails its axioms: exit 1 with the
-    report, and nothing written."""
+    report, and nothing written.  A check-only verb reports the same
+    failure."""
 
     ZERO = [[0, 0], [0, 0]]
     UNIT = [[1, 0], [0, 1]]
     # e2.e1 = e2 fails left-symmetry
     NOT_PRELIE = {"dim": 2, "product": [ZERO, [[0, 1], [0, 0]]],
                   "alpha": UNIT, "beta": UNIT}
+    # phi and psi do not commute
+    SHEAR, STRETCH = [[1, 1], [0, 1]], [[2, 0], [0, 1]]
+
+    def failed(self, capsys, argv, message, axiom):
+        code, out = run_lines(capsys, argv)
+        assert code == 1
+        assert message in out and axiom in out
 
     def refused(self, capsys, tmp_path, argv, message, axiom):
         out_path = tmp_path / "out.json"
-        code, out = run_lines(capsys, argv + ["--output", str(out_path)])
-        assert code == 1
-        assert message in out and axiom in out
+        self.failed(capsys, argv + ["--output", str(out_path)], message, axiom)
         assert not out_path.exists()
 
+    def write(self, tmp_path, name, doc):
+        path = tmp_path / name
+        dump_json(path, doc)
+        return str(path)
+
+    def nijenhuis_argv(self, tmp_path):
+        return ["nijenhuis", self.write(tmp_path, "alg.json", self.NOT_PRELIE),
+                self.write(tmp_path, "n.json", {"N": self.ZERO})]
+
+    def o_operator_argv(self, tmp_path):
+        lie = {"dim": 2, "bracket": [self.ZERO, self.ZERO],
+               "alpha": self.UNIT, "beta": self.UNIT}
+        return ["o-operator", self.write(tmp_path, "op.json", {
+            "matrix": self.ZERO, "representation": {
+                "algebra": lie, "vdim": 2, "phi": self.SHEAR,
+                "psi": self.STRETCH, "rho": [self.ZERO, self.ZERO]}})]
+
+    def rota_baxter_argv(self, tmp_path):
+        lie = {"dim": 2, "bracket": [self.ZERO, self.ZERO],
+               "alpha": self.SHEAR, "beta": self.STRETCH}
+        return ["rota-baxter", self.write(tmp_path, "op.json", {
+            "matrix": self.ZERO, "algebra": lie})]
+
     def test_nijenhuis_over_a_non_prelie_algebra(self, capsys, tmp_path):
-        alg_path, n_path = tmp_path / "alg.json", tmp_path / "n.json"
-        dump_json(alg_path, self.NOT_PRELIE)
-        dump_json(n_path, {"N": self.ZERO})
-        self.refused(capsys, tmp_path,
-                     ["nijenhuis", str(alg_path), str(n_path)],
-                     "algebra does not satisfy the axioms", "left-symmetry")
+        self.refused(capsys, tmp_path, self.nijenhuis_argv(tmp_path),
+                     "Nijenhuis: FAIL", "base:left-symmetry")
+
+    def test_nijenhuis_check_over_a_non_prelie_algebra(self, capsys, tmp_path):
+        self.failed(capsys, self.nijenhuis_argv(tmp_path),
+                    "Nijenhuis: FAIL", "base:left-symmetry")
 
     def test_o_operator_with_non_commuting_carrier_twists(self, capsys,
                                                           tmp_path):
-        lie = {"dim": 2, "bracket": [self.ZERO, self.ZERO],
-               "alpha": self.UNIT, "beta": self.UNIT}
-        op_path = tmp_path / "op.json"
-        dump_json(op_path, {"matrix": self.ZERO, "representation": {
-            "algebra": lie, "vdim": 2, "phi": [[1, 1], [0, 1]],
-            "psi": [[2, 0], [0, 1]], "rho": [self.ZERO, self.ZERO]}})
-        self.refused(capsys, tmp_path, ["o-operator", str(op_path)],
-                     "representation does not satisfy the axioms",
-                     "phi-psi-commutation")
+        self.refused(capsys, tmp_path, self.o_operator_argv(tmp_path),
+                     "O-operator: FAIL", "rep:phi-psi-commutation")
+
+    def test_o_operator_check_with_non_commuting_carrier_twists(
+            self, capsys, tmp_path):
+        self.failed(capsys, self.o_operator_argv(tmp_path),
+                    "O-operator: FAIL", "rep:phi-psi-commutation")
 
     def test_semidirect_over_a_non_prelie_algebra(self, capsys, tmp_path):
         rep_path = tmp_path / "rep.json"
@@ -520,13 +547,35 @@ class TestConstructionHypotheses:
                      "algebra does not satisfy the axioms", "skew-symmetry")
 
     def test_rota_baxter_over_non_commuting_twists(self, capsys, tmp_path):
-        lie = {"dim": 2, "bracket": [self.ZERO, self.ZERO],
-               "alpha": [[1, 1], [0, 1]], "beta": [[2, 0], [0, 1]]}
-        op_path = tmp_path / "op.json"
-        dump_json(op_path, {"matrix": self.ZERO, "algebra": lie})
-        self.refused(capsys, tmp_path, ["rota-baxter", str(op_path)],
-                     "algebra does not satisfy the axioms",
-                     "alpha-beta-commutation")
+        self.refused(capsys, tmp_path, self.rota_baxter_argv(tmp_path),
+                     "Rota-Baxter (weight 0): FAIL",
+                     "base:alpha-beta-commutation")
+
+    def test_rota_baxter_check_over_non_commuting_twists(self, capsys,
+                                                         tmp_path):
+        self.failed(capsys, self.rota_baxter_argv(tmp_path),
+                    "Rota-Baxter (weight 0): FAIL",
+                    "base:alpha-beta-commutation")
+
+    def test_tensor_rep_with_non_commuting_carrier_twists(self, capsys,
+                                                          tmp_path):
+        zero_algebra = {"dim": 1, "product": [[[0]]], "alpha": [[1]],
+                        "beta": [[1]]}
+        rep = self.write(tmp_path, "rep.json", {
+            "algebra": zero_algebra, "vdim": 2, "phi": self.SHEAR,
+            "psi": self.STRETCH, "L": [self.ZERO], "R": [self.ZERO]})
+        self.refused(capsys, tmp_path, ["tensor-rep", rep, rep],
+                     "representation does not satisfy the axioms",
+                     "phi-psi-commutation")
+
+    def test_induced_rep_over_a_non_prelie_algebra(self, capsys, tmp_path):
+        # zero actions with identity carrier twists pass check_prelie_rep
+        # over any algebra
+        rep = self.write(tmp_path, "rep.json", {
+            "algebra": self.NOT_PRELIE, "vdim": 1, "phi": [[1]],
+            "psi": [[1]], "L": [[[0]], [[0]]], "R": [[[0]], [[0]]]})
+        self.refused(capsys, tmp_path, ["induced-rep", rep],
+                     "input BiHom-pre-Lie: FAIL", "left-symmetry")
 
 
 class TestWrongShapes:
