@@ -17,6 +17,8 @@ Constructive verbs (``subadjacent``, ``semidirect``, ``induced-rep``,
 ``rota-baxter`` / ``nijenhuis`` with ``--output``) write the constructed
 object as a JSON document to ``--output``, or print it when the flag is
 omitted.  Output documents re-verify under the matching ``verify`` verb.
+``nijenhuis --output`` writes the trivial deformation of a pre-Lie
+algebra only; over a BiHom-Lie algebra it exits 2.
 
 Set ``BIHOM_COLOR=0`` to disable styling.
 """
@@ -332,6 +334,8 @@ def _cmd_deform_check(args) -> CliResult:
 
 def _cmd_nijenhuis(args) -> CliResult:
     obj = load_algebra(args.algebra)
+    if args.output is not None:
+        _require_prelie(obj, "nijenhuis --output")
     matrix = nijenhuis_from_doc(load_json(args.operator), args.operator,
                                 obj.dim)
     if isinstance(obj, BiHomLieAlgebra):

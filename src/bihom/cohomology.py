@@ -33,7 +33,10 @@ One :class:`CochainSpace` per degree assembles ``E_n``, ``K_n`` and
 once per call.  ``K_n`` is a sparse ``dim S^n x dim C^n`` ``Matrix`` read
 straight off the reduced row echelon form of ``E_n``, the one store of the
 basis of C^n; rows reach :mod:`bihom.linalg` as ``Matrix.from_sparse``,
-which keeps them for the elimination.
+which keeps them for the elimination.  The rows of ``K_n`` at the free
+columns of that RREF form the identity, so the coordinates of a cochain
+in the basis of C^n are its entries at those columns: no image is
+expanded in a basis by a second elimination.
 
 Each identity is asserted in one place.  ``E_n K_n = 0`` (the solved
 basis consists of cochains) is asserted where ``K_n`` is solved.  Caller
@@ -308,9 +311,10 @@ class CochainSpace:
     @cached_property
     def kernel(self) -> Matrix:
         """``K_n``: the kernel basis of ``E_n`` as the columns of a sparse
-        ``width x dim C^n`` matrix, a basis of C^n; asserts ``E_n K_n = 0``
-        (the columns are cochains) when C^n is not {0}."""
-        K = _kernel([dict(row) for row in self.equivariance], self.width)
+        ``width x dim C^n`` matrix, a basis of C^n, kept with ``free``, the
+        free columns of ``E_n``'s RREF, at which ``K_n`` is the identity;
+        asserts ``E_n K_n = 0`` (the columns are cochains) unless C^n = 0."""
+        K, self.free = _kernel(list(map(dict, self.equivariance)), self.width)
         if K.cols and any(_row_product(self.equivariance, K.sparse_rows)):
             raise RuntimeError("internal defect: E_n K != 0, a solved basis "
                                "of C^n is not a cochain")
@@ -448,25 +452,14 @@ def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
 
 def coboundary_matrix(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> Matrix:
     """Matrix of the degree-n coboundary with respect to the bases of C^n
-    (columns) and C^(n+1) (rows).
-
-    All images are expanded in the target basis T by one elimination, the
-    kernel of ``[T | D_n K]``; an inexpressible image raises RuntimeError
-    since the operator must map C^n into C^(n+1).
-    """
+    (columns) and C^(n+1) (rows): the rows of ``D_n K_n`` at the free
+    columns of ``E_(n+1)``, as ``_image`` asserts that the images lie in
+    C^(n+1).  No elimination runs beyond the two kernel solves."""
     if n < 1:
         raise ValueError("coboundary matrices are defined for degree >= 1")
     source, target = cochain_space(a, r, n), cochain_space(a, r, n + 1)
     image = _image(source, target, source.kernel)
-    t, s = target.dim, source.dim
-    rows = [{t + j: x for j, x in extra.items()} for extra in image]
-    for row, trow in zip(rows, target.kernel.sparse_rows):
-        row.update(trow)
-    null = _kernel(rows, t + s)
-    if null.cols != s:
-        raise RuntimeError("internal defect: coboundary image falls outside "
-                           "the cochain space")
-    return -Matrix.from_sparse(null.sparse_rows[:t], s)
+    return Matrix.from_sparse([image[j] for j in target.free], source.dim)
 
 
 class CohomologyReport(Value):

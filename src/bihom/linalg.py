@@ -651,21 +651,20 @@ def rank(m: Matrix) -> int:
     return len(_rref(_sparse(m), m.cols)[1])
 
 
-def _kernel(rows: list[Row], width: int) -> Matrix:
+def _kernel(rows: list[Row], width: int) -> tuple[Matrix, list[int]]:
     """Basis of the right null space of sparse rows in the columns below
-    ``width`` (consumed), as the columns of a ``width x (width - rank)``
-    :class:`Matrix` read off the RREF: column i sets the i-th free column
-    to 1, and the row of pivot p holds ``-R_p[j]`` at the index of each
-    free column j."""
+    ``width`` (consumed), and the free columns of their RREF.  The basis is
+    the columns of a ``width x (width - rank)`` :class:`Matrix`: column i
+    sets the i-th free column to 1, and the row of pivot p holds
+    ``-R_p[j]`` at the index of each free column j."""
     reduced, pivots = _rref(rows, width)
     pivot_set = set(pivots)
-    free = {j: i for i, j in enumerate(
-        j for j in range(width) if j not in pivot_set)}
-    out: list[Row] = [{free[j]: _ONE} if j in free else {}
-                      for j in range(width)]
+    free = [j for j in range(width) if j not in pivot_set]
+    at = {j: i for i, j in enumerate(free)}
+    out: list[Row] = [{at[j]: _ONE} if j in at else {} for j in range(width)]
     for row, p in zip(reduced, pivots):
-        out[p] = {free[j]: -a for j, a in row.items() if j != p}
-    return Matrix._wrap(tuple(out), len(free))
+        out[p] = {at[j]: -a for j, a in row.items() if j != p}
+    return Matrix._wrap(tuple(out), len(free)), free
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
@@ -674,7 +673,7 @@ def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     The vectors are linearly independent and there are exactly
     ``cols - rank`` of them (one per free column, that coordinate set to 1).
     """
-    return list(_kernel(_sparse(m), m.cols).transpose().entries)
+    return list(_kernel(_sparse(m), m.cols)[0].transpose().entries)
 
 
 def inverse(m: Matrix) -> Matrix:

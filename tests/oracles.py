@@ -36,6 +36,9 @@
   cochains are :class:`DenseCochain` instances, so it shares only the
   algebra data and the sub-adjacent bracket with the library's
   free-coordinate pipeline.
+* ``dim Z^1`` with adjoint coefficients as the dimension of the
+  derivations of A that commute with both twists, from one dense system
+  over the entries of a linear map.
 * The value types as ``@dataclass(frozen=True)`` declared them before
   their :class:`~bihom.linalg.Value` base: the same names, fields and
   ``__post_init__`` checks.
@@ -825,6 +828,33 @@ def oracle_cohomology(a, r, degrees) -> list[tuple[int, int, int, int]]:
         dim_b = ranks[m - 1] if m > 1 else 0
         out.append((m, dim_z, dim_b, dim_z - dim_b))
     return out
+
+
+def oracle_derivation_dim(a) -> int:
+    """The dimension of the derivations D of A (``D(x.y) = D(x).y +
+    x.D(y)``) with ``D alpha = alpha D`` and ``D beta = beta D``: with
+    adjoint coefficients these are the 1-cocycles, as ``(d f)(x, y) =
+    x.f(y) + f(x).y - f(x.y)``.  One dense system of ``dim^3 + 2 dim^2``
+    rows over the ``dim^2`` entries ``D[k][j]`` (unknown ``k*dim + j``)."""
+    n, c = a.dim, a.product.c
+    rows = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        # the e_k component of D(e_i.e_j) - D(e_i).e_j - e_i.D(e_j)
+        row = [Q(0)] * (n * n)
+        for m in range(n):
+            row[k * n + m] += c[i][j][m]
+            row[m * n + i] -= c[m][j][k]
+            row[m * n + j] -= c[i][m][k]
+        rows.append(row)
+    for twist in (a.alpha.entries, a.beta.entries):
+        for k, j in itertools.product(range(n), repeat=2):
+            # the (k, j) entry of D twist - twist D
+            row = [Q(0)] * (n * n)
+            for m in range(n):
+                row[k * n + m] += twist[m][j]
+                row[m * n + j] -= twist[k][m]
+            rows.append(row)
+    return n * n - len(dense_rref(rows, n * n)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,19 @@ class TestDeformationVerbs:
         assert code == 0
         assert "BiHom-Lie" in out
 
+    def test_nijenhuis_lie_output_is_input_error(self, capsys, tmp_path):
+        # a BiHom-Lie algebra has no trivial-deformation construction, so
+        # --output is refused before any check rather than dropped
+        alg_path = tmp_path / "lie.json"
+        dump_json(alg_path, algebra_to_doc(subadjacent(dim2_nilpotent())))
+        n_path = tmp_path / "n.json"
+        dump_json(n_path, {"N": [[1, 0], [0, 1]]})
+        out_path = tmp_path / "pi.json"
+        assert run(["nijenhuis", str(alg_path), str(n_path),
+                    "--output", str(out_path)]) == 2
+        assert "nijenhuis --output requires a product" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_equivalence_verb(self, capsys, tmp_path, nilpotent_file):
         zero_path = tmp_path / "zero.json"
         dump_json(zero_path, deformation_to_doc(BilinearProduct.zero(2)))

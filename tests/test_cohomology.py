@@ -38,10 +38,12 @@ from catalog import (
     dim3_graded_unipotent,
     dim3_heisenberg,
     prelie_fixtures,
+    prelie_rep_fixtures,
     random_matrix,
     random_product,
 )
-from oracles import dense_kernel_basis, oracle_cohomology
+from oracles import (DenseCochain, dense_kernel_basis, oracle_coboundary_matrix,
+                     oracle_cohomology, oracle_derivation_dim)
 
 Q = Fraction
 
@@ -207,6 +209,20 @@ class TestCoboundaryMatrix:
         alg = dim2_nilpotent()
         rep = adjoint_rep(alg)
         assert rank(coboundary_matrix(alg, rep, 1)) == 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_entries_match_the_per_image_oracle(self, n):
+        # the oracle solves each image, built as a full tensor, in the
+        # library's own bases of C^n and C^(n+1)
+        reps = [(name, make(alg)) for name, alg in prelie_fixtures()
+                if alg.dim <= 2 for make in (adjoint_rep, trivial_rep)]
+        for name, rep in reps + prelie_rep_fixtures():
+            alg = rep.algebra
+            source, target = ([DenseCochain.from_map(m, f.adim, f.vdim, f.at)
+                               for f in cochain_space(alg, rep, m).basis]
+                              for m in (n, n + 1))
+            assert coboundary_matrix(alg, rep, n) == \
+                oracle_coboundary_matrix(alg, rep, source, target), name
 
     @pytest.mark.parametrize("make, ranks", [
         (lambda: semidirect_prelie(adjoint_rep(dim3_heisenberg())), [23, 121]),
@@ -484,6 +500,30 @@ class TestPerImageOracle:
             [(3, 291, 121, 170)]
 
 
+def dim6():
+    return semidirect_prelie(adjoint_rep(dim3_heisenberg()))
+
+
+class TestDerivationOracle:
+    """dim Z^1 with adjoint coefficients against the dimension of the
+    derivations that commute with both twists, a separate dense system."""
+
+    def test_catalog_fixtures(self):
+        for name, alg in prelie_fixtures():
+            assert cohomology_table(alg, adjoint_rep(alg), [1])[0].dimZ == \
+                oracle_derivation_dim(alg), name
+
+    @pytest.mark.parametrize("make, dim_z", [
+        (dim6, 13),
+        (lambda: semidirect_prelie(adjoint_rep(dim3_graded_unipotent(2))), 7),
+        (lambda: semidirect_prelie(adjoint_rep(dim6())), 44),
+    ], ids=["dim6", "g6", "dim12"])
+    def test_pinned_scale_cases(self, make, dim_z):
+        alg = make()
+        assert cohomology_table(alg, adjoint_rep(alg), [1])[0].dimZ == \
+            oracle_derivation_dim(alg) == dim_z
+
+
 class TestKernelStore:
     """A cochain space keeps K_n as one sparse matrix; its dense vectors,
     basis and combinations are read off it."""
@@ -502,6 +542,10 @@ class TestKernelStore:
                 expected = tuple(sum((c * v[k] for c, v in zip(coords, oracle)),
                                      Q(0)) for k in range(space.width))
                 assert space.combine(coords).coords == expected
+                # the free columns of E_n's RREF are the coordinates in C^n
+                assert [space.kernel.sparse_rows[j] for j in space.free] == \
+                    [{i: 1} for i in range(space.dim)]
+                assert [expected[j] for j in space.free] == coords
 
     def test_cohomology_table_keeps_kernels_sparse(self, monkeypatch):
         spaces = []
@@ -553,7 +597,9 @@ class TestAssertedIdentities:
     def test_inputs_must_solve_the_equivariance_system(self, monkeypatch):
         def outside(rows, width):
             # a unit column that the first row of E_n does not annihilate
-            return Matrix.from_sparse([{min(rows[0]): Q(1)}], width).transpose()
+            column = min(rows[0])
+            return (Matrix.from_sparse([{column: Q(1)}], width).transpose(),
+                    [column])
 
         monkeypatch.setattr(cohomology, "_kernel", outside)
         alg = dim2_nilpotent(2, 3)
@@ -576,6 +622,11 @@ class TestAssertedIdentities:
         alg = dim2_nilpotent()
         with pytest.raises(RuntimeError, match="not skew"):
             cohomology_table(alg, adjoint_rep(alg), [1, 2])
+        # the images of degree-1 cochains have one-index heads, all
+        # canonical, so n = 2 is the first degree whose images can fail
+        # skew-symmetry
+        with pytest.raises(RuntimeError, match="not skew"):
+            coboundary_matrix(alg, adjoint_rep(alg), 2)
 
     def test_images_must_be_equivariant(self):
         alg = dim2_nilpotent(2, 3)
@@ -586,6 +637,18 @@ class TestAssertedIdentities:
             cohomology._image(cohomology.CochainSpace(alg, rep, 1),
                               cohomology.CochainSpace(alg, other, 2),
                               space.kernel)
+
+    def test_matrix_images_must_be_equivariant(self, monkeypatch):
+        # the matrix reads the images at the free columns of E_(n+1), which
+        # gives their coordinates only for images in C^(n+1)
+        alg = dim2_nilpotent(2, 3)
+        rep = adjoint_rep(alg)
+        other = PreLieRep(alg, rep.vdim, rep.L, rep.R, rep.phi.scale(2), rep.psi)
+        solve = cohomology.cochain_space
+        monkeypatch.setattr(cohomology, "cochain_space", lambda a, r, n:
+                            solve(a, other if n == 2 else r, n))
+        with pytest.raises(RuntimeError, match="E_\\(n\\+1\\)"):
+            coboundary_matrix(alg, rep, 1)
 
     def test_coboundary_must_square_to_zero(self):
         # e2.e1 = e2 fails left-symmetry, so its "adjoint" coefficients give

@@ -13,6 +13,7 @@ from bihom.linalg import (
     SingularMatrixError,
     _axpy,
     _combination,
+    _kernel,
     _row_product,
     as_rational,
     inverse,
@@ -221,6 +222,13 @@ class TestKernel:
             if basis:
                 stacked = Matrix.from_rows(list(zip(*basis)))
                 assert rank(stacked) == len(basis)
+
+    def test_free_columns_come_from_the_pivots(self):
+        # x0 - x1 = 0: pivot 0, free 1, and both rows of K are {0: 1}, so
+        # the free columns cannot be read back from K
+        K, free = _kernel([{0: Q(1), 1: Q(-1)}], 2)
+        assert free == [1]
+        assert K.sparse_rows == ({0: 1}, {0: 1})
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
                     min_size=1, max_size=4))
