@@ -24,10 +24,10 @@ the twists.  Dense tuples appear only at the public API: the nest ``c``,
 
 All axiom checks run over basis tuples only; the identities are multilinear,
 so this is exhaustive.  Checks are exact: a report passes iff every residual
-vector is identically zero.  Invertibility of the twist maps is enforced at
-construction time (the derived constructions need the inverses); everything
-else, including commutation of the twists, is reported by the checkers so
-that defective input data yields a diagnosis rather than an exception.
+vector is identically zero.  Invertibility of the twist maps is proved at
+construction time by computing the inverses, which the pair keeps for the
+derived constructions; everything else, twist commutation included, is
+reported by the checkers, so defective input yields a diagnosis, not an error.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .linalg import (
     _sparse_vector,
     as_vector,
     inverse,
-    rank,
     rational_to_json,
 )
 
@@ -230,10 +229,10 @@ class BilinearProduct(Value):
 class TwistPair(Value):
     """The pair (alpha, beta) of twist maps of a BiHom structure.
 
-    Both maps must be invertible (checked here, since the sub-adjacent
-    bracket and the induced representations take their inverses).  They are
-    also required to commute, but a non-commuting pair is representable so
-    the axiom checkers can name the violation.
+    Both maps must be invertible: their inverses are computed here and kept,
+    not as fields, as ``alpha_inv`` and ``beta_inv`` for the sub-adjacent
+    bracket and the induced representations.  The maps must also commute,
+    but a non-commuting pair is representable so the checkers can name it.
     """
 
     alpha: Matrix
@@ -245,8 +244,11 @@ class TwistPair(Value):
         if self.alpha.rows != self.beta.rows:
             raise ValueError("twist maps must act on the same space")
         for name, m in (("alpha", self.alpha), ("beta", self.beta)):
-            if rank(m) != m.rows:
-                raise SingularMatrixError(f"twist map {name} must be invertible")
+            try:
+                object.__setattr__(self, f"{name}_inv", inverse(m))
+            except SingularMatrixError:
+                raise SingularMatrixError(
+                    f"twist map {name} must be invertible") from None
 
     @classmethod
     def identity(cls, n: int) -> "TwistPair":
@@ -260,14 +262,6 @@ class TwistPair(Value):
     @property
     def commute(self) -> bool:
         return self.alpha @ self.beta == self.beta @ self.alpha
-
-    @_Lazy
-    def alpha_inv(self) -> Matrix:
-        return inverse(self.alpha)
-
-    @_Lazy
-    def beta_inv(self) -> Matrix:
-        return inverse(self.beta)
 
 
 class BiHomPreLieAlgebra(Value):

@@ -226,11 +226,16 @@ def _cmd_tensor_rep(args) -> CliResult:
 
 def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
     """The matrix of ``args.operator`` and the ``kind`` of context it acts
-    on: the one its document references, else the one at ``fallback``."""
-    matrix, context = operator_from_doc(load_json(args.operator),
-                                        Path(args.operator).parent,
+    on: the one its document references, else the one at ``fallback``; a
+    context given both ways is refused."""
+    doc = load_json(args.operator)
+    matrix, context = operator_from_doc(doc, Path(args.operator).parent,
                                         where=args.operator)
-    if context is None and fallback:
+    if fallback and context is not None:
+        key = "representation" if "representation" in doc else "algebra"
+        raise DocumentError(f"{args.operator}.{key}: the context is embedded "
+                            f"here and given again as {fallback}")
+    if fallback:
         context = load(fallback)
     if not isinstance(context, kind):
         raise DocumentError(f"{args.command} needs {needs}, either embedded "
@@ -240,27 +245,35 @@ def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
     return _check_shape(matrix, shape, f"{args.operator}.matrix"), context
 
 
+def _operator_result(args, label: str, check, build, *operands) -> CliResult:
+    """``check(*operands)``'s report.  With ``--output`` only ``build`` runs:
+    its construction proves the same hypotheses, and its document is written."""
+    if args.output is None:
+        return _check_result(args.command, label, check(*operands))
+    try:
+        doc = build(*operands)
+    except AxiomError as exc:
+        return _check_result(args.command, label, exc.report)
+    result = _check_result(args.command, label, AxiomReport(()))
+    _emit_document(result, doc, args.output)
+    return result
+
+
 def _cmd_o_operator(args) -> CliResult:
     matrix, context = _operator_arg(args, args.representation,
                                     load_representation, LieRep,
                                     "a BiHom-Lie representation")
-    report = check_o_operator(matrix, context)
-    result = _check_result("o-operator", "O-operator", report)
-    if report.passed and args.output is not None:
-        out = induced_prelie_from_o(matrix, context)
-        _emit_document(result, algebra_to_doc(out), args.output)
-    return result
+    return _operator_result(
+        args, "O-operator", check_o_operator,
+        lambda T, r: algebra_to_doc(induced_prelie_from_o(T, r)), matrix, context)
 
 
 def _cmd_rota_baxter(args) -> CliResult:
     matrix, context = _operator_arg(args, args.algebra, load_algebra,
                                     BiHomLieAlgebra, "a BiHom-Lie algebra")
-    report = check_rota_baxter(matrix, context)
-    result = _check_result("rota-baxter", "Rota-Baxter (weight 0)", report)
-    if report.passed and args.output is not None:
-        out = rb_induced_prelie(matrix, context)
-        _emit_document(result, algebra_to_doc(out), args.output)
-    return result
+    return _operator_result(
+        args, "Rota-Baxter (weight 0)", check_rota_baxter,
+        lambda R, g: algebra_to_doc(rb_induced_prelie(R, g)), matrix, context)
 
 
 _DEGREES_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -341,12 +354,10 @@ def _cmd_nijenhuis(args) -> CliResult:
     if isinstance(obj, BiHomLieAlgebra):
         report = deform_mod.check_nijenhuis_lie(obj, matrix)
         return _check_result("nijenhuis", "Nijenhuis (BiHom-Lie)", report)
-    report = deform_mod.check_nijenhuis_prelie(obj, matrix)
-    result = _check_result("nijenhuis", "Nijenhuis", report)
-    if report.passed and args.output is not None:
-        candidate, _ = deform_mod.nijenhuis_trivial_deformation(obj, matrix)
-        _emit_document(result, deformation_to_doc(candidate), args.output)
-    return result
+    return _operator_result(
+        args, "Nijenhuis", deform_mod.check_nijenhuis_prelie,
+        lambda a, N: deformation_to_doc(
+            deform_mod.nijenhuis_trivial_deformation(a, N)[0]), obj, matrix)
 
 
 def _cmd_equivalence(args) -> CliResult:

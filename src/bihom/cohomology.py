@@ -254,6 +254,8 @@ class CochainSpace:
     and the :class:`Cochain` form ``basis`` of that basis."""
 
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
+        if n < 1:
+            raise ValueError("cochain spaces are defined for degree >= 1")
         if r.algebra != a:
             raise ValueError("representation is over a different algebra")
         self.a, self.r, self.degree = a, r, n
@@ -414,8 +416,6 @@ def cochain_space(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CochainSpace:
     """Solve for a basis of C^n: all tensors that are skew in the first n-1
     slots and equivariant for both twist pairs, as the exact kernel basis
     of ``E_n`` over the free coordinates."""
-    if n < 1:
-        raise ValueError("cochain spaces are defined for degree >= 1")
     space = CochainSpace(a, r, n)
     space.kernel  # solved here, with its E_n K_n = 0 assertion
     return space

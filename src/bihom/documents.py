@@ -12,8 +12,9 @@ leading minus on p); matrices as arrays of rows; structure tensors as
                   "R": [n][m][m], "phi": M, "psi": M}``
                   (single key ``"rho"`` instead of L/R for a BiHom-Lie
                   representation);
-* operator:       ``{"matrix": M}`` optionally carrying ``"representation"``
-                  or ``"algebra"`` references (inline document or path);
+* operator:       ``{"matrix": M}`` optionally carrying a
+                  ``"representation"`` or an ``"algebra"`` reference, not
+                  both (inline document or path);
 * deformation:    ``{"pi": c}``;   Nijenhuis operator: ``{"N": M}``;
 * cochain:        ``{"degree": n, "tensor": t}``, skew in indices 1..n-1;
 * twist bundle:   ``{"alpha": M, "beta": M, "phi": M, "psi": M}``.
@@ -285,6 +286,8 @@ def operator_from_doc(doc: object, base: Path | None = None,
     is the referenced representation or algebra, if any."""
     matrix = _matrix(doc, "matrix", where)
     context: object | None = None
+    if "representation" in doc and "algebra" in doc:
+        raise DocumentError(f"{where}: has both 'representation' and 'algebra'")
     if "representation" in doc:
         context = rep_from_doc(doc["representation"], base,
                                where=f"{where}.representation")

@@ -66,6 +66,50 @@ class TestConstruction:
         with pytest.raises(SingularMatrixError):
             TwistPair(Matrix.zeros(2, 2), Matrix.identity(2))
 
+    def test_singular_beta_named(self):
+        with pytest.raises(SingularMatrixError,
+                           match="^twist map beta must be invertible$"):
+            TwistPair(Matrix.identity(2), diag(1, 0))
+
+    def test_twist_pair_eliminates_each_twist_once(self, monkeypatch):
+        """The inverses that prove the twists invertible are the ones the
+        sub-adjacent formula reads: two eliminations in all, no rank."""
+        import bihom.algebra
+        import bihom.linalg
+
+        inverses, eliminations = [], []
+        inverse, rref = bihom.linalg.inverse, bihom.linalg._rref
+
+        def counted_inverse(m):
+            inverses.append(m)
+            return inverse(m)
+
+        def counted_rref(*args):
+            eliminations.append(args)
+            return rref(*args)
+
+        def no_rank(m):
+            raise AssertionError("rank called")
+
+        monkeypatch.setattr(bihom.algebra, "inverse", counted_inverse)
+        monkeypatch.setattr(bihom.linalg, "_rref", counted_rref)
+        monkeypatch.setattr(bihom.linalg, "rank", no_rank)
+        alpha, beta = diag(2, 4, 8), Matrix.from_rows([[1, 0, 0], [1, 1, 0],
+                                                       [0, 2, 1]])
+        twists = TwistPair(alpha, beta)
+        a = BiHomPreLieAlgebra(tensor(3, {(0, 0, 1): 1}), twists)
+        subadjacent.cache_clear()
+        try:
+            subadjacent(a)
+        finally:
+            subadjacent.cache_clear()
+        assert inverses == [alpha, beta] and len(eliminations) == 2
+        assert twists.alpha_inv @ alpha == Matrix.identity(3)
+        assert twists.beta_inv @ beta == Matrix.identity(3)
+        assert "alpha_inv" not in repr(twists)
+        assert twists == TwistPair(alpha, beta)
+        assert hash(twists) == hash(TwistPair(alpha, beta))
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BiHomPreLieAlgebra(BilinearProduct.zero(2), TwistPair.identity(3))

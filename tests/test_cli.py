@@ -364,6 +364,26 @@ class TestOperatorVerbs:
         code, out = run_lines(capsys, ["verify", str(out_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("verb, key", [("o-operator", "representation"),
+                                           ("rota-baxter", "algebra")])
+    def test_context_given_twice_is_input_error(self, capsys, tmp_path,
+                                                nilpotent_file, verb, key):
+        glie = subadjacent(dim2_nilpotent(2, 3))
+        context = (rep_to_doc(adjoint_lie_rep(glie)) if key == "representation"
+                   else algebra_to_doc(glie))
+        op_path = tmp_path / "op.json"
+        dump_json(op_path, {"matrix": Matrix.zeros(2, 2).to_json(),
+                            key: context})
+        lie_path = tmp_path / "lie.json"
+        dump_json(lie_path, algebra_to_doc(glie))
+        # even the embedded context's own document, or a pre-Lie algebra,
+        # is refused as the second argument
+        for second in (lie_path, nilpotent_file):
+            assert run([verb, str(op_path), str(second)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {op_path}.{key}: the context is embedded here")
+        assert run([verb, str(op_path)]) == 0
+
     def test_missing_context_is_input_error(self, capsys, tmp_path):
         op_path = tmp_path / "op.json"
         dump_json(op_path, {"matrix": [[0]]})

@@ -112,6 +112,19 @@ class TestCochainSpace:
         with pytest.raises(ValueError):
             cochain_space(alg, adjoint_rep(alg), 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_space_below_degree_one_rejected(self, monkeypatch, n):
+        # refused before any table is built: at n = -1 the twist power
+        # alpha^(n-1) would first invert alpha
+        def no_inverse(m):
+            raise AssertionError("inverse called")
+        alg = dim3_graded_unipotent(1)
+        rep = adjoint_rep(alg)
+        monkeypatch.setattr("bihom.linalg.inverse", no_inverse)
+        with pytest.raises(ValueError,
+                           match="cochain spaces are defined for degree >= 1"):
+            cohomology.CochainSpace(alg, rep, n)
+
     def test_basis_members_satisfy_invariants(self):
         alg = dim3_graded(2, 2, 3)
         rep = adjoint_rep(alg)

@@ -185,6 +185,15 @@ class TestOperatorAndDeformationDocs:
         matrix, context = operator_from_doc(doc)
         assert context == glie
 
+    def test_operator_with_both_contexts_rejected(self):
+        glie = subadjacent(dim2_nilpotent(2, 3))
+        doc = {"matrix": Matrix.zeros(2, 2).to_json(),
+               "representation": rep_to_doc(adjoint_lie_rep(glie)),
+               "algebra": algebra_to_doc(glie)}
+        with pytest.raises(DocumentError, match="^op: has both "
+                           "'representation' and 'algebra'$"):
+            operator_from_doc(doc, where="op")
+
     def test_bare_operator(self):
         matrix, context = operator_from_doc({"matrix": [[1, 0], [0, 1]]})
         assert context is None
