@@ -21,18 +21,28 @@ omitted.  Output documents re-verify under the matching ``verify`` verb.
 algebra only; over a BiHom-Lie algebra it exits 2.
 
 Set ``BIHOM_COLOR=0`` to disable styling.
+
+A process pays only for its verb.  A well-formed argv (the verb, its
+positionals as one contiguous run, and its long options spelled in full as
+``--opt v`` or ``--opt=v``) is read straight from the ``_VERBS`` table,
+without argparse; anything else, ``--help`` and every usage error included,
+goes to the argparse parser of ``_build_parser``, which alone prints help,
+usage and errors.  Each verb imports the modules it runs, so
+``bihom.cohomology``, ``bihom.deformation`` and ``bihom.operators`` load only
+for their verbs.  :func:`main` freezes the heap before the interpreter
+exits, so its exit-time collections skip what the verb built.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from . import deformation as deform_mod
 from .algebra import (
     AxiomError,
     AxiomReport,
@@ -42,7 +52,6 @@ from .algebra import (
     check_prelie,
     subadjacent,
 )
-from .cohomology import cohomology_table
 from .documents import (
     DocumentError,
     _check_shape,
@@ -57,12 +66,6 @@ from .documents import (
     operator_from_doc,
     rep_to_doc,
     twists_from_doc,
-)
-from .operators import (
-    check_o_operator,
-    check_rota_baxter,
-    induced_prelie_from_o,
-    rb_induced_prelie,
 )
 from .representation import (
     LieRep,
@@ -260,6 +263,8 @@ def _operator_result(args, label: str, check, build, *operands) -> CliResult:
 
 
 def _cmd_o_operator(args) -> CliResult:
+    from .operators import check_o_operator, induced_prelie_from_o
+
     matrix, context = _operator_arg(args, args.representation,
                                     load_representation, LieRep,
                                     "a BiHom-Lie representation")
@@ -269,6 +274,8 @@ def _cmd_o_operator(args) -> CliResult:
 
 
 def _cmd_rota_baxter(args) -> CliResult:
+    from .operators import check_rota_baxter, rb_induced_prelie
+
     matrix, context = _operator_arg(args, args.algebra, load_algebra,
                                     BiHomLieAlgebra, "a BiHom-Lie algebra")
     return _operator_result(
@@ -302,6 +309,8 @@ def _parse_degrees(spec: str, max_degree: int) -> list[int]:
 
 
 def _cmd_cohomology(args) -> CliResult:
+    from .cohomology import cohomology_table
+
     a = _require_prelie(load_algebra(args.algebra), "cohomology")
     base = check_prelie(a)
     if not base.passed:
@@ -333,47 +342,57 @@ def _cmd_cohomology(args) -> CliResult:
 
 
 def _cmd_deform_check(args) -> CliResult:
+    from .deformation import (check_lie_linear_deformation,
+                              check_linear_deformation)
+
     obj = load_algebra(args.algebra)
     candidate = deformation_from_doc(load_json(args.deformation),
                                      args.deformation, obj.dim)
     if isinstance(obj, BiHomPreLieAlgebra):
-        report = deform_mod.check_linear_deformation(obj, candidate)
+        report = check_linear_deformation(obj, candidate)
         label = "linear deformation"
     else:
-        report = deform_mod.check_lie_linear_deformation(obj, candidate)
+        report = check_lie_linear_deformation(obj, candidate)
         label = "BiHom-Lie linear deformation"
     return _check_result("deform-check", label, report)
 
 
 def _cmd_nijenhuis(args) -> CliResult:
+    from .deformation import (check_nijenhuis_lie, check_nijenhuis_prelie,
+                              nijenhuis_trivial_deformation)
+
     obj = load_algebra(args.algebra)
     if args.output is not None:
         _require_prelie(obj, "nijenhuis --output")
     matrix = nijenhuis_from_doc(load_json(args.operator), args.operator,
                                 obj.dim)
     if isinstance(obj, BiHomLieAlgebra):
-        report = deform_mod.check_nijenhuis_lie(obj, matrix)
+        report = check_nijenhuis_lie(obj, matrix)
         return _check_result("nijenhuis", "Nijenhuis (BiHom-Lie)", report)
     return _operator_result(
-        args, "Nijenhuis", deform_mod.check_nijenhuis_prelie,
+        args, "Nijenhuis", check_nijenhuis_prelie,
         lambda a, N: deformation_to_doc(
-            deform_mod.nijenhuis_trivial_deformation(a, N)[0]), obj, matrix)
+            nijenhuis_trivial_deformation(a, N)[0]), obj, matrix)
 
 
 def _cmd_equivalence(args) -> CliResult:
+    from .deformation import check_equivalence
+
     a = _require_prelie(load_algebra(args.algebra), "equivalence")
     pi1 = deformation_from_doc(load_json(args.first), args.first, a.dim)
     pi2 = deformation_from_doc(load_json(args.second), args.second, a.dim)
     matrix = nijenhuis_from_doc(load_json(args.operator), args.operator, a.dim)
-    report = deform_mod.check_equivalence(a, pi1, pi2, matrix)
+    report = check_equivalence(a, pi1, pi2, matrix)
     return _check_result("equivalence", "deformation equivalence", report)
 
 
 def _cmd_push_lie(args) -> CliResult:
+    from .deformation import push_deformation_to_lie
+
     a = _require_prelie(load_algebra(args.algebra), "push-lie")
     candidate = deformation_from_doc(load_json(args.deformation),
                                      args.deformation, a.dim)
-    pushed = deform_mod.push_deformation_to_lie(a, candidate)
+    pushed = push_deformation_to_lie(a, candidate)
     result = CliResult("push-lie", "pass",
                        ["deformation pushed to the sub-adjacent algebra"])
     _emit_document(result, deformation_to_doc(pushed), args.output)
@@ -385,7 +404,9 @@ def _cmd_push_lie(args) -> CliResult:
 # ---------------------------------------------------------------------------
 
 # verb -> (help, whether it takes --output, its arguments as (name, options));
-# the handler of verb "a-b" is _cmd_a_b
+# the handler of verb "a-b" is _cmd_a_b.  _read_argv reads the option keys
+# used here (default, choices, type=int, nargs="?"); a new kind of key needs
+# its reading there too
 _VERBS: dict[str, tuple[str, bool, list[tuple[str, dict]]]] = {
     "verify": ("check every defining axiom of an algebra", False,
                [("algebra", {})]),
@@ -433,10 +454,78 @@ _VERBS: dict[str, tuple[str, bool, list[tuple[str, dict]]]] = {
 }
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What ``_build_parser(argv).parse_args(argv)`` returns for a
+    well-formed ``argv``, read straight from ``_VERBS``; None for anything
+    else.  Read are the verb, its positionals as one contiguous run, and its
+    long options spelled in full, as ``--opt v`` or ``--opt=v``, whose value
+    is nonempty, does not start with ``-``, is one of the ``choices`` and,
+    for an ``int``, is ASCII digits.  Help, abbreviations, ``--``,
+    interleaved positionals and every error are left to the parser."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    verb = argv[0]
+    _, outputs, arguments = _VERBS[verb]
+    options = {"--json": None}
+    if outputs:
+        options["--output"] = {}
+    options.update(arg for arg in arguments if arg[0].startswith("--"))
+    values = {"command": verb, "json": False,
+              "handler": globals()["_cmd_" + verb.replace("-", "_")]}
+    for name, kwargs in options.items():
+        if kwargs is not None:
+            values[name[2:].replace("-", "_")] = kwargs.get("default")
+    given, end, k = [], 0, 1
+    while k < len(argv):
+        token = argv[k]
+        if token and token[0] != "-":
+            if given and k != end:
+                return None
+            given.append(token)
+            k = end = k + 1
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            return None
+        kwargs = options[name]
+        if kwargs is None:
+            if eq:
+                return None
+            values["json"] = True
+            k += 1
+            continue
+        if not eq:
+            if k + 1 == len(argv):
+                return None
+            value = argv[k + 1]
+        k += 1 if eq else 2
+        if not value or value[0] == "-" or value not in kwargs.get(
+                "choices", (value,)):
+            return None
+        if kwargs.get("type") is int:
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past int()'s limit on digits
+                return None
+        values[name[2:].replace("-", "_")] = value
+    positionals = [(name, kwargs) for name, kwargs in arguments
+                   if not name.startswith("--")]
+    required = sum("nargs" not in kwargs for _, kwargs in positionals)
+    if not required <= len(given) <= len(positionals):
+        return None
+    for i, (name, kwargs) in enumerate(positionals):
+        values[name] = given[i] if i < len(given) else kwargs["default"]
+    return SimpleNamespace(**values)
+
+
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The ``bihom`` parser.  When ``argv`` starts with a verb, only that
     verb's sub-parser is built, since a process runs one verb; the usage
     lines still list every verb."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bihom",
         description="Exact checks and constructions for BiHom-pre-Lie and "
@@ -466,11 +555,12 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code else 0
     try:
         result = args.handler(args)
     except DocumentError as exc:
@@ -502,7 +592,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # nothing built so far is used again: frozen, the process's heap is left
+    # out of the collections that run while the interpreter exits
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

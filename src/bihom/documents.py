@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algebra import (
     BiHomLieAlgebra,
@@ -47,9 +48,11 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
 )
-from .cohomology import Cochain
 from .linalg import Matrix
 from .representation import LieRep, PreLieRep
+
+if TYPE_CHECKING:  # imported by cochain_from_doc, which alone needs it
+    from .cohomology import Cochain
 
 __all__ = [
     "DocumentError",
@@ -319,6 +322,8 @@ def nijenhuis_to_doc(n: Matrix) -> dict:
 
 def cochain_from_doc(doc: object, adim: int, vdim: int,
                      where: str = "cochain") -> Cochain:
+    from .cohomology import Cochain
+
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     try:

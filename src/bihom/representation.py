@@ -19,7 +19,8 @@ A representation of a BiHom-Lie algebra is a single action family rho with
 Action families are stored as one carrier-sized matrix per algebra basis
 vector and extended linearly.  The constructors validate shapes only, so
 defective data can be represented and diagnosed by the check functions;
-operations that need phi/psi inverses raise for singular twists.
+operations that need phi/psi inverses raise SingularMatrixError naming
+the singular carrier twist.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
+    SingularMatrixError,
     Value,
     _combination,
     _row_sub,
@@ -77,6 +79,28 @@ def _check_action_family(name: str, mats: Sequence[Matrix], n: int, m: int) -> N
 def _check_carrier_twist(name: str, mat: Matrix, m: int) -> None:
     if mat.rows != m or mat.cols != m:
         raise ValueError(f"carrier twist {name} must be {m}x{m}")
+
+
+def _carrier_inverse(name: str, mat: Matrix) -> Matrix:
+    """The inverse of the carrier twist ``name``; a singular one is named."""
+    try:
+        return inverse(mat)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            f"carrier twist {name} must be invertible") from None
+
+
+def _semidirect_twists(twists: TwistPair, phi: Matrix, psi: Matrix
+                       ) -> TwistPair:
+    """The twists ``alpha+phi``, ``beta+psi`` of a semidirect product.  The
+    algebra's twists are invertible, so a singular block is phi or psi."""
+    try:
+        return TwistPair(block_diag(twists.alpha, phi),
+                         block_diag(twists.beta, psi))
+    except SingularMatrixError:
+        _carrier_inverse("phi", phi)  # raises when phi is the singular one
+        raise SingularMatrixError(
+            "carrier twist psi must be invertible") from None
 
 
 class PreLieRep(Value):
@@ -286,8 +310,8 @@ def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
     """
     a = r.algebra
     product = _semidirect_tensor(a.product, r.vdim, r.L, r.R)
-    twists = TwistPair(block_diag(a.alpha, r.phi), block_diag(a.beta, r.psi))
-    return BiHomPreLieAlgebra(product, twists)
+    return BiHomPreLieAlgebra(product, _semidirect_twists(a.twists, r.phi,
+                                                          r.psi))
 
 
 def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
@@ -302,11 +326,11 @@ def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
 
 def _semidirect_lie_raw(r: LieRep) -> BiHomLieAlgebra:
     g = r.algebra
-    phi_psinv = r.phi @ inverse(r.psi)
+    twists = _semidirect_twists(g.twists, r.phi, r.psi)
+    phi_psinv = r.phi @ _carrier_inverse("psi", r.psi)
     right = [-(_combination(r.rho, x) @ phi_psinv)
              for x in (g.twists.alpha_inv @ g.beta).sparse_cols]
     bracket = _semidirect_tensor(g.bracket, r.vdim, r.rho, right)
-    twists = TwistPair(block_diag(g.alpha, r.phi), block_diag(g.beta, r.psi))
     return BiHomLieAlgebra(bracket, twists)
 
 
@@ -337,7 +361,7 @@ def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
     """``rho(e_i) = L(e_i) - R(alpha beta^-1 e_i) phi^-1 psi`` for every
     basis index i."""
     a = r.algebra
-    phinv_psi = inverse(r.phi) @ r.psi
+    phinv_psi = _carrier_inverse("phi", r.phi) @ r.psi
     return tuple(L - _combination(r.R, x) @ phinv_psi
                  for L, x in zip(r.L, (a.alpha @ a.twists.beta_inv).sparse_cols))
 

@@ -7,12 +7,15 @@ with ``--output`` where it has one, may call each of them at most once per
 tuple of arguments (compared by identity).
 """
 
+import importlib
 import json
+import pkgutil
 import sys
 from collections import Counter
 
 import pytest
 
+import bihom
 from bihom import (BilinearProduct, Matrix, adjoint_lie_rep, adjoint_rep,
                    induced_lie_rep, subadjacent)
 from bihom.cli import run
@@ -46,6 +49,9 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    # the verbs import their modules on use, so every one is loaded first
+    for info in pkgutil.iter_modules(bihom.__path__):
+        importlib.import_module(f"bihom.{info.name}")
     for name, mod in list(sys.modules.items()):
         if mod is None or not (name == "bihom" or name.startswith("bihom.")):
             continue

@@ -659,6 +659,38 @@ class TestWrongShapes:
         assert error in capsys.readouterr().err
 
 
+class TestSingularCarrierTwist:
+    """A construction that inverts a singular carrier twist names it: exit
+    1 with ``carrier twist phi|psi must be invertible``, nothing written;
+    when both are singular, phi is named."""
+
+    @pytest.mark.parametrize("verb, kind, zeroed", [
+        ("semidirect", "prelie", ["phi"]), ("semidirect", "prelie", ["psi"]),
+        ("semidirect", "prelie", ["phi", "psi"]),
+        ("semidirect", "lie", ["phi"]), ("semidirect", "lie", ["psi"]),
+        ("induced-rep", "prelie", ["phi"]),
+        ("induced-rep", "prelie", ["phi", "psi"]),
+        ("tensor-rep", "prelie", ["phi"]),
+        ("o-operator", "operator", ["phi"]),
+        ("o-operator", "operator", ["psi"])])
+    def test_named(self, capsys, tmp_path, verb, kind, zeroed):
+        a = dim2_nilpotent(2, 3)
+        doc = rep_to_doc(adjoint_rep(a) if kind == "prelie"
+                         else adjoint_lie_rep(subadjacent(a)))
+        for name in zeroed:
+            doc[name] = Matrix.zeros(2, 2).to_json()
+        if kind == "operator":
+            doc = {"matrix": Matrix.zeros(2, 2).to_json(),
+                   "representation": doc}
+        path, out_path = tmp_path / "in.json", tmp_path / "out.json"
+        dump_json(path, doc)
+        argv = [verb] + [str(path)] * (2 if verb == "tensor-rep" else 1)
+        code, out = run_lines(capsys, argv + ["--output", str(out_path)])
+        assert (code, out) == (
+            1, f"carrier twist {zeroed[0]} must be invertible\n")
+        assert not out_path.exists()
+
+
 class TestDimZero:
     def test_verify_dim_zero_document(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
