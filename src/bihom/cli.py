@@ -7,7 +7,8 @@ with ``--json``, a machine-readable one, and exits with
 * 0 when the requested check or construction succeeded,
 * 1 on a semantic failure (an axiom report with violations, a singular
   twist, an invalid input object),
-* 2 on unusable input (malformed JSON, schema violations, bad flags),
+* 2 on unusable input (a file that cannot be read or decoded as JSON,
+  schema violations, bad flags, an ``--output`` that cannot be written),
 * 3 on an internal defect: an identity that the library asserts of its own
   results failed (a ``RuntimeError``), which is a bug in ``bihom`` rather
   than in the input.

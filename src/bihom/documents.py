@@ -96,10 +96,16 @@ def load_json(path: str | Path) -> object:
         raise DocumentError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # too long an int, too deep
+        raise DocumentError(f"{p}: unreadable JSON: {exc}") from exc
 
 
 def dump_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    p = Path(path)
+    try:
+        p.write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError as exc:
+        raise DocumentError(f"{p}: {exc.strerror or exc}") from exc
 
 
 def _follow(doc: object, base: Path | None, where: str

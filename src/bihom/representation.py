@@ -20,7 +20,10 @@ Action families are stored as one carrier-sized matrix per algebra basis
 vector and extended linearly.  The constructors validate shapes only, so
 defective data can be represented and diagnosed by the check functions;
 operations that need phi/psi inverses raise SingularMatrixError naming
-the singular carrier twist.
+the singular carrier twist.  The output of a construction
+(``induced_lie_rep``, ``twist_rep``, ``tensor_rep``) has invertible carrier
+twists, proved after its hypotheses; a loaded representation need not, so
+cohomology with such coefficients still computes.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ def _carrier_inverse(name: str, mat: Matrix) -> Matrix:
     except SingularMatrixError:
         raise SingularMatrixError(
             f"carrier twist {name} must be invertible") from None
+
+
+def _carrier_inverses(r: PreLieRep) -> tuple[Matrix, Matrix]:
+    """``phi^-1`` and ``psi^-1`` of ``r``; a singular one is named, phi
+    first."""
+    return _carrier_inverse("phi", r.phi), _carrier_inverse("psi", r.psi)
 
 
 def _semidirect_twists(twists: TwistPair, phi: Matrix, psi: Matrix
@@ -353,15 +362,16 @@ def induced_lie_rep(r: PreLieRep, variant: str = "full") -> LieRep:
         raise ValueError(f"unknown variant {variant!r}; use 'full' or 'l-only'")
     glie = subadjacent(r.algebra)
     if variant == "l-only":
+        _carrier_inverses(r)
         return LieRep(glie, r.vdim, r.L, r.phi, r.psi)
     return LieRep(glie, r.vdim, _induced_rho(r), r.phi, r.psi)
 
 
 def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
     """``rho(e_i) = L(e_i) - R(alpha beta^-1 e_i) phi^-1 psi`` for every
-    basis index i."""
+    basis index i; both carrier twists of ``r`` must be invertible."""
     a = r.algebra
-    phinv_psi = _carrier_inverse("phi", r.phi) @ r.psi
+    phinv_psi = _carrier_inverses(r)[0] @ r.psi
     return tuple(L - _combination(r.R, x) @ phinv_psi
                  for L, x in zip(r.L, (a.alpha @ a.twists.beta_inv).sparse_cols))
 
@@ -406,7 +416,9 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
     La, _, _, Rb = actions
     LL = tuple(L @ psi for L in La)
     RR = tuple(R @ phi for R in Rb)
-    return PreLieRep(algebra2, m, LL, RR, phi, psi)
+    out = PreLieRep(algebra2, m, LL, RR, phi, psi)
+    _carrier_inverses(out)
+    return out
 
 
 def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
@@ -429,6 +441,7 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
     for r in (rv, rw):
         _require_passed(check_prelie_rep(r),
                         "representation does not satisfy the axioms")
+    _carrier_inverses(rv)  # and _induced_rho proves rw's
     L = tuple(Lv.kron(rw.psi) + rv.psi.kron(rho_w)
               for Lv, rho_w in zip(rv.L, _induced_rho(rw)))
     R = tuple(Rv.kron(rw.phi) for Rv in rv.R)

@@ -4,7 +4,8 @@ Every ``check_*`` and ``is_*_morphism`` function is wrapped wherever a
 ``bihom`` module binds it, so calls through module globals, re-exports and
 ``from ... import`` bindings are all counted.  A verb run on valid inputs,
 with ``--output`` where it has one, may call each of them at most once per
-tuple of arguments (compared by identity).
+tuple of arguments (compared by identity).  So may every job of the
+bench's ``checks`` workload, valid or corrupted, with its pinned exit code.
 """
 
 import importlib
@@ -21,8 +22,8 @@ from bihom import (BilinearProduct, Matrix, adjoint_lie_rep, adjoint_rep,
 from bihom.cli import run
 from bihom.documents import algebra_to_doc, deformation_to_doc, dump_json, rep_to_doc
 
+import workloads
 from catalog import dim2_nilpotent, dim3_graded
-
 
 
 def _is_checker(fn) -> bool:
@@ -128,6 +129,25 @@ def test_each_hypothesis_proved_once(case, docs, calls, capsys):
     assert run(argv) == 0, capsys.readouterr()
     twice = {key: n for key, n in calls.items() if n > 1}
     assert not twice, twice
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_each_bench_checks_job_proves_each_hypothesis_once(seed, tmp_path,
+                                                           monkeypatch, calls,
+                                                           capsys):
+    jobs = workloads.generate("checks", seed, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    failures = []
+    for job in jobs:
+        calls.clear()
+        subadjacent.cache_clear()
+        code = run(job.argv)
+        capsys.readouterr()
+        twice = sorted({span for (span, _), n in calls.items() if n > 1})
+        if code != job.exit_code or twice:
+            failures.append((job.id, code, twice))
+    assert jobs
+    assert not failures, failures
 
 
 # failing inputs of the verbs whose --output runs only the construction

@@ -660,9 +660,9 @@ class TestWrongShapes:
 
 
 class TestSingularCarrierTwist:
-    """A construction that inverts a singular carrier twist names it: exit
-    1 with ``carrier twist phi|psi must be invertible``, nothing written;
-    when both are singular, phi is named."""
+    """A construction that inverts a singular carrier twist, or whose output
+    would carry one, names it: exit 1 with ``carrier twist phi|psi must be
+    invertible``, nothing written; when both are singular, phi is named."""
 
     @pytest.mark.parametrize("verb, kind, zeroed", [
         ("semidirect", "prelie", ["phi"]), ("semidirect", "prelie", ["psi"]),
@@ -672,19 +672,32 @@ class TestSingularCarrierTwist:
         ("induced-rep", "prelie", ["phi", "psi"]),
         ("tensor-rep", "prelie", ["phi"]),
         ("o-operator", "operator", ["phi"]),
-        ("o-operator", "operator", ["psi"])])
+        ("o-operator", "operator", ["psi"]),
+        ("induced-rep", "prelie", ["psi"]),
+        ("induced-rep", "l-only", ["phi"]),
+        ("tensor-rep", "prelie", ["psi"]),
+        ("twist-rep", "twists", ["phi"])])
     def test_named(self, capsys, tmp_path, verb, kind, zeroed):
         a = dim2_nilpotent(2, 3)
-        doc = rep_to_doc(adjoint_rep(a) if kind == "prelie"
-                         else adjoint_lie_rep(subadjacent(a)))
+        doc = twists = rep_to_doc(adjoint_rep(a) if kind in ("prelie", "l-only")
+                                  else adjoint_lie_rep(subadjacent(a)))
+        if kind == "twists":  # twist-rep of an untwisted representation
+            doc = rep_to_doc(adjoint_rep(dim2_nilpotent()))
+            twists = {"alpha": [[2, 0], [0, 4]], "beta": [[3, 0], [0, 9]],
+                      "phi": [[2, 0], [0, 4]], "psi": [[3, 0], [0, 9]]}
         for name in zeroed:
-            doc[name] = Matrix.zeros(2, 2).to_json()
+            twists[name] = Matrix.zeros(2, 2).to_json()
         if kind == "operator":
             doc = {"matrix": Matrix.zeros(2, 2).to_json(),
                    "representation": doc}
         path, out_path = tmp_path / "in.json", tmp_path / "out.json"
         dump_json(path, doc)
         argv = [verb] + [str(path)] * (2 if verb == "tensor-rep" else 1)
+        if kind == "twists":
+            dump_json(tmp_path / "twists.json", twists)
+            argv.append(str(tmp_path / "twists.json"))
+        if kind == "l-only":
+            argv += ["--variant", "l-only"]
         code, out = run_lines(capsys, argv + ["--output", str(out_path)])
         assert (code, out) == (
             1, f"carrier twist {zeroed[0]} must be invertible\n")
@@ -710,6 +723,32 @@ class TestUsage:
 
     def test_missing_file_is_input_error(self, capsys):
         assert run(["verify", "/nonexistent/thing.json"]) == 2
+
+    @staticmethod
+    def refused(capsys, argv, path):
+        """``argv`` exits 2 with an error that names ``path``."""
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_too_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        self.refused(capsys, ["verify", str(path)], path)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="integer literals have no length limit")
+    def test_overlong_integer_literal_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text("9" * (sys.get_int_max_str_digits() + 1))
+        self.refused(capsys, ["verify", str(path)], path)
+
+    @pytest.mark.parametrize("output", ["missing/out.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_input_error(self, capsys, tmp_path,
+                                              nilpotent_file, output):
+        path = tmp_path / output
+        self.refused(capsys, ["subadjacent", str(nilpotent_file), "--output",
+                              str(path)], path)
 
 
 class TestParserParity:

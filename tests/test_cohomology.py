@@ -1,10 +1,16 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
+import bihom
 from bihom import (
     BiHomPreLieAlgebra,
     BilinearProduct,
@@ -535,6 +541,52 @@ class TestDerivationOracle:
         alg = make()
         assert cohomology_table(alg, adjoint_rep(alg), [1])[0].dimZ == \
             oracle_derivation_dim(alg) == dim_z
+
+
+# dim12 = semidirect_prelie(adjoint_rep(dim6)) with adjoint coefficients: K_3
+# is the 9504 x 9504 identity, which a dense kernel store held at about
+# 776 MB peak.  Degrees 1 and 2 (about 1 s) run the exact elimination on the
+# degree-1/2 systems.  Their twists are identities, so E_n is empty; g6 has
+# unipotent twists, so its E_3 is not, and the E_n K_n = 0 assertion of the
+# kernel solve runs at size.  The ranks of g6's coboundary matrices are its
+# B^2 and B^3, so coboundary_matrix and cohomology_table agree there on a
+# nonzero E_n, and their product checks d o d = 0 in the bases of C^1 and C^3.
+DIM12 = """
+import json, resource
+from bihom import adjoint_rep, cohomology_table, semidirect_prelie
+from catalog import dim3_heisenberg
+dim6 = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
+dim12 = semidirect_prelie(adjoint_rep(dim6))
+r12 = adjoint_rep(dim12)
+reports = cohomology_table(dim12, r12, [1, 2]) + cohomology_table(dim12, r12, [3])
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"dims": [(r.dimZ, r.dimB, r.dimH) for r in reports],
+                  "peak_mb": peak_mb}))
+"""
+
+
+class TestScale:
+    def test_dim12_adjoint_degrees_one_to_three(self):
+        # a fresh interpreter, whose peak RSS is the computation's, unless
+        # this process's own peak, which Linux carries into a child, is higher
+        paths = [str(Path(bihom.__file__).resolve().parent.parent),
+                 str(Path(__file__).resolve().parent)]
+        out = subprocess.run([sys.executable, "-c", DIM12], capture_output=True,
+                             text=True, timeout=600, check=True,
+                             env=dict(os.environ,
+                                      PYTHONPATH=os.pathsep.join(paths)))
+        result = json.loads(out.stdout)
+        assert result["dims"] == [[44, 0, 44], [599, 100, 499],
+                                  [3469, 1129, 2340]]
+        assert result["peak_mb"] < 200, result["peak_mb"]
+
+    def test_g6_unipotent_degree_three(self):
+        g6 = semidirect_prelie(adjoint_rep(dim3_graded_unipotent(2)))
+        [report] = cohomology_table(g6, adjoint_rep(g6), [3])
+        assert (report.dimZ, report.dimB, report.dimH) == (64, 14, 50)
+        m1, m2 = (coboundary_matrix(g6, adjoint_rep(g6), n) for n in (1, 2))
+        assert [rank(m1), rank(m2)] == [5, 14]
+        assert (m2 @ m1).is_zero
 
 
 class TestKernelStore:

@@ -3,7 +3,9 @@
 ``cli._read_argv`` reads a well-formed argv without argparse; wherever it
 accepts one, ``_build_parser(argv).parse_args(argv)`` must accept it too and
 return an equal namespace.  A verb imports only the modules it runs, which
-``-X importtime`` shows in a real process.
+``-X importtime`` shows in a real process: on catalog inputs, and on every
+job of both bench workloads, where no job imports argparse and no ``checks``
+job loads the cochain complex.
 """
 
 import io
@@ -21,6 +23,7 @@ import bihom
 from bihom import cli
 from bihom.documents import algebra_to_doc, dump_json
 
+import workloads
 from catalog import dim2_nilpotent
 
 GOOD = {"--output": ["o.json", "x y", "a=b"], "--variant": ["full", "l-only"],
@@ -170,3 +173,18 @@ def test_cohomology_imports_its_module_only(tmp_path, algebra_file):
 def test_help_still_imports_the_parser(tmp_path):
     code, modules = imported(["--help"], tmp_path)
     assert code == 0 and "argparse" in modules
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["checks", "cohomology"])
+def test_bench_jobs_import_no_parser(workload, seed, tmp_path):
+    banned = {"argparse"} | ({"bihom.cohomology"} if workload == "checks"
+                             else set())
+    jobs = workloads.generate(workload, seed, tmp_path)
+    failures = []
+    for job in jobs:
+        code, modules = imported(job.argv, tmp_path)
+        if code != job.exit_code or modules & banned:
+            failures.append((job.id, code, sorted(modules & banned)))
+    assert jobs
+    assert not failures, failures

@@ -40,6 +40,7 @@ from bihom.documents import (
 )
 from bihom.linalg import rational_from_json
 
+import workloads
 from catalog import dim2_nilpotent, dim3_graded
 
 Q = Fraction
@@ -288,6 +289,47 @@ class TestCochainDocs:
             edited[i][j][k][0] += 1
             with pytest.raises(DocumentError, match="skew-symmetry"):
                 cochain_from_doc({"degree": 3, "tensor": edited}, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# the bench documents: every one that a job reads round-trips
+# ---------------------------------------------------------------------------
+
+def _operator_to_doc(matrix, context) -> dict:
+    doc = {"matrix": matrix.to_json()}
+    if isinstance(context, (BiHomPreLieAlgebra, BiHomLieAlgebra)):
+        doc["algebra"] = algebra_to_doc(context)
+    elif context is not None:
+        doc["representation"] = rep_to_doc(context)
+    return doc
+
+
+ROUND_TRIPS = {
+    "algebra": lambda doc, base, where:
+        algebra_to_doc(algebra_from_doc(doc, base, where)),
+    "rep": lambda doc, base, where: rep_to_doc(rep_from_doc(doc, base, where)),
+    "operator": lambda doc, base, where:
+        _operator_to_doc(*operator_from_doc(doc, base, where)),
+    "pi": lambda doc, base, where:
+        deformation_to_doc(deformation_from_doc(doc, where)),
+    "N": lambda doc, base, where:
+        nijenhuis_to_doc(nijenhuis_from_doc(doc, where)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["checks", "cohomology"])
+def test_bench_documents_round_trip(workload, seed, tmp_path):
+    """Each document of the workload's manifest, decoded by its loader and
+    encoded again, gives back the JSON value of its file."""
+    jobs = workloads.generate(workload, seed, tmp_path)
+    docs = sorted({d for job in jobs for d in job.docs})
+    assert docs
+    for name, kind in docs:
+        path = tmp_path / name
+        doc = load_json(path)
+        again = ROUND_TRIPS[kind](doc, path.parent, str(path))
+        assert again == doc, f"{path}: the {kind} document does not round-trip"
 
 
 # ---------------------------------------------------------------------------
