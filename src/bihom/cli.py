@@ -6,7 +6,7 @@ with ``--json``, a machine-readable one, and exits with
 
 * 0 when the requested check or construction succeeded,
 * 1 on a semantic failure (an axiom report with violations, a singular
-  twist, an invalid input object),
+  twist or carrier twist, an invalid input object),
 * 2 on unusable input (a file that cannot be read or decoded as JSON,
   schema violations, bad flags, an ``--output`` that cannot be written),
 * 3 on an internal defect: an identity that the library asserts of its own

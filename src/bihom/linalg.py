@@ -161,6 +161,17 @@ class InconsistentSystemError(LinAlgError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
+def _leaf(value: object) -> str:
+    """``value`` by its JSON type, in a bounded message: a string by its
+    length and first 16 characters, a float by its value."""
+    if isinstance(value, str):
+        return f"a {len(value)}-character string {ascii(value[:16])}"
+    if isinstance(value, float):
+        return f"the number {value!r}"
+    return {bool: "a boolean", type(None): "null", list: "an array",
+            dict: "an object"}.get(type(value), f"a {type(value).__name__}")
+
+
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Coerce ``value`` to a Fraction; floats are rejected to keep exactness,
     and booleans as :func:`rational_from_json` rejects them."""
@@ -171,15 +182,15 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not a rational literal: {value!r}")
+            raise ValueError(f"not a rational literal: {_leaf(value)}")
         return Fraction(text)
-    raise ValueError(f"cannot interpret {value!r} as an exact rational")
+    raise ValueError(f"cannot interpret {_leaf(value)} as an exact rational")
 
 
 def rational_from_json(value: int | str) -> Fraction:
     """Decode the JSON form of a rational: an integer or a ``"p/q"`` string."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer or 'p/q' string, got {value!r}")
+        raise ValueError(f"expected an integer or 'p/q' string, got {_leaf(value)}")
     return as_rational(value)
 
 
@@ -217,7 +228,7 @@ def _require_exact(values: Iterable) -> None:
     for a in values:
         if a.__class__ is not Fraction and (
                 isinstance(a, bool) or not isinstance(a, (int, Fraction))):
-            raise ValueError(f"cannot store {a!r} as an exact rational: "
+            raise ValueError(f"cannot store {_leaf(a)} as an exact rational: "
                              "expected a Fraction or an int")
 
 

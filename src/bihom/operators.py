@@ -41,7 +41,7 @@ from .algebra import (
     subadjacent,
 )
 from .linalg import Matrix, _combination, _row_add, _row_sub, inverse, rank
-from .representation import LieRep, _carrier_inverse, check_lie_rep
+from .representation import LieRep, check_lie_rep
 
 __all__ = [
     "check_o_operator",
@@ -78,10 +78,10 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     tcol = T.sparse_cols
     rho_t = [_combination(r.rho, t).sparse_cols for t in tcol]
     # rho(T(phi^-1 psi v)) and (phi psi^-1)(u), once per carrier basis vector
-    phinv_psi = _carrier_inverse("phi", r.phi) @ r.psi
+    phinv_psi = r.phi_inv @ r.psi
     rho_twisted = [_combination(r.rho, T.sparse_apply(v))
                    for v in phinv_psi.sparse_cols]
-    phi_psinv = (r.phi @ _carrier_inverse("psi", r.psi)).sparse_cols
+    phi_psinv = (r.phi @ r.psi_inv).sparse_cols
     for u in range(m):
         for v in range(m):
             lhs = g.bracket.sparse_value(tcol[u], tcol[v])

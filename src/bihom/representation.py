@@ -17,13 +17,14 @@ A representation of a BiHom-Lie algebra is a single action family rho with
   (3)  rho([beta x, y]) psi = rho(alpha beta x) rho(y) - rho(beta y) rho(alpha x).
 
 Action families are stored as one carrier-sized matrix per algebra basis
-vector and extended linearly.  The constructors validate shapes only, so
-defective data can be represented and diagnosed by the check functions;
-operations that need phi/psi inverses raise SingularMatrixError naming
-the singular carrier twist.  The output of a construction
-(``induced_lie_rep``, ``twist_rep``, ``tensor_rep``) has invertible carrier
-twists, proved after its hypotheses; a loaded representation need not, so
-cohomology with such coefficients still computes.
+vector and extended linearly.  A representation of a regular algebra is
+regular: like :class:`~bihom.algebra.TwistPair`, the constructors prove
+phi and psi invertible, phi first, and keep their inverses ``phi_inv`` and
+``psi_inv`` (not fields) for ``rho = L - R(alpha beta^-1 .) phi^-1 psi``
+and the semidirect bracket's ``phi psi^-1``; a singular one raises
+SingularMatrixError("carrier twist phi|psi must be invertible").  They
+check nothing else, so defective actions can be represented and diagnosed
+by the check functions.
 """
 
 from __future__ import annotations
@@ -79,37 +80,30 @@ def _check_action_family(name: str, mats: Sequence[Matrix], n: int, m: int) -> N
             raise ValueError(f"{name} matrices must be {m}x{m}")
 
 
-def _check_carrier_twist(name: str, mat: Matrix, m: int) -> None:
-    if mat.rows != m or mat.cols != m:
-        raise ValueError(f"carrier twist {name} must be {m}x{m}")
+def _carrier_twists(r: PreLieRep | LieRep) -> None:
+    """Check that ``r.phi`` and ``r.psi`` are ``vdim`` square and invertible,
+    phi first, and keep their inverses as ``phi_inv`` and ``psi_inv``: an
+    identity is its own, and an algebra twist brings its kept one."""
+    m, t = r.vdim, r.algebra.twists
+    for name in ("phi", "psi"):
+        mat = getattr(r, name)
+        if mat.rows != m or mat.cols != m:
+            raise ValueError(f"carrier twist {name} must be {m}x{m}")
+        try:
+            inv = (mat if mat.is_identity else t.alpha_inv if mat == t.alpha
+                   else t.beta_inv if mat == t.beta else inverse(mat))
+        except SingularMatrixError:
+            raise SingularMatrixError(
+                f"carrier twist {name} must be invertible") from None
+        object.__setattr__(r, f"{name}_inv", inv)
 
 
-def _carrier_inverse(name: str, mat: Matrix) -> Matrix:
-    """The inverse of the carrier twist ``name``; a singular one is named."""
-    try:
-        return inverse(mat)
-    except SingularMatrixError:
-        raise SingularMatrixError(
-            f"carrier twist {name} must be invertible") from None
-
-
-def _carrier_inverses(r: PreLieRep) -> tuple[Matrix, Matrix]:
-    """``phi^-1`` and ``psi^-1`` of ``r``; a singular one is named, phi
-    first."""
-    return _carrier_inverse("phi", r.phi), _carrier_inverse("psi", r.psi)
-
-
-def _semidirect_twists(twists: TwistPair, phi: Matrix, psi: Matrix
-                       ) -> TwistPair:
-    """The twists ``alpha+phi``, ``beta+psi`` of a semidirect product.  The
-    algebra's twists are invertible, so a singular block is phi or psi."""
-    try:
-        return TwistPair(block_diag(twists.alpha, phi),
-                         block_diag(twists.beta, psi))
-    except SingularMatrixError:
-        _carrier_inverse("phi", phi)  # raises when phi is the singular one
-        raise SingularMatrixError(
-            "carrier twist psi must be invertible") from None
+def _with_inverses(cls, fields: tuple, phi_inv: Matrix, psi_inv: Matrix):
+    """``cls(*fields)`` taken as it is, with the inverses of its carrier
+    twists, for a construction that knows them and shapes its actions."""
+    r = object.__new__(cls)
+    vars(r).update(zip(cls._fields, fields), phi_inv=phi_inv, psi_inv=psi_inv)
+    return r
 
 
 class PreLieRep(Value):
@@ -130,8 +124,7 @@ class PreLieRep(Value):
         n = self.algebra.dim
         _check_action_family("L", self.L, n, self.vdim)
         _check_action_family("R", self.R, n, self.vdim)
-        _check_carrier_twist("phi", self.phi, self.vdim)
-        _check_carrier_twist("psi", self.psi, self.vdim)
+        _carrier_twists(self)
 
     def L_of(self, v: Sequence[Fraction]) -> Matrix:
         """Action L(x) of the algebra element with coordinates v."""
@@ -152,8 +145,7 @@ class LieRep(Value):
 
     def __post_init__(self) -> None:
         _check_action_family("rho", self.rho, self.algebra.dim, self.vdim)
-        _check_carrier_twist("phi", self.phi, self.vdim)
-        _check_carrier_twist("psi", self.psi, self.vdim)
+        _carrier_twists(self)
 
     def rho_of(self, v: Sequence[Fraction]) -> Matrix:
         return linear_combination(self.rho, tuple(v))
@@ -319,8 +311,8 @@ def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
     """
     a = r.algebra
     product = _semidirect_tensor(a.product, r.vdim, r.L, r.R)
-    return BiHomPreLieAlgebra(product, _semidirect_twists(a.twists, r.phi,
-                                                          r.psi))
+    return BiHomPreLieAlgebra(product, TwistPair(block_diag(a.alpha, r.phi),
+                                                 block_diag(a.beta, r.psi)))
 
 
 def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
@@ -335,12 +327,12 @@ def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
 
 def _semidirect_lie_raw(r: LieRep) -> BiHomLieAlgebra:
     g = r.algebra
-    twists = _semidirect_twists(g.twists, r.phi, r.psi)
-    phi_psinv = r.phi @ _carrier_inverse("psi", r.psi)
+    phi_psinv = r.phi @ r.psi_inv
     right = [-(_combination(r.rho, x) @ phi_psinv)
              for x in (g.twists.alpha_inv @ g.beta).sparse_cols]
     bracket = _semidirect_tensor(g.bracket, r.vdim, r.rho, right)
-    return BiHomLieAlgebra(bracket, twists)
+    return BiHomLieAlgebra(bracket, TwistPair(block_diag(g.alpha, r.phi),
+                                              block_diag(g.beta, r.psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +352,15 @@ def induced_lie_rep(r: PreLieRep, variant: str = "full") -> LieRep:
     """
     if variant not in ("full", "l-only"):
         raise ValueError(f"unknown variant {variant!r}; use 'full' or 'l-only'")
-    glie = subadjacent(r.algebra)
-    if variant == "l-only":
-        _carrier_inverses(r)
-        return LieRep(glie, r.vdim, r.L, r.phi, r.psi)
-    return LieRep(glie, r.vdim, _induced_rho(r), r.phi, r.psi)
+    rho = r.L if variant == "l-only" else _induced_rho(r)
+    return _with_inverses(LieRep, (subadjacent(r.algebra), r.vdim, rho, r.phi,
+                                   r.psi), r.phi_inv, r.psi_inv)
 
 
 def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
-    """``rho(e_i) = L(e_i) - R(alpha beta^-1 e_i) phi^-1 psi`` for every
-    basis index i; both carrier twists of ``r`` must be invertible."""
+    """``rho(e_i) = L(e_i) - R(alpha beta^-1 e_i) phi^-1 psi`` for each basis e_i."""
     a = r.algebra
-    phinv_psi = _carrier_inverses(r)[0] @ r.psi
+    phinv_psi = r.phi_inv @ r.psi
     return tuple(L - _combination(r.R, x) @ phinv_psi
                  for L, x in zip(r.L, (a.alpha @ a.twists.beta_inv).sparse_cols))
 
@@ -416,9 +405,7 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
     La, _, _, Rb = actions
     LL = tuple(L @ psi for L in La)
     RR = tuple(R @ phi for R in Rb)
-    out = PreLieRep(algebra2, m, LL, RR, phi, psi)
-    _carrier_inverses(out)
-    return out
+    return PreLieRep(algebra2, m, LL, RR, phi, psi)
 
 
 def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
@@ -431,8 +418,9 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
         rho_W(x) = L_W(x) - R_W(alpha beta^-1 x) phi_W^-1 psi_W,
         R(x) = R_V(x) (x) phi_W,
 
-    and twists ``phi_V (x) phi_W``, ``psi_V (x) psi_W``.  The algebra must
-    pass :func:`check_prelie` and both factors :func:`check_prelie_rep`.
+    and twists ``phi_V (x) phi_W``, ``psi_V (x) psi_W``, inverted factor by
+    factor.  The algebra must pass :func:`check_prelie` and both factors
+    :func:`check_prelie_rep`.
     """
     if rv.algebra != rw.algebra:
         raise ValueError("tensor factors must represent the same algebra")
@@ -441,9 +429,9 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
     for r in (rv, rw):
         _require_passed(check_prelie_rep(r),
                         "representation does not satisfy the axioms")
-    _carrier_inverses(rv)  # and _induced_rho proves rw's
     L = tuple(Lv.kron(rw.psi) + rv.psi.kron(rho_w)
               for Lv, rho_w in zip(rv.L, _induced_rho(rw)))
     R = tuple(Rv.kron(rw.phi) for Rv in rv.R)
-    return PreLieRep(rv.algebra, rv.vdim * rw.vdim, L, R,
-                     rv.phi.kron(rw.phi), rv.psi.kron(rw.psi))
+    return _with_inverses(PreLieRep, (rv.algebra, rv.vdim * rw.vdim, L, R,
+                                      rv.phi.kron(rw.phi), rv.psi.kron(rw.psi)),
+                          rv.phi_inv.kron(rw.phi_inv), rv.psi_inv.kron(rw.psi_inv))

@@ -703,6 +703,26 @@ class TestSingularCarrierTwist:
             1, f"carrier twist {zeroed[0]} must be invertible\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    def test_cohomology_rep_named(self, capsys, tmp_path, as_json):
+        """The rule holds where the representation is loaded, so the complex,
+        which never inverts phi or psi, refuses a singular one as well."""
+        a = dim2_nilpotent(2, 3)
+        doc = rep_to_doc(adjoint_rep(a))
+        doc["psi"] = Matrix.zeros(2, 2).to_json()
+        alg, rep = tmp_path / "alg.json", tmp_path / "rep.json"
+        dump_json(alg, algebra_to_doc(a))
+        dump_json(rep, doc)
+        argv = ["cohomology", str(alg), "--rep", str(rep)]
+        code, out = run_lines(capsys, argv + ["--json"] * as_json)
+        message = "carrier twist psi must be invertible"
+        assert code == 1
+        if as_json:
+            assert json.loads(out) == {"command": "cohomology",
+                                       "status": "fail", "message": message}
+        else:
+            assert out == message + "\n"
+
 
 class TestDimZero:
     def test_verify_dim_zero_document(self, capsys, tmp_path):

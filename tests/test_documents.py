@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from bihom import (
     adjoint_rep,
     subadjacent,
 )
+from bihom.cli import run
 from bihom.cohomology import Cochain
 from bihom.documents import (
     MAX_REFERENCE_DEPTH,
@@ -94,6 +97,26 @@ class TestAlgebraDocs:
         with pytest.raises(DocumentError):
             algebra_from_doc({"dim": 1, "product": [[["0.5"]]],
                               "alpha": [[1]], "beta": [[1]]})
+
+    @pytest.mark.parametrize("leaf, named", [
+        (json.dumps([0] * 100000), "got an array"),
+        ("[" * 900 + "0" + "]" * 900, "got an array"),
+        (json.dumps("1/" + "1" * 4998 + "x"),
+         "a 5001-character string '1/11111111111111'"),
+    ], ids=["long-array", "deep-array", "long-string"])
+    def test_bad_leaf_named_in_one_short_line(self, leaf, named, tmp_path,
+                                              monkeypatch, capsys):
+        """A bad leaf is named by its JSON type, a string by its length and
+        a short excerpt, after the field path: one stderr line under 200
+        bytes, however large the leaf."""
+        monkeypatch.chdir(tmp_path)
+        Path("doc.json").write_text('{"dim": 1, "product": [[[%s]]], '
+                                    '"alpha": [[1]], "beta": [[1]]}' % leaf)
+        assert run(["verify", "doc.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: doc.json.product: ") and named in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200
 
     def test_dim_zero_round_trip(self):
         # ``[]`` carries no width: the expected shape supplies it

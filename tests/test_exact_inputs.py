@@ -102,6 +102,20 @@ def test_booleans_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: as_rational([0] * 100000), "an array"),
+    (lambda: as_rational("1/" + "x" * 100000), "a 100002-character string"),
+    (lambda: Matrix.from_rows([[{"k": "v" * 100000}]]), "an object"),
+    (lambda: Matrix(1, 1, (("x" * 100000,),)), "a 100000-character string"),
+], ids=["as_rational_list", "as_rational_str", "from_rows", "Matrix"])
+def test_refused_values_are_named_briefly(make, named):
+    """A refused value is named by its type, a string by its length and
+    first characters, never echoed whole."""
+    with pytest.raises(ValueError, match=named) as exc:
+        make()
+    assert len(str(exc.value)) < 120
+
+
 @pytest.mark.parametrize("make", [
     lambda: plane().product.value([1, 0, 1], [1, 0]),
     lambda: plane().product.value([1, 0], [1]),

@@ -7,10 +7,12 @@ from bihom import (
     LieRep,
     Matrix,
     PreLieRep,
+    SingularMatrixError,
     adjoint_lie_rep,
     adjoint_rep,
     check_bihom_lie,
     check_lie_rep,
+    check_o_operator,
     check_prelie,
     check_prelie_rep,
     induced_lie_rep,
@@ -21,6 +23,7 @@ from bihom import (
     trivial_rep,
     twist_rep,
 )
+from bihom.documents import rep_from_doc, rep_to_doc
 from bihom.representation import _semidirect_lie_raw, _semidirect_prelie_raw
 
 from catalog import (
@@ -243,3 +246,72 @@ class TestTensorRep:
     def test_algebra_mismatch_rejected(self):
         with pytest.raises(ValueError):
             tensor_rep(adjoint_rep(dim2_assoc()), adjoint_rep(dim2_nilpotent()))
+
+
+class TestCarrierTwists:
+    """A representation of a regular algebra is regular: the constructors
+    prove phi and psi invertible and keep their inverses."""
+
+    @pytest.mark.parametrize("kind", ["prelie", "lie"])
+    @pytest.mark.parametrize("zeroed", [["phi"], ["psi"], ["phi", "psi"]],
+                             ids=["phi", "psi", "both"])
+    def test_singular_carrier_twist_named(self, kind, zeroed):
+        a = dim2_nilpotent(2, 3)
+        r = adjoint_rep(a) if kind == "prelie" else adjoint_lie_rep(subadjacent(a))
+        twists = {"phi": r.phi, "psi": r.psi}
+        twists.update(dict.fromkeys(zeroed, Matrix.zeros(2, 2)))
+        actions = (r.L, r.R) if kind == "prelie" else (r.rho,)
+        with pytest.raises(SingularMatrixError,
+                           match=f"^carrier twist {zeroed[0]} must be invertible$"):
+            type(r)(r.algebra, r.vdim, *actions, twists["phi"], twists["psi"])
+
+    def test_kept_inverses_invert(self):
+        for _, r in prelie_rep_fixtures():
+            ad = adjoint_rep(r.algebra)
+            built = [r, induced_lie_rep(r), induced_lie_rep(r, "l-only"),
+                     tensor_rep(r, ad), tensor_rep(ad, r)]
+            for out in built:
+                eye = Matrix.identity(out.vdim)
+                assert out.phi @ out.phi_inv == out.psi @ out.psi_inv == eye
+
+    def test_kept_inverses_are_not_fields(self):
+        r = tensor_rep(*[adjoint_rep(dim2_nilpotent(2, 3))] * 2)
+        lie = induced_lie_rep(r)
+        assert lie == LieRep(lie.algebra, lie.vdim, lie.rho, lie.phi, lie.psi)
+        assert r == PreLieRep(r.algebra, r.vdim, r.L, r.R, r.phi, r.psi)
+        assert "phi_inv" not in repr(r) and hash(r) == hash(
+            PreLieRep(r.algebra, r.vdim, r.L, r.R, r.phi, r.psi))
+
+    def test_each_carrier_twist_eliminated_once(self, monkeypatch):
+        """Standard representations cost no elimination; a loaded one whose
+        twists are not the algebra's costs one per carrier twist; the
+        constructions over it read the kept inverses, so none of them
+        eliminates a carrier-sized matrix."""
+        import bihom.linalg
+
+        a = dim2_nilpotent(2, 3)
+        ad = adjoint_rep(a)
+        t = tensor_rep(ad, ad)  # carrier twists alpha (x) alpha, beta (x) beta
+        pre_doc, lie_doc = rep_to_doc(t), rep_to_doc(induced_lie_rep(t))
+        g = subadjacent(a)
+        m = t.vdim
+        eliminated = []
+        rref = bihom.linalg._rref
+
+        def counted_rref(rows, width):
+            eliminated.append((len(rows), width))
+            return rref(rows, width)
+
+        monkeypatch.setattr(bihom.linalg, "_rref", counted_rref)
+        adjoint_rep(a), trivial_rep(a), adjoint_lie_rep(g)
+        assert eliminated == []
+
+        r, lie = rep_from_doc(pre_doc), rep_from_doc(lie_doc)
+        # alpha, beta of each algebra, then phi, psi of each carrier
+        assert eliminated == [(2, 2), (2, 2), (m, m), (m, m)] * 2
+        eliminated.clear()
+
+        induced_lie_rep(r), induced_lie_rep(r, "l-only"), tensor_rep(r, r)
+        assert check_o_operator(Matrix.zeros(2, m), lie).passed
+        semidirect_lie(lie)  # its block twists alpha+phi, beta+psi only
+        assert eliminated == [(2 + m, 2 + m)] * 2
