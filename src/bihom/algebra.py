@@ -24,10 +24,10 @@ the twists.  Dense tuples appear only at the public API: the nest ``c``,
 
 All axiom checks run over basis tuples only; the identities are multilinear,
 so this is exhaustive.  Checks are exact: a report passes iff every residual
-vector is identically zero.  Invertibility of the twist maps is proved at
-construction time by computing the inverses, which the pair keeps for the
-derived constructions; everything else, twist commutation included, is
-reported by the checkers, so defective input yields a diagnosis, not an error.
+vector is identically zero.  Every twist is proved invertible where it is
+built, by one rule that keeps its inverse: an identity is its own, a twist
+equal to a kept one reuses its inverse, any other is eliminated once.  All
+else, twist commutation included, is reported by the checkers, not raised.
 """
 
 from __future__ import annotations
@@ -226,13 +226,33 @@ class BilinearProduct(Value):
         return cls._wrap(Matrix._wrap(rows, len(data)))
 
 
+def _twist_inverse(m: Matrix, what: str, known: TwistPair | None = None) -> Matrix:
+    """The inverse of ``m`` by the one rule for twists: an identity is its
+    own, a twist equal to one of ``known`` reuses that one's kept inverse, and
+    any other is eliminated once, raising "<what> must be invertible"."""
+    try:
+        return (m if m.is_identity
+                else known.alpha_inv if known and m == known.alpha
+                else known.beta_inv if known and m == known.beta else inverse(m))
+    except SingularMatrixError:
+        raise SingularMatrixError(f"{what} must be invertible") from None
+
+
+def _with_inverses(cls, fields: tuple, **inverses: Matrix):
+    """``cls(*fields)`` taken as it is, with the inverses of its twists by
+    keyword, for a construction that knows them and shapes its fields."""
+    v = object.__new__(cls)
+    vars(v).update(zip(cls._fields, fields), **inverses)
+    return v
+
+
 class TwistPair(Value):
     """The pair (alpha, beta) of twist maps of a BiHom structure.
 
-    Both maps must be invertible: their inverses are computed here and kept,
-    not as fields, as ``alpha_inv`` and ``beta_inv`` for the sub-adjacent
-    bracket and the induced representations.  The maps must also commute,
-    but a non-commuting pair is representable so the checkers can name it.
+    Both maps must be invertible: :func:`_twist_inverse` proves it here and
+    the pair keeps ``alpha_inv`` and ``beta_inv`` (not fields) for the
+    sub-adjacent bracket and the induced representations.  The maps must also
+    commute, but a non-commuting pair is representable so the checkers name it.
     """
 
     alpha: Matrix
@@ -243,12 +263,8 @@ class TwistPair(Value):
             raise ValueError("twist maps must be square matrices")
         if self.alpha.rows != self.beta.rows:
             raise ValueError("twist maps must act on the same space")
-        for name, m in (("alpha", self.alpha), ("beta", self.beta)):
-            try:
-                object.__setattr__(self, f"{name}_inv", inverse(m))
-            except SingularMatrixError:
-                raise SingularMatrixError(
-                    f"twist map {name} must be invertible") from None
+        vars(self).update(alpha_inv=_twist_inverse(self.alpha, "twist map alpha"),
+                          beta_inv=_twist_inverse(self.beta, "twist map beta"))
 
     @classmethod
     def identity(cls, n: int) -> "TwistPair":

@@ -34,13 +34,15 @@ from .algebra import (
     _operator_commutation,
     _prefixed,
     _require_passed,
+    _twist_inverse,
+    _with_inverses,
     check_bihom_lie,
     check_prelie,
     is_lie_morphism,
     merge_reports,
     subadjacent,
 )
-from .linalg import Matrix, _combination, _row_add, _row_sub, inverse, rank
+from .linalg import Matrix, _combination, _row_add, _row_sub, rank
 from .representation import LieRep, check_lie_rep
 
 __all__ = [
@@ -108,7 +110,8 @@ def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     product = BilinearProduct.from_sparse(
         [v for t in T.sparse_cols for v in _combination(r.rho, t).sparse_cols],
         r.vdim)
-    out = BiHomPreLieAlgebra(product, TwistPair(r.phi, r.psi))
+    out = BiHomPreLieAlgebra(product, _with_inverses(
+        TwistPair, (r.phi, r.psi), alpha_inv=r.phi_inv, beta_inv=r.psi_inv))
     check = check_prelie(out)
     if not check.passed:
         raise RuntimeError(
@@ -184,7 +187,7 @@ def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlge
     g = r.algebra
     n = g.dim
     _check_shape(T, r.vdim, n)
-    tinv = inverse(T)  # raises for singular T; also forces vdim == n
+    tinv = _twist_inverse(T, "O-operator T")  # also forces vdim == n
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")
     product = BilinearProduct.from_sparse(

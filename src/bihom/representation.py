@@ -18,13 +18,13 @@ A representation of a BiHom-Lie algebra is a single action family rho with
 
 Action families are stored as one carrier-sized matrix per algebra basis
 vector and extended linearly.  A representation of a regular algebra is
-regular: like :class:`~bihom.algebra.TwistPair`, the constructors prove
-phi and psi invertible, phi first, and keep their inverses ``phi_inv`` and
+regular: the constructors prove phi and psi invertible, phi first, by the
+twists' one rule with the algebra's twists known, and keep ``phi_inv`` and
 ``psi_inv`` (not fields) for ``rho = L - R(alpha beta^-1 .) phi^-1 psi``
 and the semidirect bracket's ``phi psi^-1``; a singular one raises
-SingularMatrixError("carrier twist phi|psi must be invertible").  They
-check nothing else, so defective actions can be represented and diagnosed
-by the check functions.
+SingularMatrixError("carrier twist phi|psi must be invertible").  The
+constructions hand the inverses they know to their outputs.  Nothing else
+is checked, so defective actions can be diagnosed by the check functions.
 """
 
 from __future__ import annotations
@@ -41,18 +41,18 @@ from .algebra import (
     _Collector,
     _multiplicativity_violations,
     _require_passed,
+    _twist_inverse,
+    _with_inverses,
     check_bihom_lie,
     check_prelie,
     subadjacent,
 )
 from .linalg import (
     Matrix,
-    SingularMatrixError,
     Value,
     _combination,
     _row_sub,
     block_diag,
-    inverse,
     linear_combination,
 )
 
@@ -82,28 +82,14 @@ def _check_action_family(name: str, mats: Sequence[Matrix], n: int, m: int) -> N
 
 def _carrier_twists(r: PreLieRep | LieRep) -> None:
     """Check that ``r.phi`` and ``r.psi`` are ``vdim`` square and invertible,
-    phi first, and keep their inverses as ``phi_inv`` and ``psi_inv``: an
-    identity is its own, and an algebra twist brings its kept one."""
-    m, t = r.vdim, r.algebra.twists
+    phi first, keeping their inverses with the algebra's twists known."""
+    m = r.vdim
     for name in ("phi", "psi"):
         mat = getattr(r, name)
         if mat.rows != m or mat.cols != m:
             raise ValueError(f"carrier twist {name} must be {m}x{m}")
-        try:
-            inv = (mat if mat.is_identity else t.alpha_inv if mat == t.alpha
-                   else t.beta_inv if mat == t.beta else inverse(mat))
-        except SingularMatrixError:
-            raise SingularMatrixError(
-                f"carrier twist {name} must be invertible") from None
-        object.__setattr__(r, f"{name}_inv", inv)
-
-
-def _with_inverses(cls, fields: tuple, phi_inv: Matrix, psi_inv: Matrix):
-    """``cls(*fields)`` taken as it is, with the inverses of its carrier
-    twists, for a construction that knows them and shapes its actions."""
-    r = object.__new__(cls)
-    vars(r).update(zip(cls._fields, fields), phi_inv=phi_inv, psi_inv=psi_inv)
-    return r
+        object.__setattr__(r, f"{name}_inv", _twist_inverse(
+            mat, f"carrier twist {name}", r.algebra.twists))
 
 
 class PreLieRep(Value):
@@ -283,12 +269,12 @@ def semidirect_prelie(r: PreLieRep) -> BiHomPreLieAlgebra:
     return _semidirect_prelie_raw(r)
 
 
-def _semidirect_tensor(top: BilinearProduct, m: int, left: Sequence[Matrix],
-                       right: Sequence[Matrix]) -> BilinearProduct:
-    """Structure tensor on A + V (algebra basis first, carrier after) of
-    ``(x+u)(y+v) = top(x, y) + left(x) v + right(y) u``, where ``left[i]``
-    and ``right[j]`` are the m x m actions of the algebra basis vectors."""
-    n, top_rows = top.dim, top.table.sparse_rows
+def _semidirect(top: BilinearProduct, r: PreLieRep | LieRep, left: Sequence[Matrix],
+                right: Sequence[Matrix]) -> BiHomPreLieAlgebra | BiHomLieAlgebra:
+    """The algebra on A + V (algebra basis first, carrier after) with the tensor of
+    ``(x+u)(y+v) = top(x, y) + left(x) v + right(y) u`` (``left[i]`` and
+    ``right[j]`` act on V) and twists alpha+phi, beta+psi, inverted blockwise."""
+    n, m, top_rows = top.dim, r.vdim, top.table.sparse_rows
 
     def carrier(col):  # an m-vector as a vector of A + V
         return {n + k: a for k, a in col.items()}
@@ -300,7 +286,11 @@ def _semidirect_tensor(top: BilinearProduct, m: int, left: Sequence[Matrix],
     for u in range(m):
         rows += [carrier(right[j].sparse_cols[u]) for j in range(n)]
         rows += [{}] * m
-    return BilinearProduct.from_sparse(rows, n + m)
+    t = r.algebra.twists
+    return type(r.algebra)(BilinearProduct.from_sparse(rows, n + m), _with_inverses(
+        TwistPair, (block_diag(t.alpha, r.phi), block_diag(t.beta, r.psi)),
+        alpha_inv=block_diag(t.alpha_inv, r.phi_inv),
+        beta_inv=block_diag(t.beta_inv, r.psi_inv)))
 
 
 def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
@@ -309,10 +299,7 @@ def _semidirect_prelie_raw(r: PreLieRep) -> BiHomPreLieAlgebra:
     Split out so the failure direction of the semidirect characterisation
     (defective representation -> defective algebra) can be exercised.
     """
-    a = r.algebra
-    product = _semidirect_tensor(a.product, r.vdim, r.L, r.R)
-    return BiHomPreLieAlgebra(product, TwistPair(block_diag(a.alpha, r.phi),
-                                                 block_diag(a.beta, r.psi)))
+    return _semidirect(r.algebra.product, r, r.L, r.R)
 
 
 def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
@@ -330,9 +317,7 @@ def _semidirect_lie_raw(r: LieRep) -> BiHomLieAlgebra:
     phi_psinv = r.phi @ r.psi_inv
     right = [-(_combination(r.rho, x) @ phi_psinv)
              for x in (g.twists.alpha_inv @ g.beta).sparse_cols]
-    bracket = _semidirect_tensor(g.bracket, r.vdim, r.rho, right)
-    return BiHomLieAlgebra(bracket, TwistPair(block_diag(g.alpha, r.phi),
-                                              block_diag(g.beta, r.psi)))
+    return _semidirect(g.bracket, r, r.rho, right)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +339,7 @@ def induced_lie_rep(r: PreLieRep, variant: str = "full") -> LieRep:
         raise ValueError(f"unknown variant {variant!r}; use 'full' or 'l-only'")
     rho = r.L if variant == "l-only" else _induced_rho(r)
     return _with_inverses(LieRep, (subadjacent(r.algebra), r.vdim, rho, r.phi,
-                                   r.psi), r.phi_inv, r.psi_inv)
+                                   r.psi), phi_inv=r.phi_inv, psi_inv=r.psi_inv)
 
 
 def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
@@ -434,4 +419,5 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
     R = tuple(Rv.kron(rw.phi) for Rv in rv.R)
     return _with_inverses(PreLieRep, (rv.algebra, rv.vdim * rw.vdim, L, R,
                                       rv.phi.kron(rw.phi), rv.psi.kron(rw.psi)),
-                          rv.phi_inv.kron(rw.phi_inv), rv.psi_inv.kron(rw.psi_inv))
+                          phi_inv=rv.phi_inv.kron(rw.phi_inv),
+                          psi_inv=rv.psi_inv.kron(rw.psi_inv))

@@ -19,6 +19,7 @@ from bihom import (
 )
 from bihom.algebra import SUBADJACENT_CACHE_SIZE
 from bihom.deformation import deformed_product
+from bihom.documents import algebra_from_doc, algebra_to_doc
 
 from catalog import (
     diag,
@@ -71,28 +72,26 @@ class TestConstruction:
                            match="^twist map beta must be invertible$"):
             TwistPair(Matrix.identity(2), diag(1, 0))
 
-    def test_twist_pair_eliminates_each_twist_once(self, monkeypatch):
+    def test_twist_pair_eliminates_each_twist_once(self, monkeypatch,
+                                                   eliminations):
         """The inverses that prove the twists invertible are the ones the
-        sub-adjacent formula reads: two eliminations in all, no rank."""
+        sub-adjacent formula reads: two eliminations in all, no rank.  An
+        identity twist is its own inverse and costs none, however the
+        algebra is built."""
         import bihom.algebra
         import bihom.linalg
 
-        inverses, eliminations = [], []
-        inverse, rref = bihom.linalg.inverse, bihom.linalg._rref
+        inverses = []
+        inverse = bihom.linalg.inverse
 
         def counted_inverse(m):
             inverses.append(m)
             return inverse(m)
 
-        def counted_rref(*args):
-            eliminations.append(args)
-            return rref(*args)
-
         def no_rank(m):
             raise AssertionError("rank called")
 
         monkeypatch.setattr(bihom.algebra, "inverse", counted_inverse)
-        monkeypatch.setattr(bihom.linalg, "_rref", counted_rref)
         monkeypatch.setattr(bihom.linalg, "rank", no_rank)
         alpha, beta = diag(2, 4, 8), Matrix.from_rows([[1, 0, 0], [1, 1, 0],
                                                        [0, 2, 1]])
@@ -109,6 +108,14 @@ class TestConstruction:
         assert "alpha_inv" not in repr(twists)
         assert twists == TwistPair(alpha, beta)
         assert hash(twists) == hash(TwistPair(alpha, beta))
+
+        inverses.clear()
+        eliminations.clear()
+        classical = BiHomPreLieAlgebra.classical(a.product)
+        loaded = algebra_from_doc(algebra_to_doc(classical))
+        for t in (TwistPair.identity(3), classical.twists, loaded.twists):
+            assert t.alpha_inv == t.beta_inv == Matrix.identity(3)
+        assert inverses == eliminations == []
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -201,9 +201,11 @@ class TestCompatibleFromInvertible:
         assert out.product.is_zero
 
     def test_singular_operator_rejected(self):
-        rep = left_rep(dim2_assoc())
-        with pytest.raises(SingularMatrixError):
-            compatible_prelie_from_invertible_o(Matrix.zeros(2, 2), rep)
+        for alg in (dim2_assoc(), dim2_nilpotent(2, 3)):
+            with pytest.raises(SingularMatrixError,
+                               match="^O-operator T must be invertible$"):
+                compatible_prelie_from_invertible_o(Matrix.zeros(2, 2),
+                                                    left_rep(alg))
 
     def test_invertible_non_o_operator_rejected_before_construction(self):
         glie = subadjacent(dim2_assoc())

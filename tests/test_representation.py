@@ -8,6 +8,7 @@ from bihom import (
     Matrix,
     PreLieRep,
     SingularMatrixError,
+    TwistPair,
     adjoint_lie_rep,
     adjoint_rep,
     check_bihom_lie,
@@ -16,6 +17,7 @@ from bihom import (
     check_prelie,
     check_prelie_rep,
     induced_lie_rep,
+    induced_prelie_from_o,
     semidirect_lie,
     semidirect_prelie,
     subadjacent,
@@ -266,6 +268,10 @@ class TestCarrierTwists:
             type(r)(r.algebra, r.vdim, *actions, twists["phi"], twists["psi"])
 
     def test_kept_inverses_invert(self):
+        """Every inverse a construction hands over inverts its twist: the
+        carrier twists of the built representations, and the twists of the
+        semidirect products, of the O-operator's induced algebra and of an
+        identity pair."""
         for _, r in prelie_rep_fixtures():
             ad = adjoint_rep(r.algebra)
             built = [r, induced_lie_rep(r), induced_lie_rep(r, "l-only"),
@@ -273,6 +279,14 @@ class TestCarrierTwists:
             for out in built:
                 eye = Matrix.identity(out.vdim)
                 assert out.phi @ out.phi_inv == out.psi @ out.psi_inv == eye
+            lie = induced_lie_rep(r)
+            pairs = [semidirect_prelie(r).twists, semidirect_lie(lie).twists,
+                     induced_prelie_from_o(Matrix.zeros(r.algebra.dim, r.vdim),
+                                           lie).twists,
+                     TwistPair.identity(r.vdim)]
+            for t in pairs:
+                eye = Matrix.identity(t.dim)
+                assert t.alpha @ t.alpha_inv == t.beta @ t.beta_inv == eye
 
     def test_kept_inverses_are_not_fields(self):
         r = tensor_rep(*[adjoint_rep(dim2_nilpotent(2, 3))] * 2)
@@ -281,37 +295,34 @@ class TestCarrierTwists:
         assert r == PreLieRep(r.algebra, r.vdim, r.L, r.R, r.phi, r.psi)
         assert "phi_inv" not in repr(r) and hash(r) == hash(
             PreLieRep(r.algebra, r.vdim, r.L, r.R, r.phi, r.psi))
+        kept = semidirect_prelie(r).twists  # built from known inverses
+        proved = TwistPair(kept.alpha, kept.beta)
+        assert kept == proved and hash(kept) == hash(proved)
+        assert repr(kept) == repr(proved) and "alpha_inv" not in repr(kept)
 
-    def test_each_carrier_twist_eliminated_once(self, monkeypatch):
+    def test_each_carrier_twist_eliminated_once(self, eliminations):
         """Standard representations cost no elimination; a loaded one whose
         twists are not the algebra's costs one per carrier twist; the
         constructions over it read the kept inverses, so none of them
-        eliminates a carrier-sized matrix."""
-        import bihom.linalg
-
+        eliminates a matrix, the semidirect products' block twists
+        included."""
         a = dim2_nilpotent(2, 3)
         ad = adjoint_rep(a)
         t = tensor_rep(ad, ad)  # carrier twists alpha (x) alpha, beta (x) beta
         pre_doc, lie_doc = rep_to_doc(t), rep_to_doc(induced_lie_rep(t))
         g = subadjacent(a)
         m = t.vdim
-        eliminated = []
-        rref = bihom.linalg._rref
-
-        def counted_rref(rows, width):
-            eliminated.append((len(rows), width))
-            return rref(rows, width)
-
-        monkeypatch.setattr(bihom.linalg, "_rref", counted_rref)
+        eliminations.clear()
         adjoint_rep(a), trivial_rep(a), adjoint_lie_rep(g)
-        assert eliminated == []
+        assert eliminations == []
 
         r, lie = rep_from_doc(pre_doc), rep_from_doc(lie_doc)
         # alpha, beta of each algebra, then phi, psi of each carrier
-        assert eliminated == [(2, 2), (2, 2), (m, m), (m, m)] * 2
-        eliminated.clear()
+        assert eliminations == [(2, 2), (2, 2), (m, m), (m, m)] * 2
+        eliminations.clear()
 
         induced_lie_rep(r), induced_lie_rep(r, "l-only"), tensor_rep(r, r)
         assert check_o_operator(Matrix.zeros(2, m), lie).passed
-        semidirect_lie(lie)  # its block twists alpha+phi, beta+psi only
-        assert eliminated == [(2 + m, 2 + m)] * 2
+        semidirect_prelie(r), semidirect_lie(lie)
+        induced_prelie_from_o(Matrix.zeros(2, m), lie)
+        assert eliminations == []
