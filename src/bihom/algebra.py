@@ -17,10 +17,13 @@ Every pre-Lie product induces a BiHom-Lie bracket (its sub-adjacent algebra)
     [x, y] = x . y - (alpha^-1 beta)(y) . (alpha beta^-1)(x).
 
 A structure tensor is stored sparse, as one matrix whose row ``i * dim + j``
-holds the nonzero coordinates of ``e_i . e_j``; the checkers and every
-construction of a tensor work on those rows and on the sparse columns of
-the twists.  Dense tuples appear only at the public API: the nest ``c``,
-``value``, ``basis_value``, a violation's residual and the JSON form.
+holds the nonzero coordinates of ``e_i . e_j``; only :class:`BilinearProduct`
+reads that layout.  Every other module builds a tensor pair by pair with
+:meth:`BilinearProduct.from_pairs` and reads it with
+:meth:`BilinearProduct.pair`, and the checkers work on those sparse rows and
+on the sparse columns of the twists.  Dense tuples appear only at the public
+API: the nest ``c``, ``value``, ``basis_value``, a violation's residual and
+the JSON form.
 
 All axiom checks run over basis tuples only; the identities are multilinear,
 so this is exhaustive.  Checks are exact: a report passes iff every residual
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import (
     Matrix,
@@ -135,11 +138,24 @@ class BilinearProduct(Value):
         return cls._wrap(Matrix.from_sparse(rows, dim))
 
     @classmethod
+    def from_pairs(cls, dim: int,
+                   value: Callable[[int, int], Row]) -> "BilinearProduct":
+        """The product with ``e_i * e_j`` the sparse row ``value(i, j)``, kept
+        as :meth:`from_sparse` keeps it."""
+        return cls.from_sparse([value(i, j) for i in range(dim)
+                                for j in range(dim)], dim)
+
+    @classmethod
     def zero(cls, dim: int) -> "BilinearProduct":
         return cls._wrap(Matrix.zeros(dim * dim, dim))
 
+    def pair(self, i: int, j: int) -> Row:
+        """``e_i * e_j`` as a sparse row without zero entries: the sparse form
+        of :meth:`basis_value`, shared with the table, so not to be changed."""
+        return self.table.sparse_rows[i * self.dim + j]
+
     def basis_value(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return _dense_vector(self.table.sparse_rows[i * self.dim + j], self.dim)
+        return _dense_vector(self.pair(i, j), self.dim)
 
     def value(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Bilinear extension to dense coordinate vectors: the dense form of
@@ -280,7 +296,30 @@ class TwistPair(Value):
         return self.alpha @ self.beta == self.beta @ self.alpha
 
 
-class BiHomPreLieAlgebra(Value):
+class _TwistedAlgebra:
+    """What the two BiHom algebras share: ``dim``, ``alpha`` and ``beta``,
+    read off the twist pair, and :meth:`classical`, which pairs a tensor (the
+    first field) with identity twists."""
+
+    @classmethod
+    def classical(cls, tensor: BilinearProduct):
+        """Untwisted special case: alpha = beta = identity."""
+        return cls(tensor, TwistPair.identity(tensor.dim))
+
+    @property
+    def dim(self) -> int:
+        return self.twists.dim
+
+    @property
+    def alpha(self) -> Matrix:
+        return self.twists.alpha
+
+    @property
+    def beta(self) -> Matrix:
+        return self.twists.beta
+
+
+class BiHomPreLieAlgebra(_TwistedAlgebra, Value):
     """Dimension-n BiHom-pre-Lie algebra: product tensor plus twist pair."""
 
     product: BilinearProduct
@@ -290,25 +329,8 @@ class BiHomPreLieAlgebra(Value):
         if self.product.dim != self.twists.dim:
             raise ValueError("product tensor and twist maps disagree on dimension")
 
-    @classmethod
-    def classical(cls, product: BilinearProduct) -> "BiHomPreLieAlgebra":
-        """Untwisted special case: alpha = beta = identity."""
-        return cls(product, TwistPair.identity(product.dim))
 
-    @property
-    def dim(self) -> int:
-        return self.product.dim
-
-    @property
-    def alpha(self) -> Matrix:
-        return self.twists.alpha
-
-    @property
-    def beta(self) -> Matrix:
-        return self.twists.beta
-
-
-class BiHomLieAlgebra(Value):
+class BiHomLieAlgebra(_TwistedAlgebra, Value):
     """Dimension-n BiHom-Lie algebra: bracket tensor plus twist pair."""
 
     bracket: BilinearProduct
@@ -317,22 +339,6 @@ class BiHomLieAlgebra(Value):
     def __post_init__(self) -> None:
         if self.bracket.dim != self.twists.dim:
             raise ValueError("bracket tensor and twist maps disagree on dimension")
-
-    @classmethod
-    def classical(cls, bracket: BilinearProduct) -> "BiHomLieAlgebra":
-        return cls(bracket, TwistPair.identity(bracket.dim))
-
-    @property
-    def dim(self) -> int:
-        return self.bracket.dim
-
-    @property
-    def alpha(self) -> Matrix:
-        return self.twists.alpha
-
-    @property
-    def beta(self) -> Matrix:
-        return self.twists.beta
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +465,11 @@ def _map_violations(col: _Collector, axiom: str, f: Matrix,
                     P: BilinearProduct, P2: BilinearProduct) -> None:
     """``f(e_i . e_j) - f(e_i) . f(e_j)`` on every ordered basis pair, for a
     linear map f from the space of the product P to that of P2."""
-    n = P.dim
-    rows, fcol = P.table.sparse_rows, f.sparse_cols
+    n, fcol = P.dim, f.sparse_cols
     for i in range(n):
         for j in range(n):
             col.check(axiom, (i, j),
-                      _row_sub(f.sparse_apply(rows[i * n + j]),
+                      _row_sub(f.sparse_apply(P.pair(i, j)),
                                P2.sparse_value(fcol[i], fcol[j])), P2.dim)
 
 
@@ -502,10 +507,10 @@ def _left_symmetry_violations(col: _Collector, twists: TwistPair,
     n = twists.dim
     acol, bcol = twists.alpha.sparse_cols, twists.beta.sparse_cols
     abcol = (twists.alpha @ twists.beta).sparse_cols
-    basis = Matrix.identity(n).sparse_rows
     inners = _inner_products(checks)
     # inner(alpha e_y, e_k), which does not depend on x
-    right = {q: [[Q.sparse_value(acol[y], e) for e in basis] for y in range(n)]
+    right = {q: [[Q.sparse_value(acol[y], {k: 1}) for k in range(n)]
+                 for y in range(n)]
              for q, Q in inners.items()}
     for i in range(n):
         for j in range(i + 1, n):
@@ -568,12 +573,10 @@ def _jacobi_violations(col: _Collector, twists: TwistPair,
 
 def _subadjacent_tensor(c: BilinearProduct, twists: TwistPair) -> BilinearProduct:
     """``c(x, y) - c(alpha^-1 beta y, alpha beta^-1 x)`` on basis pairs."""
-    n, rows = c.dim, c.table.sparse_rows
     ainv_b = (twists.alpha_inv @ twists.beta).sparse_cols
     a_binv = (twists.alpha @ twists.beta_inv).sparse_cols
-    return BilinearProduct.from_sparse(
-        [_row_sub(rows[i * n + j], c.sparse_value(ainv_b[j], a_binv[i]))
-         for i in range(n) for j in range(n)], n)
+    return BilinearProduct.from_pairs(c.dim, lambda i, j: _row_sub(
+        c.pair(i, j), c.sparse_value(ainv_b[j], a_binv[i])))
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,8 @@ def _check_result(command: str, label: str, report: AxiomReport,
     return CliResult(command, status, lines, payload)
 
 
-def _emit_document(result: CliResult, doc: dict, output: str | None) -> None:
+def _emit_document(result: CliResult, doc: dict, output: str | None) -> CliResult:
+    """``result`` with ``doc`` written to ``output``, or printed without it."""
     result.payload["document"] = doc
     if output:
         dump_json(output, doc)
@@ -140,6 +141,7 @@ def _emit_document(result: CliResult, doc: dict, output: str | None) -> None:
     else:
         result.payload["output"] = None
         result.lines.append(json.dumps(doc, indent=2))
+    return result
 
 
 def _require_prelie(obj, what: str) -> BiHomPreLieAlgebra:
@@ -166,10 +168,9 @@ def _cmd_subadjacent(args) -> CliResult:
     report = check_prelie(a)
     if not report.passed:
         return _check_result("subadjacent", "input BiHom-pre-Lie", report)
-    result = CliResult("subadjacent", "pass",
-                       [f"sub-adjacent bracket of a dim-{a.dim} algebra"])
-    _emit_document(result, algebra_to_doc(subadjacent(a)), args.output)
-    return result
+    return _emit_document(CliResult(
+        "subadjacent", "pass", [f"sub-adjacent bracket of a dim-{a.dim} algebra"]),
+        algebra_to_doc(subadjacent(a)), args.output)
 
 
 def _cmd_semidirect(args) -> CliResult:
@@ -180,9 +181,9 @@ def _cmd_semidirect(args) -> CliResult:
     else:
         out = semidirect_lie(rep)
         label = "semidirect BiHom-Lie bracket"
-    result = CliResult("semidirect", "pass", [f"{label} on dim {out.dim}"])
-    _emit_document(result, algebra_to_doc(out), args.output)
-    return result
+    return _emit_document(CliResult(
+        "semidirect", "pass", [f"{label} on dim {out.dim}"]),
+        algebra_to_doc(out), args.output)
 
 
 def _cmd_induced_rep(args) -> CliResult:
@@ -197,10 +198,9 @@ def _cmd_induced_rep(args) -> CliResult:
     if not report.passed:
         return _check_result("induced-rep", "input representation", report)
     out = induced_lie_rep(rep, args.variant)
-    result = CliResult("induced-rep", "pass",
-                       [f"induced BiHom-Lie representation ({args.variant})"])
-    _emit_document(result, rep_to_doc(out), args.output)
-    return result
+    return _emit_document(CliResult(
+        "induced-rep", "pass", [f"induced BiHom-Lie representation ({args.variant})"]),
+        rep_to_doc(out), args.output)
 
 
 def _cmd_twist_rep(args) -> CliResult:
@@ -210,9 +210,8 @@ def _cmd_twist_rep(args) -> CliResult:
     alpha, beta, phi, psi = twists_from_doc(load_json(args.twists), args.twists,
                                             rep.algebra.dim, rep.vdim)
     out = twist_rep(rep, alpha, beta, phi, psi)
-    result = CliResult("twist-rep", "pass", ["twisted representation"])
-    _emit_document(result, rep_to_doc(out), args.output)
-    return result
+    return _emit_document(CliResult("twist-rep", "pass", ["twisted representation"]),
+                          rep_to_doc(out), args.output)
 
 
 def _cmd_tensor_rep(args) -> CliResult:
@@ -222,10 +221,9 @@ def _cmd_tensor_rep(args) -> CliResult:
         raise DocumentError("tensor-rep requires two pre-Lie representation "
                             "documents")
     out = tensor_rep(rv, rw)
-    result = CliResult("tensor-rep", "pass",
-                       [f"tensor representation on a dim-{out.vdim} carrier"])
-    _emit_document(result, rep_to_doc(out), args.output)
-    return result
+    return _emit_document(CliResult(
+        "tensor-rep", "pass", [f"tensor representation on a dim-{out.vdim} carrier"]),
+        rep_to_doc(out), args.output)
 
 
 def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
@@ -258,9 +256,8 @@ def _operator_result(args, label: str, check, build, *operands) -> CliResult:
         doc = build(*operands)
     except AxiomError as exc:
         return _check_result(args.command, label, exc.report)
-    result = _check_result(args.command, label, AxiomReport(()))
-    _emit_document(result, doc, args.output)
-    return result
+    return _emit_document(_check_result(args.command, label, AxiomReport(())),
+                          doc, args.output)
 
 
 def _cmd_o_operator(args) -> CliResult:
@@ -394,10 +391,9 @@ def _cmd_push_lie(args) -> CliResult:
     candidate = deformation_from_doc(load_json(args.deformation),
                                      args.deformation, a.dim)
     pushed = push_deformation_to_lie(a, candidate)
-    result = CliResult("push-lie", "pass",
-                       ["deformation pushed to the sub-adjacent algebra"])
-    _emit_document(result, deformation_to_doc(pushed), args.output)
-    return result
+    return _emit_document(CliResult(
+        "push-lie", "pass", ["deformation pushed to the sub-adjacent algebra"]),
+        deformation_to_doc(pushed), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +452,7 @@ _VERBS: dict[str, tuple[str, bool, list[tuple[str, dict]]]] = {
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """What ``_build_parser(argv).parse_args(argv)`` returns for a
+    """What ``_build_parser().parse_args(argv)`` returns for a
     well-formed ``argv``, read straight from ``_VERBS``; None for anything
     else.  Read are the verb, its positionals as one contiguous run, and its
     long options spelled in full, as ``--opt v`` or ``--opt=v``, whose value
@@ -521,26 +517,17 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The ``bihom`` parser.  When ``argv`` starts with a verb, only that
-    verb's sub-parser is built, since a process runs one verb; the usage
-    lines still list every verb."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The ``bihom`` parser of every verb, for the argvs that
+    :func:`_read_argv` leaves to it: help and usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="bihom",
         description="Exact checks and constructions for BiHom-pre-Lie and "
                     "BiHom-Lie algebras given by structure constants.")
-    verbs = list(_VERBS)
-    options = {}
-    if argv and argv[0] in _VERBS:
-        verbs = [argv[0]]
-        # the usage line of a full build; set always, the metavar would also
-        # replace "command" in the no-verb and invalid-choice errors
-        options["metavar"] = "{" + ",".join(_VERBS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, **options)
-    for name in verbs:
-        help_, outputs, arguments = _VERBS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, outputs, arguments) in _VERBS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable report")
@@ -559,7 +546,7 @@ def run(argv: list[str] | None = None) -> int:
     args = _read_argv(argv)
     if args is None:
         try:
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
     try:

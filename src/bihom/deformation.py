@@ -118,16 +118,14 @@ def check_equivalence(a: BiHomPreLieAlgebra, pi1: BilinearProduct,
     n = a.dim
     P = a.product
     ncol = N.sparse_cols
-    basis = Matrix.identity(n).sparse_rows
-    pi1_rows, pi2_rows = pi1.table.sparse_rows, pi2.table.sparse_rows
-    derived = _deformed(P, N).table.sparse_rows
+    derived = _deformed(P, N)
     for i in range(n):
         for j in range(n):
-            e_i, e_j = basis[i], basis[j]
-            pi2_ij = pi2_rows[i * n + j]
+            e_i, e_j = {i: 1}, {j: 1}
+            pi2_ij = pi2.pair(i, j)
             col.check("equivalence-linear", (i, j),
-                      _row_sub(_row_sub(pi2_ij, pi1_rows[i * n + j]),
-                               derived[i * n + j]), n)
+                      _row_sub(_row_sub(pi2_ij, pi1.pair(i, j)),
+                               derived.pair(i, j)), n)
             lhs = _row_add(pi1.sparse_value(e_i, ncol[j]),
                            pi1.sparse_value(ncol[i], e_j))
             rhs = _row_sub(N.sparse_apply(pi2_ij),
@@ -154,14 +152,11 @@ def deformed_product(a: BiHomPreLieAlgebra, N: Matrix) -> BilinearProduct:
 
 def _deformed(P: BilinearProduct, mat: Matrix) -> BilinearProduct:
     """The product ``*_N`` for N = mat."""
-    n, rows = P.dim, P.table.sparse_rows
     ncol = mat.sparse_cols
-    basis = Matrix.identity(n).sparse_rows
-    return BilinearProduct.from_sparse(
-        [_row_sub(_row_add(P.sparse_value(ncol[i], basis[j]),
-                           P.sparse_value(basis[i], ncol[j])),
-                  mat.sparse_apply(rows[i * n + j]))
-         for i in range(n) for j in range(n)], n)
+    return BilinearProduct.from_pairs(P.dim, lambda i, j: _row_sub(
+        _row_add(P.sparse_value(ncol[i], {j: 1}),
+                 P.sparse_value({i: 1}, ncol[j])),
+        mat.sparse_apply(P.pair(i, j))))
 
 
 def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
@@ -171,13 +166,13 @@ def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
     col = _Collector()
     _operator_commutation(col, "N", N, twists)
     n = P.dim
-    deformed = _deformed(P, N).table.sparse_rows
+    deformed = _deformed(P, N)
     ncol = N.sparse_cols
     for i in range(n):
         for j in range(n):
             col.check("nijenhuis-identity", (i, j),
                       _row_sub(P.sparse_value(ncol[i], ncol[j]),
-                               N.sparse_apply(deformed[i * n + j])), n)
+                               N.sparse_apply(deformed.pair(i, j))), n)
     return col.report()
 
 

@@ -107,9 +107,9 @@ def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")
-    product = BilinearProduct.from_sparse(
-        [v for t in T.sparse_cols for v in _combination(r.rho, t).sparse_cols],
-        r.vdim)
+    rho_t = [_combination(r.rho, t) for t in T.sparse_cols]
+    product = BilinearProduct.from_pairs(
+        r.vdim, lambda u, v: rho_t[u].sparse_cols[v])
     out = BiHomPreLieAlgebra(product, _with_inverses(
         TwistPair, (r.phi, r.psi), alpha_inv=r.phi_inv, beta_inv=r.psi_inv))
     check = check_prelie(out)
@@ -152,12 +152,11 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     _operator_commutation(col, "R", R, g.twists)
     B = g.bracket
     rcol = R.sparse_cols
-    basis = Matrix.identity(n).sparse_rows
     for i in range(n):
         for j in range(n):
             lhs = B.sparse_value(rcol[i], rcol[j])
-            inner = _row_add(B.sparse_value(rcol[i], basis[j]),
-                             B.sparse_value(basis[i], rcol[j]))
+            inner = _row_add(B.sparse_value(rcol[i], {j: 1}),
+                             B.sparse_value({i: 1}, rcol[j]))
             col.check("rota-baxter-identity", (i, j),
                       _row_sub(lhs, R.sparse_apply(inner)), n)
     return merge_reports(_prefixed(check_bihom_lie(g), "base:"), col.report())
@@ -169,10 +168,9 @@ def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
     O-operator construction for the adjoint representation with T = R."""
     _require_passed(check_rota_baxter(R, g),
                     "not a Rota-Baxter operator of weight zero")
-    basis = Matrix.identity(g.dim).sparse_rows
-    product = BilinearProduct.from_sparse(
-        [g.bracket.sparse_value(x, e) for x in R.sparse_cols for e in basis],
-        g.dim)
+    rcol = R.sparse_cols
+    product = BilinearProduct.from_pairs(
+        g.dim, lambda i, j: g.bracket.sparse_value(rcol[i], {j: 1}))
     return BiHomPreLieAlgebra(product, g.twists)
 
 
@@ -190,9 +188,9 @@ def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlge
     tinv = _twist_inverse(T, "O-operator T")  # also forces vdim == n
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")
-    product = BilinearProduct.from_sparse(
-        [T.sparse_apply(v) for rho in r.rho for v in (rho @ tinv).sparse_cols],
-        n)
+    tcol = tinv.sparse_cols
+    product = BilinearProduct.from_pairs(
+        n, lambda i, j: T.sparse_apply(r.rho[i].sparse_apply(tcol[j])))
     out = BiHomPreLieAlgebra(product, g.twists)
     if subadjacent(out).bracket != g.bracket:
         raise RuntimeError("internal defect: induced product is not compatible "

@@ -193,12 +193,11 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
             col.check_matrix("rep2", (i, j), _combination(r.L, skew) @ psi
                              - (Lab[i] @ La[j] - Lab[j] @ La[i]))
 
-    basis = Matrix.identity(n).sparse_rows
     for i in range(n):
         for j in range(n):
             lhs = Rb[i] @ Lb[j] @ phi - Lab[j] @ r.R[i] @ phi
             rhs = (Rb[i] @ Ra[j] @ psi - _combination(
-                r.R, P.sparse_value(acol[j], basis[i])) @ phi @ psi)
+                r.R, P.sparse_value(acol[j], {i: 1})) @ phi @ psi)
             col.check_matrix("rep3", (i, j), lhs - rhs)
     return col.report()
 
@@ -218,10 +217,9 @@ def check_lie_rep(r: LieRep) -> AxiomReport:
     for i in range(n):
         col.check_matrix("lie-rep-1", (i,), rho_a[i] @ phi - phi @ r.rho[i])
         col.check_matrix("lie-rep-2", (i,), rho_b[i] @ psi - psi @ r.rho[i])
-    basis = Matrix.identity(n).sparse_rows
     for i in range(n):
         for j in range(n):
-            lhs = _combination(r.rho, B.sparse_value(bcol[i], basis[j])) @ psi
+            lhs = _combination(r.rho, B.sparse_value(bcol[i], {j: 1})) @ psi
             rhs = rho_ab[i] @ r.rho[j] - rho_b[j] @ rho_a[i]
             col.check_matrix("lie-rep-3", (i, j), lhs - rhs)
     return col.report()
@@ -274,20 +272,18 @@ def _semidirect(top: BilinearProduct, r: PreLieRep | LieRep, left: Sequence[Matr
     """The algebra on A + V (algebra basis first, carrier after) with the tensor of
     ``(x+u)(y+v) = top(x, y) + left(x) v + right(y) u`` (``left[i]`` and
     ``right[j]`` act on V) and twists alpha+phi, beta+psi, inverted blockwise."""
-    n, m, top_rows = top.dim, r.vdim, top.table.sparse_rows
+    n, m = top.dim, r.vdim
 
     def carrier(col):  # an m-vector as a vector of A + V
         return {n + k: a for k, a in col.items()}
 
-    rows = []
-    for i in range(n):
-        rows += top_rows[i * n:(i + 1) * n]
-        rows += map(carrier, left[i].sparse_cols)
-    for u in range(m):
-        rows += [carrier(right[j].sparse_cols[u]) for j in range(n)]
-        rows += [{}] * m
+    def value(i, j):  # one of the four blocks, by the sides of i and j
+        if i < n:
+            return top.pair(i, j) if j < n else carrier(left[i].sparse_cols[j - n])
+        return carrier(right[j].sparse_cols[i - n]) if j < n else {}
+
     t = r.algebra.twists
-    return type(r.algebra)(BilinearProduct.from_sparse(rows, n + m), _with_inverses(
+    return type(r.algebra)(BilinearProduct.from_pairs(n + m, value), _with_inverses(
         TwistPair, (block_diag(t.alpha, r.phi), block_diag(t.beta, r.psi)),
         alpha_inv=block_diag(t.alpha_inv, r.phi_inv),
         beta_inv=block_diag(t.beta_inv, r.psi_inv)))
@@ -384,8 +380,8 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
     _require_passed(col.report(), "twisting hypotheses are violated")
 
     acol, bcol = alpha.sparse_cols, beta.sparse_cols
-    twisted = BilinearProduct.from_sparse(
-        [a.product.sparse_value(x, y) for x in acol for y in bcol], n)
+    twisted = BilinearProduct.from_pairs(
+        n, lambda i, j: a.product.sparse_value(acol[i], bcol[j]))
     algebra2 = BiHomPreLieAlgebra(twisted, TwistPair(alpha, beta))
     La, _, _, Rb = actions
     LL = tuple(L @ psi for L in La)

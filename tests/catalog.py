@@ -447,14 +447,6 @@ def random_matrix(rng: random.Random, rows: int, cols: int,
                              for _ in range(rows)])
 
 
-def random_invertible(rng: random.Random, n: int, span: int = 2) -> Matrix:
-    from bihom import rank
-    while True:
-        m = random_matrix(rng, n, n, span)
-        if rank(m) == n:
-            return m
-
-
 def random_product(rng: random.Random, dim: int, span: int = 2) -> BilinearProduct:
     return BilinearProduct.from_entries(
         [[[random_rational(rng, span) for _ in range(dim)]

@@ -1,7 +1,7 @@
 """A cold ``bihom`` process pays only for its verb.
 
 ``cli._read_argv`` reads a well-formed argv without argparse; wherever it
-accepts one, ``_build_parser(argv).parse_args(argv)`` must accept it too and
+accepts one, ``_build_parser().parse_args(argv)`` must accept it too and
 return an equal namespace.  A verb imports only the modules it runs, which
 ``-X importtime`` shows in a real process: on catalog inputs, and on every
 job of both bench workloads, where no job imports argparse and no ``checks``
@@ -40,7 +40,7 @@ def parsed(argv):
     """``_build_parser``'s namespace for ``argv``, or its exit code."""
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return cli._build_parser(argv).parse_args(argv)
+            return cli._build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
 

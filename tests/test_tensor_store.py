@@ -3,18 +3,25 @@ it replaced (the ``dense_*`` references in ``oracles.py``).
 
 A product built with :meth:`~bihom.BilinearProduct.from_sparse` and one
 built from the same dense nest must agree on every operation, and on
-``==``, ``hash``, ``repr`` and ``to_json``.  Each construction that builds
-a structure tensor must write the document its dense reference writes, on
-the catalog fixtures and on random inputs of dimension <= 3.
+``==``, ``hash``, ``repr`` and ``to_json``; so must one built pair by pair
+with :meth:`~bihom.BilinearProduct.from_pairs`, read back by
+:meth:`~bihom.BilinearProduct.pair`.  Each construction that builds a
+structure tensor must write the document its dense reference writes, on the
+catalog fixtures and on random inputs of dimension <= 3.  Only
+``algebra.py`` reads the table's layout: no other module of the package
+names a ``.table`` or ``BilinearProduct.from_sparse``.
 """
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import bihom
 from bihom import (
     BiHomPreLieAlgebra,
     BilinearProduct,
@@ -167,6 +174,23 @@ class TestSparseAgainstDense:
             assert all(type(x) is Fraction for x in image)
             assert p.sparse_value(_sparse_vector(u), _sparse_vector(v)) \
                 == _sparse_vector(expected)
+
+    @given(st.integers(0, 4).flatmap(nests))
+    def test_pairs(self, nest):
+        """``from_pairs`` keeps what ``from_sparse`` keeps of the same sparse
+        rows, zero entries included; ``pair`` is the nonzero part of a row
+        and ``basis_value`` its dense form, on sparse and dense products."""
+        n = len(nest)
+        rows = {(i, j): {k: _raw(x) for k, x in enumerate(nest[i][j]) if x or k % 2}
+                for i, j in itertools.product(range(n), repeat=2)}
+        built = BilinearProduct.from_pairs(n, lambda i, j: rows[i, j])
+        same(built, BilinearProduct.from_sparse(list(rows.values()), n))
+        for p in (built, BilinearProduct.from_entries(nest)):
+            for (i, j), row in rows.items():
+                assert p.pair(i, j) == {k: x for k, x in row.items() if x}
+                assert all(type(x) is Fraction for x in p.pair(i, j).values())
+                assert p.basis_value(i, j) == tuple(p.pair(i, j).get(k, 0)
+                                                    for k in range(n))
 
     def test_from_sparse_checks_the_row_count(self):
         with pytest.raises(ValueError, match="not 2x2x2"):
@@ -326,3 +350,29 @@ class TestConstructionsOnRandomInputs:
         g = subadjacent(conjugated(a, h))
         R = h @ R @ inverse(h)
         same_json(rb_induced_prelie(R, g).product, dense_rb_induced_product(R, g))
+
+
+# ---------------------------------------------------------------------------
+# the layout stays in algebra.py
+# ---------------------------------------------------------------------------
+
+def layout_reads(source: str) -> list[int]:
+    """The lines of ``source`` that name a ``.table`` attribute or
+    ``BilinearProduct.from_sparse``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and (
+                      node.attr == "table" or node.attr == "from_sparse"
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "BilinearProduct"))
+
+
+def test_only_algebra_reads_the_tensor_layout():
+    assert layout_reads("x = p.table.sparse_rows[i * n + j]\n"
+                        "y = BilinearProduct.from_sparse(rows, n)\n"
+                        "z = space.tables['bkt']\n") == [1, 2]
+    package = Path(bihom.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 1 and package / "algebra.py" in modules
+    leaks = {path.name: layout_reads(path.read_text()) for path in modules
+             if path.name != "algebra.py"}
+    assert not any(leaks.values()), leaks
