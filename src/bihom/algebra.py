@@ -329,6 +329,13 @@ class BiHomPreLieAlgebra(_TwistedAlgebra, Value):
         if self.product.dim != self.twists.dim:
             raise ValueError("product tensor and twist maps disagree on dimension")
 
+    @_Lazy
+    def subadjacent_bracket(self) -> BilinearProduct:
+        """The bracket of :func:`subadjacent`, computed once per algebra on
+        first read and kept; not a field, so ``==``, ``hash`` and ``repr``
+        do not see it."""
+        return _subadjacent_tensor(self.product, self.twists)
+
 
 class BiHomLieAlgebra(_TwistedAlgebra, Value):
     """Dimension-n BiHom-Lie algebra: bracket tensor plus twist pair."""
@@ -632,7 +639,7 @@ def subadjacent(a: BiHomPreLieAlgebra) -> BiHomLieAlgebra:
     twist maps.  For a valid pre-Lie algebra the result satisfies all the
     BiHom-Lie axioms; with identity twists it is the ordinary commutator.
     """
-    return BiHomLieAlgebra(_subadjacent_tensor(a.product, a.twists), a.twists)
+    return BiHomLieAlgebra(a.subadjacent_bracket, a.twists)
 
 
 def _morphism_violations(f: Matrix, product: BilinearProduct,

@@ -32,11 +32,20 @@ One :class:`CochainSpace` per degree assembles ``E_n``, ``K_n`` and
 ``D_n`` when first read, and each function builds the degrees it touches
 once per call.  ``K_n`` is a sparse ``dim S^n x dim C^n`` ``Matrix`` read
 straight off the reduced row echelon form of ``E_n``, the one store of the
-basis of C^n; rows reach :mod:`bihom.linalg` as ``Matrix.from_sparse``,
-which keeps them for the elimination.  The rows of ``K_n`` at the free
-columns of that RREF form the identity, so the coordinates of a cochain
-in the basis of C^n are its entries at those columns: no image is
-expanded in a basis by a second elimination.
+basis of C^n.  The rows of ``K_n`` at the free columns of that RREF form
+the identity, so the coordinates of a cochain in the basis of C^n are its
+entries at those columns: no image is expanded in a basis by a second
+elimination.
+
+The rows of the complex are exact integer rows wherever they can be: the
+twist columns, the rows of phi and psi, the ``lmat``/``rmat``/``prod``/
+``bkt`` tables and the rows of ``K`` that an image multiplies hold an
+``int`` wherever a value is integral and a ``Fraction`` only where it is
+not, converted once where each table is built.  So ``E_n``, ``D_n``, the
+skew walk and the images are built mostly in ``int`` arithmetic, which
+mixes with ``Fraction`` without rounding; the eliminations take the rows
+as they are (``linalg._rref`` divides exactly).  Every public result, and
+``K_n`` with its dense views, holds ``Fraction`` entries only.
 
 Each identity is asserted in one place.  ``E_n K_n = 0`` (the solved
 basis consists of cochains) is asserted where ``K_n`` is solved.  Caller
@@ -63,11 +72,11 @@ from math import comb
 from operator import getitem
 from typing import Callable, Iterable, Sequence
 
-from .algebra import BiHomPreLieAlgebra, BilinearProduct, _subadjacent_tensor
+from .algebra import BiHomPreLieAlgebra, BilinearProduct
 from .linalg import (Matrix, Row, Value, _axpy, _combination, _dense_vector,
-                     _kernel, _require_exact, _row_product, _sparse_vector,
-                     rank, rational_from_json, rational_to_json, try_solve,
-                     zero_vector)
+                     _kernel, _rank, _require_exact, _row_product,
+                     _sparse_vector, rational_from_json, rational_to_json,
+                     try_solve, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -226,12 +235,20 @@ def _width(adim: int, n: int, vdim: int) -> int:
     return comb(adim, n - 1) * adim * vdim if n >= 1 else 0
 
 
-def _wedge(vectors: Sequence[Row]) -> dict[tuple[int, ...], Fraction]:
+def _integral(row: Row) -> Row:
+    """``row`` with each integral entry an ``int``, any other kept a
+    ``Fraction``: the one conversion of the tables that ``E_n`` and the
+    four-sum read, made once where each table is built."""
+    return {j: a.numerator if a.denominator == 1 else a for j, a in row.items()}
+
+
+def _wedge(vectors: Sequence[Row]) -> dict[tuple[int, ...], Fraction | int]:
     """``f(v_1, ..., v_m, -)`` for f skew in its first m slots, as the
-    coefficients (minors) of ``f(e_J, -)`` over strictly increasing J."""
-    out: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    coefficients (minors) of ``f(e_J, -)`` over strictly increasing J,
+    each an ``int`` where the entries of the vectors are."""
+    out: dict[tuple[int, ...], Fraction | int] = {(): 1}
     for v in vectors:
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[tuple[int, ...], Fraction | int] = {}
         for J, w in out.items():
             signed = {}
             for j, c in v.items():
@@ -251,7 +268,10 @@ class CochainSpace:
     ``rmat``/``prod``/``bkt`` tables, and the kernel basis ``K_n`` of
     ``E_n``, whose columns are the free coordinates of a basis of C^n.
     Each is built when first read and kept, as are the dense ``vectors``
-    and the :class:`Cochain` form ``basis`` of that basis."""
+    and the :class:`Cochain` form ``basis`` of that basis.  The tables,
+    the rows of phi and psi and so the rows of ``E_n`` and ``D_n`` hold an
+    ``int`` wherever a value is integral (:func:`_integral`); ``K_n``, the
+    dense views and every public result hold ``Fraction`` entries."""
 
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
         if n < 1:
@@ -260,11 +280,11 @@ class CochainSpace:
             raise ValueError("representation is over a different algebra")
         self.a, self.r, self.degree = a, r, n
         self.adim, self.vdim = a.dim, r.vdim
-        self.eye = Matrix.identity(r.vdim).sparse_rows
+        self.eye = [{k: 1} for k in range(r.vdim)]
         self.index = _index(a.dim, n)
         self.width = _width(a.dim, n, r.vdim)
         self.an1 = a.alpha.power(n - 1)
-        self.cols = {name: m.sparse_cols
+        self.cols = {name: list(map(_integral, m.sparse_cols))
                      for name, m in (("alpha", a.alpha), ("beta", a.beta),
                                      ("ab", a.alpha @ a.beta),
                                      ("an1", self.an1))}
@@ -285,7 +305,11 @@ class CochainSpace:
     def _evaluate(self, rows: list[Row], heads: dict, last: Row,
                   outer: Sequence[Row], coeff: int) -> None:
         """``rows[k] += coeff * (outer f(heads, last))[k]`` as functionals of
-        f's free coordinates, for the sparse rows ``outer`` of a matrix."""
+        f's free coordinates, for the sparse rows ``outer`` of a matrix;
+        nothing when ``outer`` is zero, as L and R of trivial coefficients
+        are."""
+        if not any(outer):
+            return
         vdim, index = self.vdim, self.index
         for J, w in heads.items():
             for l, c in last.items():
@@ -298,10 +322,15 @@ class CochainSpace:
     def equivariance(self) -> list[Row]:
         """``E_n``: the nonzero rows of ``outer f(e_X) - f(inner e_X)`` for
         (outer, inner) = (phi, alpha), (psi, beta) and canonical X.  At any
-        other tuple the condition repeats one of these up to sign."""
+        other tuple the condition repeats one of these up to sign.  A pair
+        of identities is skipped: its rows are ``f(e_X) - f(e_X)``, zero for
+        every f, so they would all cancel and be dropped."""
         out = []
-        for family, outer in (("alpha", self.r.phi.sparse_rows),
-                              ("beta", self.r.psi.sparse_rows)):
+        for family, outer, inner in (("alpha", self.r.phi, self.a.alpha),
+                                     ("beta", self.r.psi, self.a.beta)):
+            if outer.is_identity and inner.is_identity:
+                continue
+            outer = list(map(_integral, outer.sparse_rows))
             for idx in self.index:
                 rows: list[Row] = [{} for _ in range(self.vdim)]
                 self._evaluate(rows, {idx[:-1]: 1}, {idx[-1]: 1}, outer, 1)
@@ -326,14 +355,15 @@ class CochainSpace:
     def tables(self) -> dict:
         a, r, n, adim = self.a, self.r, self.degree, self.adim
         bn1 = a.beta.power(n - 1)
-        sub = _subadjacent_tensor(a.product, a.twists)
+        sub, cols = a.subadjacent_bracket, self.cols
         return {
-            "lmat": [_combination(r.L, x).sparse_rows
+            "lmat": [list(map(_integral, _combination(r.L, x).sparse_rows))
                      for x in (self.an1 @ bn1).sparse_cols],
-            "rmat": [_combination(r.R, x).sparse_rows for x in bn1.sparse_cols],
-            "prod": [[a.product.sparse_value(self.cols["an1"][p], {q: 1})
+            "rmat": [list(map(_integral, _combination(r.R, x).sparse_rows))
+                     for x in bn1.sparse_cols],
+            "prod": [[_integral(a.product.sparse_value(cols["an1"][p], {q: 1}))
                       for q in range(adim)] for p in range(adim)],
-            "bkt": [[sub.sparse_value(self.cols["beta"][p], self.cols["alpha"][q])
+            "bkt": [[_integral(sub.sparse_value(cols["beta"][p], cols["alpha"][q]))
                      for q in range(adim)] for p in range(adim)],
         }
 
@@ -392,7 +422,7 @@ def _image(src: CochainSpace, dst: CochainSpace, K: Matrix) -> list[Row]:
     images at every (n+1)-tuple and ``E_(n+1) D_n K = 0``."""
     if not K.cols:
         return [{} for _ in range(dst.width)]
-    kt = K.sparse_rows
+    kt = list(map(_integral, K.sparse_rows))
     canon, vdim = src.coboundary, src.vdim
     for X in itertools.product(range(src.adim), repeat=src.degree + 1):
         sign, c = _resolve(X)
@@ -442,7 +472,7 @@ def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
     src = CochainSpace(a, r, n)
     image = _image(src, CochainSpace(a, r, n + 1), _require_cochain(f, src))
     return Cochain(n + 1, f.adim, f.vdim,
-                   tuple(row.get(0, Fraction(0)) for row in image))
+                   tuple(Fraction(row.get(0, 0)) for row in image))
 
 
 def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:
@@ -502,8 +532,7 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
         if any(image) and any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
-        ranks[m] = rank(Matrix.from_sparse([row for row in image if row],
-                                           spaces[m].dim))
+        ranks[m] = _rank([row for row in image if row], spaces[m].dim)
     reports = []
     for m in wanted:
         dim_z, dim_b = spaces[m].dim - ranks[m], ranks.get(m - 1, 0)

@@ -5,13 +5,17 @@ Conventions used throughout the package:
 * scalars are :class:`fractions.Fraction` (arbitrary precision, kept in
   canonical form by the standard library, never rounded);
 * inside the package a vector is a sparse row, a ``dict`` from index to
-  nonzero ``Fraction``; the public API takes and returns plain tuples;
+  nonzero ``Fraction``; the public API takes and returns plain tuples.
+  The rows of the cochain complex in :mod:`bihom.cohomology` hold an
+  ``int`` wherever a value is integral and a ``Fraction`` elsewhere: the
+  two mix without rounding, every kernel here takes both, and
+  :func:`_rref` divides exactly whatever the class of its pivot;
 * a :class:`Matrix` acts on column vectors, i.e. a linear map ``f`` with
   matrix ``M`` satisfies ``f(e_j) = sum_i M[i][j] e_i``.
 
 Every elimination (:func:`rank`, :func:`kernel_basis`, :func:`solve`,
 :func:`try_solve`, :func:`inverse`) runs through one exact Gauss-Jordan on
-sparse rows, each a ``dict`` from column to nonzero ``Fraction``.  It
+sparse rows, each a ``dict`` from column to a nonzero exact rational.  It
 reduces to the unique reduced row echelon form, so results do not depend
 on the order of the rows, and the cost follows the nonzeros rather than the
 shape: the systems of the cochain complex have a few nonzeros per row.
@@ -47,7 +51,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
-Row = dict[int, Fraction]  # a sparse row or vector: index -> nonzero entry
+# a sparse row or vector: index -> nonzero entry, a Fraction, or an int
+# where the rows of the cochain complex hold an integral value
+Row = dict[int, Fraction | int]
 
 __all__ = [
     "Value",
@@ -620,6 +626,8 @@ def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
     Every pivot row is kept zero in the other pivot columns and left of its
     own pivot, so one pass over a new row's pivot columns reduces it, and
     the rows held at the end are the unique reduced row echelon form.
+    Entries may be ``int`` or ``Fraction``: a row is scaled by its lead as
+    an exact ``Fraction`` division (or a negation), so no float arises.
     """
     pivot_rows: dict[int, Row] = {}
     rest = []
@@ -632,7 +640,11 @@ def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
                 rest.append(row)
             continue
         lead = row[pivot]
-        if lead != 1:
+        if lead == -1:
+            row = {j: -a for j, a in row.items()}  # an int row stays one
+        elif lead != 1:
+            if lead.__class__ is int:
+                lead = Fraction(lead)  # int / int would be a float
             row = {j: a / lead for j, a in row.items()}
         for other in pivot_rows.values():
             if pivot in other:
@@ -659,7 +671,12 @@ def _sparse(m: Matrix) -> list[Row]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(_sparse(m), m.cols)[1])
+    return _rank(_sparse(m), m.cols)
+
+
+def _rank(rows: list[Row], width: int) -> int:
+    """The rank of sparse rows in the columns below ``width`` (consumed)."""
+    return len(_rref(rows, width)[1])
 
 
 def _kernel(rows: list[Row], width: int) -> tuple[Matrix, list[int]]:
@@ -667,14 +684,15 @@ def _kernel(rows: list[Row], width: int) -> tuple[Matrix, list[int]]:
     ``width`` (consumed), and the free columns of their RREF.  The basis is
     the columns of a ``width x (width - rank)`` :class:`Matrix`: column i
     sets the i-th free column to 1, and the row of pivot p holds
-    ``-R_p[j]`` at the index of each free column j."""
+    ``-R_p[j]`` at the index of each free column j, a ``Fraction`` also
+    where the rows held an ``int``."""
     reduced, pivots = _rref(rows, width)
     pivot_set = set(pivots)
     free = [j for j in range(width) if j not in pivot_set]
     at = {j: i for i, j in enumerate(free)}
     out: list[Row] = [{at[j]: _ONE} if j in at else {} for j in range(width)]
     for row, p in zip(reduced, pivots):
-        out[p] = {at[j]: -a for j, a in row.items() if j != p}
+        out[p] = _sparse_entries((at[j], -a) for j, a in row.items() if j != p)
     return Matrix._wrap(tuple(out), len(free)), free
 
 

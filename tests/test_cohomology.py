@@ -9,6 +9,8 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bihom
 from bihom import (
@@ -33,6 +35,7 @@ from bihom import (
     trivial_rep,
 )
 from bihom import cohomology
+from bihom.cli import run
 
 from catalog import (
     classical_d1,
@@ -49,7 +52,9 @@ from catalog import (
     random_product,
 )
 from oracles import (DenseCochain, dense_kernel_basis, oracle_coboundary_matrix,
-                     oracle_cohomology, oracle_derivation_dim)
+                     oracle_cochain_basis, oracle_cohomology,
+                     oracle_derivation_dim)
+import workloads
 
 Q = Fraction
 
@@ -723,3 +728,114 @@ class TestAssertedIdentities:
         alg = BiHomPreLieAlgebra.classical(BilinearProduct.from_entries(c))
         with pytest.raises(RuntimeError, match="square to zero"):
             cohomology_table(alg, adjoint_rep(alg), [1, 2])
+
+
+def _fractions_only(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+class TestExactRows:
+    """The rows of the complex hold ``int`` wherever a value is integral,
+    and ``Fraction`` only where it is not; no public result holds an
+    ``int``, and the mixed rows give the oracle's dimensions."""
+
+    @pytest.mark.parametrize("make, make_rep", [
+        (dim3_heisenberg, adjoint_rep),
+        # the RREFs of their E_n keep int entries beside the pivots
+        (lambda: dim3_graded_unipotent(2), trivial_rep),
+        (lambda: dim2_abelian(Matrix.from_rows([[1, 1], [0, 1]]),
+                              Matrix.identity(2)), adjoint_rep),
+        # a table with the entry 1/2
+        (lambda: workloads.conjugate(dim2_nilpotent(2, 3),
+                                     Matrix.diagonal([Q(1, 2), 3])),
+         adjoint_rep),
+    ], ids=["dim3-heisenberg", "dim3-graded-unipotent", "dim2-abelian-shear",
+            "dim2-nilpotent-halved"])
+    def test_public_results_hold_fractions(self, make, make_rep):
+        alg = make()
+        rep = make_rep(alg)
+        for n in (1, 2):
+            space = cochain_space(alg, rep, n)
+            assert _fractions_only(x for v in space.vectors for x in v)
+            assert _fractions_only(x for f in space.basis for x in f.coords)
+            assert _fractions_only(space.combine(
+                [Q(i + 1) for i in range(space.dim)]).coords)
+            m = coboundary_matrix(alg, rep, n)
+            assert _fractions_only(a for row in m.sparse_rows
+                                   for a in row.values())
+            assert _fractions_only(a for row in m.entries for a in row)
+            for f in space.basis:
+                df = coboundary(f, alg, rep)
+                assert _fractions_only(df.coords)
+                g = coboundary_preimage(df, alg, rep)
+                assert g is not None and _fractions_only(g.coords)
+
+    @given(fixture=st.sampled_from([(name, alg) for name, alg
+                                    in prelie_fixtures() if alg.dim <= 3]),
+           change=st.sampled_from([workloads._monomial, workloads._unipotent]),
+           seed=st.integers(0, 2 ** 16),
+           make_rep=st.sampled_from([trivial_rep, adjoint_rep]))
+    def test_conjugates_match_the_oracle(self, fixture, change, seed, make_rep):
+        # the bench's changes of basis: _monomial scales by 1/2 and 2, so
+        # its conjugates give rows that mix int and Fraction entries
+        name, alg = fixture
+        alg = workloads.conjugate(alg, change(random.Random(seed), alg.dim))
+        rep = make_rep(alg)
+        assert dims(cohomology_table(alg, rep, [1, 2])) == \
+            oracle_cohomology(alg, rep, [1, 2]), name
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_dense_bench_jobs_build_integer_rows(self, seed, tmp_path,
+                                                 monkeypatch, capsys):
+        # their documents are integral, so every table and every row of
+        # E_n and D_n that a job builds holds ints only
+        spaces = []
+        init = cohomology.CochainSpace.__init__
+
+        def kept(self, a, r, n):
+            init(self, a, r, n)
+            spaces.append(self)
+
+        monkeypatch.setattr(cohomology.CochainSpace, "__init__", kept)
+        monkeypatch.chdir(tmp_path)
+        jobs = [job for job in workloads.generate("cohomology", seed, tmp_path)
+                if job.regime == "dense"]
+        assert jobs
+        for job in jobs:
+            assert run(job.argv) == 0, job.id
+        capsys.readouterr()
+        entries = []
+        for space in spaces:
+            built = vars(space)
+            tables = built.get("tables", {})
+            for table in tables.values():
+                for rows in table:
+                    entries.extend(a for row in rows for a in row.values())
+            for name in ("equivariance", "coboundary"):
+                entries.extend(a for row in built.get(name, ())
+                               for a in row.values())
+        assert entries
+        assert {type(a) for a in entries} == {int}
+
+
+class TestIdentityFamilies:
+    """``E_n`` builds no family whose two twists are identities; the kernel
+    it solves is still the oracle's basis of C^n."""
+
+    @staticmethod
+    def reps():
+        # identity algebra twists with scaled carrier twists: that family is
+        # not skipped, and it leaves no nonzero cochain
+        alg = dim2_assoc()
+        zero = Matrix.zeros(1, 1)
+        scaled = PreLieRep(alg, 1, (zero,) * 2, (zero,) * 2,
+                           Matrix.diagonal([2]), Matrix.diagonal([3]))
+        return prelie_rep_fixtures() + [("scaled-carrier(dim2-assoc)", scaled)]
+
+    def test_kernel_is_the_oracle_basis(self):
+        for name, rep in self.reps():
+            alg = rep.algebra
+            for n in (1, 2, 3):
+                basis = [DenseCochain.from_map(n, f.adim, f.vdim, f.at)
+                         for f in cochain_space(alg, rep, n).basis]
+                assert basis == oracle_cochain_basis(alg, rep, n), (name, n)

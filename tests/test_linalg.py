@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bihom.algebra import BilinearProduct
@@ -15,6 +15,7 @@ from bihom.linalg import (
     _combination,
     _kernel,
     _row_product,
+    _rref,
     as_rational,
     inverse,
     kernel_basis,
@@ -369,3 +370,24 @@ class TestRationalJson:
     def test_as_rational_rejects_floats(self):
         with pytest.raises(ValueError):
             as_rational(0.5)
+
+
+class TestIntegerRows:
+    """``_rref`` takes rows holding ``int`` entries, as the cochain complex
+    builds them, and reduces them exactly: to the RREF of the same rows as
+    ``Fraction``s, with no float anywhere."""
+
+    rows = st.lists(st.dictionaries(st.integers(0, 5),
+                                    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                    max_size=5), min_size=1, max_size=6)
+
+    @given(rows=rows, width=st.integers(0, 6))
+    def test_matches_the_fraction_rref_without_floats(self, rows, width):
+        assume(any(row[min(row)] not in (1, -1) for row in rows if row))
+        expected = _rref([{j: Q(a) for j, a in row.items()} for row in rows],
+                         width)
+        reduced, pivots = _rref([dict(row) for row in rows], width)
+        assert (reduced, pivots) == expected
+        assert all(type(a) in (int, Fraction)
+                   for row in reduced for a in row.values())
+        assert all(row[p] == 1 for row, p in zip(reduced, pivots))
