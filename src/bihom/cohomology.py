@@ -67,16 +67,16 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import comb
 from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct
-from .linalg import (Matrix, Row, Value, _axpy, _combination, _dense_vector,
-                     _kernel, _rank, _require_exact, _row_product,
-                     _sparse_vector, rational_from_json, rational_to_json,
-                     try_solve, zero_vector)
+from .linalg import (Matrix, Row, Value, _Lazy, _axpy, _combination,
+                     _dense_vector, _kernel, _rank, _require_exact,
+                     _row_product, _sparse_vector, rational_from_json,
+                     rational_to_json, try_solve, zero_vector)
 from .representation import PreLieRep
 
 __all__ = [
@@ -318,7 +318,7 @@ class CochainSpace:
                 for row, entries in zip(rows, outer):
                     _axpy(row, x, {base + kk: m for kk, m in entries.items()})
 
-    @cached_property
+    @_Lazy
     def equivariance(self) -> list[Row]:
         """``E_n``: the nonzero rows of ``outer f(e_X) - f(inner e_X)`` for
         (outer, inner) = (phi, alpha), (psi, beta) and canonical X.  At any
@@ -339,7 +339,7 @@ class CochainSpace:
                 out.extend(row for row in rows if row)
         return out
 
-    @cached_property
+    @_Lazy
     def kernel(self) -> Matrix:
         """``K_n``: the kernel basis of ``E_n`` as the columns of a sparse
         ``width x dim C^n`` matrix, a basis of C^n, kept with ``free``, the
@@ -351,11 +351,11 @@ class CochainSpace:
                                "of C^n is not a cochain")
         return K
 
-    @cached_property
+    @_Lazy
     def tables(self) -> dict:
         a, r, n, adim = self.a, self.r, self.degree, self.adim
         bn1 = a.beta.power(n - 1)
-        sub, cols = a.subadjacent_bracket, self.cols
+        sub, cols = a.subadjacent.bracket, self.cols
         return {
             "lmat": [list(map(_integral, _combination(r.L, x).sparse_rows))
                      for x in (self.an1 @ bn1).sparse_cols],
@@ -389,18 +389,18 @@ class CochainSpace:
                                1 if (i + j) % 2 == 0 else -1)
         return rows
 
-    @cached_property
+    @_Lazy
     def coboundary(self) -> list[Row]:
         """``D_n``: its rows at the canonical (n+1)-tuples, in the order of
         the free coordinates of S^(n+1)."""
         return [row for X in _index(self.adim, self.degree + 1)
                 for row in self.rows_at(X)]
 
-    @cached_property
+    @_Lazy
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.kernel.transpose().entries
 
-    @cached_property
+    @_Lazy
     def basis(self) -> tuple[Cochain, ...]:
         return tuple(Cochain(self.degree, self.adim, self.vdim, v)
                      for v in self.vectors)
@@ -514,29 +514,30 @@ def cohomology_dims(a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> CohomologyRe
 def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
                      degrees: Iterable[int]) -> list[CohomologyReport]:
     """Cohomology dimensions for several degrees, from one cochain space
-    and one ``rank(D_m K_m)`` per degree m."""
+    and one ``rank(D_m K_m)`` per degree m, in one pass over consecutive
+    degrees that holds the spaces of two of them at a time."""
     wanted = sorted(set(degrees))
     if not wanted:
         return []
     if wanted[0] < 1:
         raise ValueError("cohomology degrees start at 1")
-    lo = max(1, wanted[0] - 1)
-    hi = wanted[-1] + 1
-    spaces = {m: cochain_space(a, r, m) for m in range(lo, hi)}
-    spaces[hi] = CochainSpace(a, r, hi)
-    ranks = {}
+    lo, hi = max(1, wanted[0] - 1), wanted[-1] + 1
+    reports, dim_b = [], 0
+    src = cochain_space(a, r, lo)
     for m in range(lo, hi):
-        dst = spaces[m + 1]
-        image = _image(spaces[m], dst, spaces[m].kernel)
+        # of degree hi only E and D are read, so its K is never solved
+        dst = cochain_space(a, r, m + 1) if m + 1 < hi else CochainSpace(a, r, hi)
+        image = _image(src, dst, src.kernel)
         # D 0 = 0, so D_(m+1) is built only for a nonzero image
         if any(image) and any(_row_product(dst.coboundary, image)):
             raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
                                "does not square to zero")
-        ranks[m] = _rank([row for row in image if row], spaces[m].dim)
-    reports = []
-    for m in wanted:
-        dim_z, dim_b = spaces[m].dim - ranks[m], ranks.get(m - 1, 0)
-        reports.append(CohomologyReport(m, dim_z, dim_b, dim_z - dim_b))
+        rank = _rank([row for row in image if row], src.dim)
+        if m in wanted:
+            dim_z = src.dim - rank
+            reports.append(CohomologyReport(m, dim_z, dim_b, dim_z - dim_b))
+        # degree m is done: only its rank, dim B^(m+1), is carried on
+        src, dim_b = dst, rank
     return reports
 
 

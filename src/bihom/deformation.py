@@ -51,7 +51,7 @@ from .algebra import (
     merge_reports,
     subadjacent,
 )
-from .linalg import Matrix, _row_add, _row_sub
+from .linalg import Matrix, _require_shape, _row_add, _row_sub
 
 __all__ = [
     "check_linear_deformation",
@@ -68,11 +68,6 @@ __all__ = [
 def _check_tensor(pi: BilinearProduct, dim: int) -> None:
     if pi.dim != dim:
         raise ValueError("deformation tensor has the wrong dimension")
-
-
-def _check_operator(N: Matrix, dim: int) -> None:
-    if N.rows != dim or N.cols != dim:
-        raise ValueError(f"operator must be {dim}x{dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +107,7 @@ def check_equivalence(a: BiHomPreLieAlgebra, pi1: BilinearProduct,
     identities on every ordered basis pair."""
     _check_tensor(pi1, a.dim)
     _check_tensor(pi2, a.dim)
-    _check_operator(N, a.dim)
+    _require_shape(N, a.dim, a.dim, "operator")
     col = _Collector()
     _operator_commutation(col, "N", N, a.twists)
     n = a.dim
@@ -142,7 +137,7 @@ def deformed_product(a: BiHomPreLieAlgebra, N: Matrix) -> BilinearProduct:
     Requires N to commute with both twists (otherwise the result is not
     twist-multiplicative and the notion breaks down).
     """
-    _check_operator(N, a.dim)
+    _require_shape(N, a.dim, a.dim, "operator")
     col = _Collector()
     _operator_commutation(col, "N", N, a.twists)
     _require_passed(col.report(),
@@ -162,7 +157,7 @@ def _deformed(P: BilinearProduct, mat: Matrix) -> BilinearProduct:
 def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
                       N: Matrix) -> AxiomReport:
     """The Nijenhuis checks of N for the product or bracket P."""
-    _check_operator(N, P.dim)
+    _require_shape(N, P.dim, P.dim, "operator")
     col = _Collector()
     _operator_commutation(col, "N", N, twists)
     n = P.dim

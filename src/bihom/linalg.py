@@ -89,8 +89,8 @@ class Value:
     then calls ``__post_init__``.  Instances compare equal when their
     classes are the same and their field tuples are equal, hash their field
     tuple, and have the dataclass ``repr``.  Assignment and deletion raise
-    ``AttributeError``; ``functools.cached_property`` still caches, since it
-    writes the instance ``__dict__`` directly.
+    ``AttributeError``; a :class:`_Lazy` attribute still caches, since it
+    writes with ``object.__setattr__``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -586,6 +586,13 @@ def block_diag(*blocks: Matrix) -> Matrix:
         rows.extend({c0 + j: a for j, a in row.items()} for row in b.sparse_rows)
         c0 += b.cols
     return Matrix._wrap(tuple(rows), c0)
+
+
+def _require_shape(m: Matrix, rows: int, cols: int, what: str) -> None:
+    """LinAlgError unless ``m`` is ``rows x cols``: the one shape rule of
+    the linear maps a construction or a checker is handed."""
+    if (m.rows, m.cols) != (rows, cols):
+        raise LinAlgError(f"{what} must be {rows}x{cols}, got {m.rows}x{m.cols}")
 
 
 def linear_combination(mats: Sequence[Matrix],

@@ -42,7 +42,8 @@ from .algebra import (
     merge_reports,
     subadjacent,
 )
-from .linalg import Matrix, _combination, _row_add, _row_sub, rank
+from .linalg import (Matrix, _combination, _require_shape, _row_add, _row_sub,
+                     rank)
 from .representation import LieRep, check_lie_rep
 
 __all__ = [
@@ -53,12 +54,6 @@ __all__ = [
     "rb_induced_prelie",
     "compatible_prelie_from_invertible_o",
 ]
-
-
-def _check_shape(T: Matrix, source_dim: int, target_dim: int) -> None:
-    if T.rows != target_dim or T.cols != source_dim:
-        raise ValueError(
-            f"operator must be {target_dim}x{source_dim}, got {T.rows}x{T.cols}")
 
 
 def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
@@ -72,7 +67,7 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     """
     g = r.algebra
     m = r.vdim
-    _check_shape(T, m, g.dim)
+    _require_shape(T, g.dim, m, "operator")
     col = _Collector()
     col.check_matrix("T-phi-intertwining", (), g.alpha @ T - T @ r.phi)
     col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
@@ -134,7 +129,7 @@ def induced_prelie_on_image(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     induced product on V, and the restricted ambient twists act as
     (phi, psi).
     """
-    _check_shape(T, r.vdim, r.algebra.dim)
+    _require_shape(T, r.algebra.dim, r.vdim, "operator")
     if rank(T) != r.vdim:
         raise ValueError("operator must be injective to carry the product "
                          "onto its image")
@@ -147,7 +142,7 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     ``[R(x), R(y)] = R([R(x), y] + [x, R(y)])``; the algebra's own axioms
     are reported with the prefix ``base:``."""
     n = g.dim
-    _check_shape(R, n, n)
+    _require_shape(R, n, n, "operator")
     col = _Collector()
     _operator_commutation(col, "R", R, g.twists)
     B = g.bracket
@@ -184,7 +179,7 @@ def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlge
     """
     g = r.algebra
     n = g.dim
-    _check_shape(T, r.vdim, n)
+    _require_shape(T, n, r.vdim, "operator")
     tinv = _twist_inverse(T, "O-operator T")  # also forces vdim == n
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")

@@ -51,6 +51,7 @@ from .linalg import (
     Matrix,
     Value,
     _combination,
+    _require_shape,
     _row_sub,
     block_diag,
     linear_combination,
@@ -75,9 +76,8 @@ __all__ = [
 def _check_action_family(name: str, mats: Sequence[Matrix], n: int, m: int) -> None:
     if len(mats) != n:
         raise ValueError(f"{name} must provide one matrix per algebra basis vector")
-    for mat in mats:
-        if mat.rows != m or mat.cols != m:
-            raise ValueError(f"{name} matrices must be {m}x{m}")
+    for i, mat in enumerate(mats):
+        _require_shape(mat, m, m, f"{name}[{i}]")
 
 
 def _carrier_twists(r: PreLieRep | LieRep) -> None:
@@ -86,8 +86,7 @@ def _carrier_twists(r: PreLieRep | LieRep) -> None:
     m = r.vdim
     for name in ("phi", "psi"):
         mat = getattr(r, name)
-        if mat.rows != m or mat.cols != m:
-            raise ValueError(f"carrier twist {name} must be {m}x{m}")
+        _require_shape(mat, m, m, f"carrier twist {name}")
         object.__setattr__(r, f"{name}_inv", _twist_inverse(
             mat, f"carrier twist {name}", r.algebra.twists))
 

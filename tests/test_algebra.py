@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ from bihom import (
     Matrix,
     SingularMatrixError,
     TwistPair,
+    adjoint_rep,
     check_bihom_lie,
     check_prelie,
     is_lie_morphism,
     is_prelie_morphism,
+    semidirect_prelie,
     subadjacent,
 )
-from bihom.algebra import SUBADJACENT_CACHE_SIZE
 from bihom.deformation import deformed_product
 from bihom.documents import algebra_from_doc, algebra_to_doc
 
@@ -28,6 +30,7 @@ from catalog import (
     dim2_assoc,
     dim2_nilpotent,
     dim3_graded,
+    dim3_heisenberg,
     nijenhuis_search,
     prelie_fixtures,
     random_product,
@@ -97,11 +100,7 @@ class TestConstruction:
                                                        [0, 2, 1]])
         twists = TwistPair(alpha, beta)
         a = BiHomPreLieAlgebra(tensor(3, {(0, 0, 1): 1}), twists)
-        subadjacent.cache_clear()
-        try:
-            subadjacent(a)
-        finally:
-            subadjacent.cache_clear()
+        subadjacent(a)
         assert inverses == [alpha, beta] and len(eliminations) == 2
         assert twists.alpha_inv @ alpha == Matrix.identity(3)
         assert twists.beta_inv @ beta == Matrix.identity(3)
@@ -284,18 +283,19 @@ class TestProductValue:
         assert all(type(a) is Fraction for a in value)
 
 
-class TestSubadjacentCache:
-    def test_cache_is_bounded(self):
-        subadjacent.cache_clear()
-        try:
-            for q in range(SUBADJACENT_CACHE_SIZE + 5):
-                subadjacent(BiHomPreLieAlgebra.classical(
-                    BilinearProduct.from_entries([[[q]]])))
-            info = subadjacent.cache_info()
-            assert info.maxsize == SUBADJACENT_CACHE_SIZE
-            assert info.currsize == SUBADJACENT_CACHE_SIZE
-        finally:
-            subadjacent.cache_clear()
+class TestSubadjacentKept:
+    def test_kept_on_the_algebra_without_dense_fields(self):
+        """The sub-adjacent algebra is built once and kept on its algebra,
+        not found by hashing it, which would build the dense nest ``c`` and
+        the dense ``entries`` of the table and of both twists."""
+        six = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
+        a = algebra_from_doc(json.loads(json.dumps(algebra_to_doc(six))))
+        g = subadjacent(a)
+        assert subadjacent(a) is g
+        assert g == subadjacent(six)
+        assert "c" not in vars(a.product)
+        for m in (a.product.table, a.alpha, a.beta):
+            assert "entries" not in vars(m)
 
 
 class TestAxiomReport:

@@ -142,7 +142,6 @@ def test_each_bench_checks_job_proves_each_hypothesis_once(seed, tmp_path,
     failures = []
     for job in jobs:
         calls.clear()
-        subadjacent.cache_clear()
         code = run(job.argv)
         capsys.readouterr()
         twice = sorted({span for (span, _), n in calls.items() if n > 1})
@@ -185,7 +184,6 @@ def test_bench_job_eliminations_at_most_pinned(workload, seed, tmp_path,
     counts = {}
     for job in jobs:
         eliminations.clear()
-        subadjacent.cache_clear()
         assert run(job.argv) == job.exit_code, job.id
         capsys.readouterr()
         counts[job.id] = len(eliminations)

@@ -611,6 +611,87 @@ class TestConstructionHypotheses:
                      "input BiHom-pre-Lie: FAIL", "left-symmetry")
 
 
+class TestRefusals:
+    """Inputs a verb cannot use, each refused with its own exit code and
+    message: a failed hypothesis of the complex exits 1 with the report,
+    unusable documents exit 2 with the reason on stderr."""
+
+    ZERO, UNIT = TestConstructionHypotheses.ZERO, TestConstructionHypotheses.UNIT
+
+    def write(self, tmp_path, name, doc):
+        path = tmp_path / name
+        dump_json(path, doc)
+        return str(path)
+
+    def refused(self, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def lie_rep(self, tmp_path):
+        return self.write(tmp_path, "lie-rep.json", rep_to_doc(
+            adjoint_lie_rep(subadjacent(dim2_nilpotent(2, 3)))))
+
+    def test_cohomology_over_a_non_prelie_algebra(self, capsys, tmp_path):
+        alg = self.write(tmp_path, "alg.json",
+                         TestConstructionHypotheses.NOT_PRELIE)
+        code, out = run_lines(capsys, ["cohomology", alg])
+        assert code == 1
+        assert out.splitlines()[0] == "input BiHom-pre-Lie: FAIL"
+        assert "left-symmetry" in out
+
+    def test_cohomology_with_failing_coefficients(self, capsys, tmp_path):
+        # R(e1) R(e1) = 1 while R(e1 . e1) = 0 over the zero product
+        a = algebra_to_doc(dim2_abelian())
+        alg = self.write(tmp_path, "alg.json", a)
+        rep = self.write(tmp_path, "rep.json", {
+            "algebra": a, "vdim": 1, "phi": [[1]], "psi": [[1]],
+            "L": [[[0]], [[0]]], "R": [[[1]], [[0]]]})
+        code, out = run_lines(capsys, ["cohomology", alg, "--rep", rep])
+        assert code == 1
+        assert out.splitlines()[0] == "coefficient representation: FAIL"
+
+    def test_cohomology_with_lie_coefficients(self, capsys, tmp_path,
+                                              nilpotent_file):
+        self.refused(capsys, ["cohomology", str(nilpotent_file), "--rep",
+                              self.lie_rep(tmp_path)],
+                     "cohomology coefficients must form a pre-Lie "
+                     "representation")
+
+    def test_cohomology_with_coefficients_over_another_algebra(
+            self, capsys, tmp_path, nilpotent_file):
+        rep = self.write(tmp_path, "rep.json",
+                         rep_to_doc(adjoint_rep(dim2_nilpotent())))
+        self.refused(capsys, ["cohomology", str(nilpotent_file), "--rep", rep],
+                     "coefficient representation is over a different algebra")
+
+    @pytest.mark.parametrize("verb, message", [
+        ("induced-rep",
+         "induced-rep requires a pre-Lie representation document (keys L "
+         "and R)"),
+        ("twist-rep", "twist-rep requires a pre-Lie representation document"),
+        ("tensor-rep", "tensor-rep requires two pre-Lie representation "
+                       "documents")])
+    def test_construction_from_a_lie_rep(self, capsys, tmp_path, verb,
+                                         message):
+        rep = self.lie_rep(tmp_path)
+        self.refused(capsys, [verb, rep] + [rep] * (verb != "induced-rep"),
+                     message)
+
+    def test_actions_over_a_bracket_algebra(self, capsys, tmp_path):
+        lie = algebra_to_doc(subadjacent(dim2_nilpotent()))
+        rep = self.write(tmp_path, "rep.json", {
+            "algebra": lie, "vdim": 2, "phi": self.UNIT, "psi": self.UNIT,
+            "L": [self.ZERO, self.ZERO], "R": [self.ZERO, self.ZERO]})
+        self.refused(capsys, ["induced-rep", rep],
+                     f"{rep}: 'L'/'R' require a product algebra")
+
+    def test_action_matrix_with_too_many_rows(self, capsys, tmp_path):
+        doc = rep_to_doc(adjoint_rep(dim2_nilpotent()))
+        doc["L"][0] = self.ZERO + [[0, 0]]
+        rep = self.write(tmp_path, "rep.json", doc)
+        self.refused(capsys, ["induced-rep", rep], f"{rep}.L[0]: expected 2x2")
+
+
 class TestWrongShapes:
     """A matrix or tensor that does not fit the algebra it is used with is
     unusable input: exit 2, with the field path."""

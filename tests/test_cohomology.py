@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -5,7 +6,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -36,6 +36,7 @@ from bihom import (
 )
 from bihom import cohomology
 from bihom.cli import run
+from bihom.linalg import _Lazy
 
 from catalog import (
     classical_d1,
@@ -286,15 +287,14 @@ class TestOneSystemPerDegree:
     def test_cohomology_table_solves_no_top_degree_kernel(self, monkeypatch):
         # of degree max+1 only E and D are read, so its K is never solved
         solved = []
-        kernel = cohomology.CochainSpace.kernel.func
+        kernel = cohomology.CochainSpace.kernel.fn
 
+        @functools.wraps(kernel)
         def counted(self):
             solved.append(self.degree)
             return kernel(self)
 
-        prop = cached_property(counted)
-        prop.__set_name__(cohomology.CochainSpace, "kernel")
-        monkeypatch.setattr(cohomology.CochainSpace, "kernel", prop)
+        monkeypatch.setattr(cohomology.CochainSpace, "kernel", _Lazy(counted))
         alg = dim2_nilpotent()
         cohomology_table(alg, adjoint_rep(alg), [1, 2])
         assert sorted(solved) == [1, 2]
@@ -305,15 +305,15 @@ class TestOneSystemPerDegree:
         # D_2 K_2, have no nonzero row, and d o d = 0 on them needs neither
         # D_2 nor D_3; D_1 is still built for the first image.
         built = []
-        coboundary = cohomology.CochainSpace.coboundary.func
+        coboundary = cohomology.CochainSpace.coboundary.fn
 
+        @functools.wraps(coboundary)
         def counted(self):
             built.append(self.degree)
             return coboundary(self)
 
-        prop = cached_property(counted)
-        prop.__set_name__(cohomology.CochainSpace, "coboundary")
-        monkeypatch.setattr(cohomology.CochainSpace, "coboundary", prop)
+        monkeypatch.setattr(cohomology.CochainSpace, "coboundary",
+                            _Lazy(counted))
         alg = dim2_abelian(Matrix.diagonal([2, 3]), Matrix.diagonal([5, 7]))
         rep = adjoint_rep(alg)
         assert [cochain_space(alg, rep, m).dim for m in (1, 2)] == [2, 0]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from bihom import (
     cochain_from_bilinear,
     cochain_from_linear_map,
     coboundary,
+    cochain_space,
     deformed_product,
     is_coboundary,
     is_cocycle,
@@ -102,6 +104,30 @@ class TestCocycleCrossCheck:
             cocycle_ok = "deformation-cocycle" not in report.axioms()
             rep = adjoint_rep(algebra)
             assert is_cocycle(cochain_from_bilinear(pi), algebra, rep) == cocycle_ok
+
+
+@pytest.mark.parametrize("name, alg", [
+    (name, alg) for name, alg in prelie_fixtures() if alg.dim <= 3])
+def test_cocycle_residual_is_minus_the_coboundary(name, alg):
+    """The t^1 part of the deformation identities is the 2-cocycle
+    condition, residual by residual: for pi in C^2 with adjoint
+    coefficients, the ``deformation-cocycle`` violation at (i, j, k),
+    i < j, is ``-(d pi)(e_i, e_j, e_k)``, and there is none where it
+    vanishes."""
+    rep = adjoint_rep(alg)
+    space = cochain_space(alg, rep, 2)
+    rng = random.Random(name)
+    f = space.combine([Q(rng.randint(-3, 3), rng.randint(1, 3))
+                       for _ in range(space.dim)])
+    df = coboundary(f, alg, rep)
+    n = alg.dim
+    expected = {(i, j, k): tuple(-x for x in df.at((i, j, k)))
+                for i in range(n) for j in range(i + 1, n) for k in range(n)}
+    report = check_linear_deformation(alg, BilinearProduct.from_entries(f.tensor))
+    got = {v.indices: v.residual for v in report.violations
+           if v.axiom == "deformation-cocycle"}
+    assert got == {idx: r for idx, r in expected.items() if any(r)}
+    assert not any(v.axiom.startswith("pi-") for v in report.violations)
 
 
 class TestCheckEquivalence:

@@ -5,6 +5,7 @@ construction and ``__post_init__`` errors, the same ``==``, ``hash`` and
 ``import bihom.cli`` must load neither ``dataclasses`` nor ``inspect``.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -343,3 +344,57 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# the functools caches the package may use: ``_index`` keyed by ints, and
+# ``subadjacent``'s, which stores nothing and is kept as a call counter
+ALLOWED_CACHES = {("cohomology.py", "_index", 16), ("algebra.py", "subadjacent", 0)}
+_CACHES = {"cache", "cached_property", "lru_cache"}
+
+
+def cache_uses(source: str) -> list[tuple]:
+    """Each use of a ``functools`` cache in ``source``: ``(function,
+    maxsize)`` for an ``lru_cache`` decorator with a constant maxsize, else
+    ``(line, name)``."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in _CACHES}
+    decorators = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for d in node.decorator_list:
+                if (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                        and d.func.id == "lru_cache" and not d.args
+                        and [k.arg for k in d.keywords] == ["maxsize"]
+                        and isinstance(d.keywords[0].value, ast.Constant)):
+                    decorators[id(d.func)] = (node.name, d.keywords[0].value.value)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in bound:
+            uses.append(decorators.get(id(node), (node.lineno, node.id)))
+        elif (isinstance(node, ast.Attribute) and node.attr in _CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            uses.append((node.lineno, node.attr))
+    return uses
+
+
+def test_no_cache_keyed_by_hashing_a_value():
+    """Derived data is kept on the value that owns it: the package uses no
+    ``cached_property`` and no ``lru_cache`` beyond ``ALLOWED_CACHES``."""
+    assert cache_uses(
+        "import functools\n"
+        "from functools import cached_property as cp, lru_cache\n"
+        "@lru_cache(maxsize=16)\n"
+        "def f(n): pass\n"
+        "@lru_cache(maxsize=64)\n"
+        "def g(a): pass\n"
+        "class C:\n"
+        "    @cp\n"
+        "    def h(self): pass\n"
+        "k = functools.cache(f)\n") == [("f", 16), ("g", 64), (8, "cp"),
+                                         (10, "cache")]
+    package = Path(bihom.__file__).parent
+    uses = {(path.name, *use) for path in package.glob("*.py")
+            for use in cache_uses(path.read_text())}
+    assert uses <= ALLOWED_CACHES, uses - ALLOWED_CACHES
