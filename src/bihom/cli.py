@@ -8,7 +8,8 @@ with ``--json``, a machine-readable one, and exits with
 * 1 on a semantic failure (an axiom report with violations, a singular
   twist or carrier twist, an invalid input object),
 * 2 on unusable input (a file that cannot be read or decoded as JSON,
-  schema violations, bad flags, an ``--output`` that cannot be written),
+  schema violations, bad flags, an ``--output`` or a standard output that
+  cannot be written),
 * 3 on an internal defect: an identity that the library asserts of its own
   results failed (a ``RuntimeError``), which is a bug in ``bihom`` rather
   than in the input.
@@ -30,19 +31,19 @@ without argparse; anything else, ``--help`` and every usage error included,
 goes to the argparse parser of ``_build_parser``, which alone prints help,
 usage and errors.  Each verb imports the modules it runs, so
 ``bihom.cohomology``, ``bihom.deformation`` and ``bihom.operators`` load only
-for their verbs.  :func:`main` freezes the heap before the interpreter
-exits, so its exit-time collections skip what the verb built.
+for their verbs.  :func:`main` ends the process as soon as the report is
+flushed, so no interpreter teardown runs after the answer is out.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .algebra import (
     AxiomError,
@@ -281,7 +282,8 @@ def _cmd_rota_baxter(args) -> CliResult:
         lambda R, g: algebra_to_doc(rb_induced_prelie(R, g)), matrix, context)
 
 
-_DEGREES_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+# matched whole by re.fullmatch, compiled on first use like linalg._RATIONAL
+_DEGREES = r"(\d+)(?:\.\.(\d+))?"
 
 
 def _magnitude(numeral: str) -> tuple[int, str]:
@@ -291,7 +293,7 @@ def _magnitude(numeral: str) -> tuple[int, str]:
 
 
 def _parse_degrees(spec: str, max_degree: int) -> list[int]:
-    m = _DEGREES_RE.match(spec)
+    m = re.fullmatch(_DEGREES, spec)
     if not m:
         raise DocumentError(f"cannot parse degree range {spec!r}; use 'a..b'")
     # compared as numerals and clipped to --max-degree before int() reads
@@ -579,12 +581,22 @@ def run(argv: list[str] | None = None) -> int:
     return 0 if result.status == "pass" else 1
 
 
-def main() -> None:
-    code = run()
-    # nothing built so far is used again: frozen, the process's heap is left
-    # out of the collections that run while the interpreter exits
-    gc.freeze()
-    sys.exit(code)
+def main() -> NoReturn:
+    """The process entry point (``python -m bihom.cli`` and the ``bihom``
+    console script); it never returns.  It runs the verb of ``sys.argv``,
+    flushes both standard streams and ends the process with the verb's exit
+    code by ``os._exit``: nothing the verb built is used again, so no
+    interpreter teardown runs.  A standard output that cannot be written,
+    such as a pipe whose reader has gone, is reported on stderr and exits
+    2."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except OSError as exc:  # a verb's own file errors exit 2 inside run()
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

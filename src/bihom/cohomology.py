@@ -307,7 +307,9 @@ class CochainSpace:
         """``rows[k] += coeff * (outer f(heads, last))[k]`` as functionals of
         f's free coordinates, for the sparse rows ``outer`` of a matrix;
         nothing when ``outer`` is zero, as L and R of trivial coefficients
-        are."""
+        are.  Each term is added at its offset ``base + kk`` in place, and
+        an entry that cancels is deleted, as :func:`~bihom.linalg._axpy`
+        deletes one: ``x`` and the entries of ``outer`` are nonzero."""
         if not any(outer):
             return
         vdim, index = self.vdim, self.index
@@ -316,7 +318,16 @@ class CochainSpace:
                 base = index[J + (l,)] * vdim
                 x = coeff * w * c
                 for row, entries in zip(rows, outer):
-                    _axpy(row, x, {base + kk: m for kk, m in entries.items()})
+                    for kk, m in entries.items():
+                        j = base + kk
+                        if j in row:
+                            v = row[j] + x * m
+                            if v:
+                                row[j] = v
+                            else:
+                                del row[j]
+                        else:
+                            row[j] = x * m
 
     @_Lazy
     def equivariance(self) -> list[Row]:

@@ -20,19 +20,24 @@ reduces to the unique reduced row echelon form, so results do not depend
 on the order of the rows, and the cost follows the nonzeros rather than the
 shape: the systems of the cochain complex have a few nonzeros per row.
 
-Every ``acc += c * row`` on sparse rows goes through one in-place kernel,
-:func:`_axpy`, which deletes each entry that cancels: the elimination's
-row updates, :meth:`Matrix.sparse_apply`, matrix products, linear
-combinations of action matrices, bilinear values and the rows of the
-coboundary in :mod:`bihom.cohomology`.  No row is ever left holding a
-zero, so no caller filters one out.  Values enter a sparse row by one
-rule, :func:`_sparse_entries`, which refuses what :func:`as_rational`
-refuses.  JSON entries enter by its decoding twin, :func:`_json_entries`:
-an integer ``0`` is skipped after one class test, before any ``Fraction``
-exists; another integer ``n`` becomes ``Fraction(n)``; every other leaf
-goes through :func:`rational_from_json`, which refuses booleans, floats
-and malformed literals.  The direct constructors of the value types take
-``Fraction`` and ``int`` entries only (:func:`_require_exact`).
+Every ``acc += c * row`` on sparse rows goes through one in-place
+kernel, :func:`_axpy`, which deletes each entry that cancels: the
+elimination's row updates, :meth:`Matrix.sparse_apply`, matrix products,
+linear combinations of action matrices, bilinear values, and the wedges,
+the evaluation of a cochain and the skew check of
+:mod:`bihom.cohomology`.  The one other accumulation is the four-sum's,
+``CochainSpace._evaluate``, which adds ``c * row`` at an offset, into
+the entries ``base + k`` of a row of ``E_n`` or ``D_n``, without
+building the shifted row, and deletes what cancels by the same rule.  No
+row is ever left holding a zero, so no caller filters one out.  Values
+enter a sparse row by one rule, :func:`_sparse_entries`, which refuses
+what :func:`as_rational` refuses.  JSON entries enter by its decoding
+twin, :func:`_json_entries`: an integer ``0`` is skipped after one class
+test, before any ``Fraction`` exists; another integer ``n`` becomes
+``Fraction(n)``; every other leaf goes through
+:func:`rational_from_json`, which refuses booleans, floats and malformed
+literals.  The direct constructors of the value types take ``Fraction``
+and ``int`` entries only (:func:`_require_exact`).
 
 A :class:`Matrix` is stored as the same sparse rows, and builds its dense
 ``entries`` only when they are read; a structure tensor is stored as one
@@ -163,8 +168,9 @@ class InconsistentSystemError(LinAlgError):
 
 
 # A zero denominator does not match, so "1/0" is rejected like any other
-# malformed literal.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+# malformed literal.  Kept as a string, matched whole by re.fullmatch: re's
+# cache compiles it on first use rather than at import.
+_RATIONAL = r"[+-]?\d+(/0*[1-9]\d*)?"
 
 
 def _leaf(value: object) -> str:
@@ -187,7 +193,7 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not re.fullmatch(_RATIONAL, text):
             raise ValueError(f"not a rational literal: {_leaf(value)}")
         return Fraction(text)
     raise ValueError(f"cannot interpret {_leaf(value)} as an exact rational")

@@ -47,11 +47,18 @@
   ``BilinearProduct.from_json`` making every leaf a ``Fraction`` in a
   dense tuple and leaving the shape checks to the dense constructors, and
   the ``to_json`` of both written from the dense ``entries`` and ``c``.
+* The four-sum's copying accumulation, :class:`CopyingCochainSpace`: the
+  ``CochainSpace._evaluate`` the library had before it added each term at
+  its offset in place, building a shifted copy of an ``outer`` row per
+  term and adding it by ``_axpy``.
+* The anchored regular expressions that read a rational literal and a
+  ``--degrees`` range before both were matched whole by ``re.fullmatch``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import make_dataclass
 from fractions import Fraction
 from math import prod
@@ -60,8 +67,8 @@ from typing import Callable, Sequence
 from bihom import (AxiomReport, BiHomLieAlgebra, BiHomPreLieAlgebra,
                    BilinearProduct, LieRep, Matrix, PreLieRep, TwistPair,
                    Violation, subadjacent)
-from bihom.cohomology import Cochain, CohomologyReport
-from bihom.linalg import (LinAlgError, Value, rank, rational_from_json,
+from bihom.cohomology import Cochain, CochainSpace, CohomologyReport
+from bihom.linalg import (LinAlgError, Value, _axpy, rank, rational_from_json,
                           rational_to_json, zero_vector)
 
 Q = Fraction
@@ -855,6 +862,44 @@ def oracle_derivation_dim(a) -> int:
                 row[m * n + j] -= twist[k][m]
             rows.append(row)
     return n * n - len(dense_rref(rows, n * n)[1])
+
+
+# ---------------------------------------------------------------------------
+# the four-sum's copying accumulation
+# ---------------------------------------------------------------------------
+
+class CopyingCochainSpace(CochainSpace):
+    """A :class:`~bihom.cohomology.CochainSpace` whose four-sum shifts a
+    copy of each ``outer`` row to its offset and adds the copy by
+    ``_axpy``.  ``touched`` collects the ids of the rows given a term, so a
+    caller holding the rows can tell a row whose terms cancelled from one
+    that got none."""
+
+    def __init__(self, a, r, n) -> None:
+        super().__init__(a, r, n)
+        self.touched: set[int] = set()
+
+    def _evaluate(self, rows, heads, last, outer, coeff) -> None:
+        if not any(outer):
+            return
+        vdim, index = self.vdim, self.index
+        for J, w in heads.items():
+            for l, c in last.items():
+                base = index[J + (l,)] * vdim
+                x = coeff * w * c
+                for row, entries in zip(rows, outer):
+                    if entries:
+                        self.touched.add(id(row))
+                    _axpy(row, x, {base + kk: m for kk, m in entries.items()})
+
+
+# ---------------------------------------------------------------------------
+# the anchored matchers of a rational literal and a degree range
+# ---------------------------------------------------------------------------
+
+# ``$`` also matches before a final newline
+ANCHORED_RATIONAL = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+ANCHORED_DEGREES = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 
 # ---------------------------------------------------------------------------

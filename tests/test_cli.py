@@ -177,6 +177,12 @@ class TestCohomology:
         assert run(["cohomology", str(abelian_file),
                     "--degrees", "x..y"]) == 2
 
+    @pytest.mark.parametrize("degrees", ["1..2\n", "1\n", "\n1..2", " 1..2"])
+    def test_range_is_matched_in_full(self, capsys, abelian_file, degrees):
+        assert run(["cohomology", str(abelian_file), "--degrees", degrees]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot parse degree range {degrees!r}; use 'a..b'\n")
+
     @pytest.mark.parametrize("degrees, message", [
         ("5..6", "lies beyond --max-degree 4"),
         ("0..2", "is empty or starts below 1"),

@@ -52,9 +52,9 @@ from catalog import (
     random_matrix,
     random_product,
 )
-from oracles import (DenseCochain, dense_kernel_basis, oracle_coboundary_matrix,
-                     oracle_cochain_basis, oracle_cohomology,
-                     oracle_derivation_dim)
+from oracles import (CopyingCochainSpace, DenseCochain, dense_kernel_basis,
+                     oracle_coboundary_matrix, oracle_cochain_basis,
+                     oracle_cohomology, oracle_derivation_dim)
 import workloads
 
 Q = Fraction
@@ -816,6 +816,50 @@ class TestExactRows:
                                for a in row.values())
         assert entries
         assert {type(a) for a in entries} == {int}
+
+
+def _spelled(rows):
+    """Rows entry by entry, in order and with each value's class."""
+    return [[(j, type(v), v) for j, v in row.items()] for row in rows]
+
+
+class TestFourSumRows:
+    """The four-sum adds each term at its offset in place: ``E_n`` and the
+    rows of ``D_n`` at every (n+1)-tuple are those of the copying oracle,
+    entry by entry, in the same order and class, rows that cancel to empty
+    included."""
+
+    @staticmethod
+    def cancelled(alg, rep) -> int:
+        """Compares both spaces at degrees 1..3; returns how many rows of
+        ``D_n`` were given terms that cancelled to empty."""
+        count = 0
+        for n in (1, 2, 3):
+            ours = cohomology.CochainSpace(alg, rep, n)
+            theirs = CopyingCochainSpace(alg, rep, n)
+            assert _spelled(ours.equivariance) == _spelled(theirs.equivariance)
+            for X in itertools.product(range(alg.dim), repeat=n + 1):
+                theirs.touched.clear()
+                expected = theirs.rows_at(X)
+                assert _spelled(ours.rows_at(X)) == _spelled(expected), (n, X)
+                count += sum(not row and id(row) in theirs.touched
+                             for row in expected)
+        return count
+
+    @pytest.mark.parametrize("make_rep", [adjoint_rep, trivial_rep])
+    def test_catalog_fixtures(self, make_rep):
+        cancelled = sum(self.cancelled(alg, make_rep(alg))
+                        for _, alg in prelie_fixtures())
+        assert cancelled
+
+    @given(fixture=st.sampled_from(prelie_fixtures()),
+           change=st.sampled_from([workloads._monomial, workloads._unipotent]),
+           seed=st.integers(0, 2 ** 16),
+           make_rep=st.sampled_from([trivial_rep, adjoint_rep]))
+    def test_conjugates(self, fixture, change, seed, make_rep):
+        _, alg = fixture
+        alg = workloads.conjugate(alg, change(random.Random(seed), alg.dim))
+        self.cancelled(alg, make_rep(alg))
 
 
 class TestIdentityFamilies:

@@ -5,11 +5,15 @@ accepts one, ``_build_parser().parse_args(argv)`` must accept it too and
 return an equal namespace.  A verb imports only the modules it runs, which
 ``-X importtime`` shows in a real process: on catalog inputs, and on every
 job of both bench workloads, where no job imports argparse and no ``checks``
-job loads the cochain complex.
+job loads the cochain complex.  A cold process ends as soon as its report is
+flushed: it prints, writes and exits as ``run()`` does in-process, and runs
+no interpreter teardown.
 """
 
+import ast
 import io
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -135,11 +139,16 @@ def test_interleaved_positional_run_matches_the_parser(capsys):
         assert code == 2 and "OP" in capsys.readouterr().err
 
 
+def cold_env() -> dict:
+    """The environment of a cold ``bihom`` process run from this tree."""
+    return dict(os.environ, BIHOM_COLOR="0",
+                PYTHONPATH=str(Path(bihom.__file__).resolve().parent.parent))
+
+
 def imported(argv, cwd):
     """The exit code of a cold ``python -X importtime -m bihom.cli argv``
     with bytecode caching on, and the names of the modules it imported."""
-    env = dict(os.environ, BIHOM_COLOR="0",
-               PYTHONPATH=str(Path(bihom.__file__).resolve().parent.parent))
+    env = cold_env()
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     out = subprocess.run([sys.executable, "-X", "importtime", "-m",
                           "bihom.cli", *argv], cwd=cwd, env=env,
@@ -188,3 +197,110 @@ def test_bench_jobs_import_no_parser(workload, seed, tmp_path):
             failures.append((job.id, code, sorted(modules & banned)))
     assert jobs
     assert not failures, failures
+
+
+def calls(source: str, module: str, name: str) -> list[str | None]:
+    """The function around each call of ``module.name`` in ``source``, or
+    None for a call made while the module is imported."""
+    found = []
+
+    def walk(node, scope):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == module):
+            found.append(scope)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = getattr(node, "name", "<lambda>")
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    walk(ast.parse(source), None)
+    return found
+
+
+def test_one_exit_and_no_pattern_compiled_at_import():
+    assert calls("import os, re\nP = re.compile('x')\ndef main():\n"
+                 "    f = lambda: re.compile('y')\n    os._exit(0)\n",
+                 "re", "compile") == [None, "<lambda>"]
+    package = sorted(Path(bihom.__file__).parent.glob("*.py"))
+    assert [(path.name, scope) for path in package
+            for scope in calls(path.read_text(), "os", "_exit")] == [
+        ("cli.py", "main")]
+    assert [path.name for path in package
+            for scope in calls(path.read_text(), "re", "compile")
+            if scope is None] == []
+
+
+# ``python -m bihom.cli`` as runpy runs it, after an exit hook that shows
+# whether interpreter teardown ran; with "defect" first, the pre-Lie
+# checker that ``verify`` calls fails a self-check
+DRIVER = """\
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("interpreter teardown ran\\n"))
+if sys.argv[1] == "defect":
+    import bihom.algebra
+    def defect(a):
+        raise RuntimeError("internal defect: d o d != 0")
+    bihom.algebra.check_prelie = defect
+del sys.argv[1]
+runpy.run_module("bihom.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def defect(a):
+    raise RuntimeError("internal defect: d o d != 0")
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["subadjacent", "a.json", "--output", "o.json", "--json"]),
+    (0, ["cohomology", "a.json", "--degrees", "1..3"]),
+    (1, ["verify", "bad.json"]),
+    (2, ["cohomology", "a.json", "--degrees", "x..y"]),
+    (2, ["verify", "--bogus"]),
+    (3, ["verify", "a.json", "--json"]),
+    (3, ["verify", "a.json"]),
+])
+def test_cold_process_matches_run(code, argv, tmp_path, monkeypatch, capsys):
+    setup = tmp_path / "setup"
+    setup.mkdir()
+    dump_json(setup / "a.json", algebra_to_doc(dim2_nilpotent(2, 3)))
+    dump_json(setup / "bad.json", {"dim": 1, "product": [[[0]]],
+                                   "alpha": [[0]], "beta": [[1]]})
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    shutil.copytree(setup, cold)
+    shutil.copytree(setup, warm)
+    out = subprocess.run(
+        [sys.executable, "-c", DRIVER, "defect" if code == 3 else "plain",
+         *argv], cwd=cold, env=cold_env(), capture_output=True, text=True,
+        timeout=60)
+    monkeypatch.chdir(warm)
+    if code == 3:
+        monkeypatch.setattr(cli, "check_prelie", defect)
+    assert cli.run(argv) == code
+    assert (out.returncode, out.stdout, out.stderr) == (
+        code, *capsys.readouterr())
+    assert {p.name: p.read_bytes() for p in cold.iterdir()} == {
+        p.name: p.read_bytes() for p in warm.iterdir()}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_standard_output_exits_2(unbuffered, tmp_path, algebra_file):
+    # unbuffered, the report's print meets the closed pipe; buffered, the
+    # flush does
+    env = cold_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "bihom.cli", "cohomology", algebra_file,
+             "--degrees", "1..2", "--json"], cwd=tmp_path, env=env,
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert out.returncode == 2
+    assert out.stderr == ("error: cannot write standard output: "
+                          "[Errno 32] Broken pipe\n")

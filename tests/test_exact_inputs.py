@@ -8,9 +8,12 @@ dense evaluators also check vector lengths, as :meth:`Matrix.apply` does,
 instead of failing inside the arithmetic or padding a short vector with
 zeros."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bihom import (
     BiHomPreLieAlgebra,
@@ -20,7 +23,10 @@ from bihom import (
     adjoint_rep,
     cochain_space,
 )
+from bihom import cli, linalg
 from bihom.linalg import as_rational
+
+from oracles import ANCHORED_DEGREES, ANCHORED_RATIONAL
 
 Q = Fraction
 
@@ -127,3 +133,23 @@ def test_refused_values_are_named_briefly(make, named):
 def test_vector_lengths_are_checked(make):
     with pytest.raises(ValueError, match="vector length"):
         make()
+
+
+@given(st.text(alphabet="0123456789+-/. \t\n\u0663x", max_size=10))
+def test_literals_match_as_the_anchored_regexes_did(text):
+    # as_rational strips its input, so it accepts what the anchored regex
+    # did; a degree range no longer passes with a final newline, which the
+    # anchor's ``$`` let through
+    try:
+        as_rational(text)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == bool(ANCHORED_RATIONAL.match(text.strip()))
+    assert bool(re.fullmatch(linalg._RATIONAL, text.strip())) == accepted
+    ours, anchored = re.fullmatch(cli._DEGREES, text), ANCHORED_DEGREES.match(text)
+    whole = anchored is not None and anchored.end() == len(text)
+    assert (ours is not None) == whole
+    if whole:
+        assert ours.groups() == anchored.groups()
