@@ -292,10 +292,6 @@ class TwistPair(Value):
     def dim(self) -> int:
         return self.alpha.rows
 
-    @property
-    def commute(self) -> bool:
-        return self.alpha @ self.beta == self.beta @ self.alpha
-
 
 class _TwistedAlgebra:
     """What the two BiHom algebras share: ``dim``, ``alpha`` and ``beta``,
@@ -383,14 +379,20 @@ class AxiomReport(Value):
     def axioms(self) -> tuple[str, ...]:
         return tuple(v.axiom for v in self.violations)
 
+    def lines(self) -> list[str]:
+        """One line ``violation: <axiom>`` per violation, followed by
+        `` at basis (i,j,...)`` (1-based) when it has indices."""
+        lines = []
+        for v in self.violations:
+            at = ",".join(str(i + 1) for i in v.indices)
+            lines.append(f"violation: {v.axiom} at basis ({at})" if v.indices
+                         else f"violation: {v.axiom}")
+        return lines
+
     def summary(self) -> str:
         if self.passed:
             return "all axioms hold"
-        lines = [f"{len(self.violations)} violation(s):"]
-        for v in self.violations:
-            at = ",".join(str(i + 1) for i in v.indices)
-            lines.append(f"  {v.axiom} at basis ({at})")
-        return "\n".join(lines)
+        return "\n".join([f"{len(self.violations)} violation(s):", *self.lines()])
 
     def to_json(self) -> dict:
         return {
@@ -400,17 +402,28 @@ class AxiomReport(Value):
 
 
 class AxiomError(ValueError):
-    """Raised when an operation is handed data that fails a required check."""
+    """Raised when an operation is handed data that fails a required check;
+    ``report`` is that check's report."""
 
-    def __init__(self, message: str, report: AxiomReport | None = None):
+    def __init__(self, message: str, report: AxiomReport):
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):  # pickle passes the report, which is required
+        return self.__class__, (str(self), self.report)
 
 
 def _require_passed(report: AxiomReport, message: str) -> None:
     """Raise :class:`AxiomError` with ``message`` unless ``report`` passed."""
     if not report.passed:
         raise AxiomError(message, report)
+
+
+def _assert_passed(report: AxiomReport, what: str) -> None:
+    """Raise an internal-defect ``RuntimeError`` naming ``what`` unless
+    ``report``, of an identity the library asserts of its own result, passed."""
+    if not report.passed:
+        raise RuntimeError(f"internal defect: {what}\n{report.summary()}")
 
 
 def merge_reports(*reports: AxiomReport) -> AxiomReport:

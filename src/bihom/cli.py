@@ -8,7 +8,7 @@ with ``--json``, a machine-readable one, and exits with
 * 1 on a semantic failure (an axiom report with violations, a singular
   twist or carrier twist, an invalid input object),
 * 2 on unusable input (a file that cannot be read or decoded as JSON,
-  schema violations, bad flags, an ``--output`` or a standard output that
+  schema violations, bad flags, an ``--output`` or a standard stream that
   cannot be written),
 * 3 on an internal defect: an identity that the library asserts of its own
   results failed (a ``RuntimeError``), which is a bug in ``bihom`` rather
@@ -21,8 +21,6 @@ object as a JSON document to ``--output``, or print it when the flag is
 omitted.  Output documents re-verify under the matching ``verify`` verb.
 ``nijenhuis --output`` writes the trivial deformation of a pre-Lie
 algebra only; over a BiHom-Lie algebra it exits 2.
-
-Set ``BIHOM_COLOR=0`` to disable styling.
 
 A process pays only for its verb.  A well-formed argv (the verb, its
 positionals as one contiguous run, and its long options spelled in full as
@@ -97,14 +95,8 @@ class CliResult:
         self.payload = {} if payload is None else payload
 
 
-def _color_enabled() -> bool:
-    if os.environ.get("BIHOM_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
-
-
 def _styled(text: str, code: str) -> str:
-    if _color_enabled():
+    if sys.stdout.isatty():
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
@@ -113,19 +105,10 @@ def _verdict(passed: bool) -> str:
     return _styled("PASS", "32;1") if passed else _styled("FAIL", "31;1")
 
 
-def _report_lines(report: AxiomReport) -> list[str]:
-    lines = []
-    for v in report.violations:
-        at = ",".join(str(i + 1) for i in v.indices)
-        suffix = f" at basis ({at})" if v.indices else ""
-        lines.append(f"violation: {v.axiom}{suffix}")
-    return lines
-
-
 def _check_result(command: str, label: str, report: AxiomReport,
                   extra_payload: dict | None = None) -> CliResult:
     status = "pass" if report.passed else "fail"
-    lines = [f"{label}: {_verdict(report.passed)}"] + _report_lines(report)
+    lines = [f"{label}: {_verdict(report.passed)}"] + report.lines()
     payload = {"report": report.to_json()}
     if extra_payload:
         payload.update(extra_payload)
@@ -557,11 +540,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AxiomError as exc:
-        result = CliResult(args.command, "fail", [f"{exc}"])
-        if exc.report is not None:
-            result.lines.extend(_report_lines(exc.report))
-            result.payload["report"] = exc.report.to_json()
-        result.payload["message"] = str(exc)
+        result = CliResult(args.command, "fail", [f"{exc}", *exc.report.lines()],
+                           {"report": exc.report.to_json(), "message": str(exc)})
     except ValueError as exc:
         result = CliResult(args.command, "fail", [f"{exc}"],
                            {"message": str(exc)})
@@ -586,16 +566,22 @@ def main() -> NoReturn:
     console script); it never returns.  It runs the verb of ``sys.argv``,
     flushes both standard streams and ends the process with the verb's exit
     code by ``os._exit``: nothing the verb built is used again, so no
-    interpreter teardown runs.  A standard output that cannot be written,
-    such as a pipe whose reader has gone, is reported on stderr and exits
-    2."""
+    interpreter teardown runs.  A standard stream that cannot be written,
+    such as a pipe whose reader has gone, exits 2; a failed standard output
+    is reported on stderr, if stderr can still be written."""
     try:
         code = run()
         sys.stdout.flush()
     except OSError as exc:  # a verb's own file errors exit 2 inside run()
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         code = 2
-    sys.stderr.flush()
+        try:
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 2
     os._exit(code)
 
 

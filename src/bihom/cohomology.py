@@ -541,8 +541,8 @@ def cohomology_table(a: BiHomPreLieAlgebra, r: PreLieRep,
         image = _image(src, dst, src.kernel)
         # D 0 = 0, so D_(m+1) is built only for a nonzero image
         if any(image) and any(_row_product(dst.coboundary, image)):
-            raise RuntimeError(f"D_{m + 1} D_{m} K_{m} != 0: the coboundary "
-                               "does not square to zero")
+            raise RuntimeError(f"internal defect: D_{m + 1} D_{m} K_{m} != 0: "
+                               "the coboundary does not square to zero")
         rank = _rank([row for row in image if row], src.dim)
         if m in wanted:
             dim_z = src.dim - rank

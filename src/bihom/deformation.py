@@ -38,6 +38,7 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
+    _assert_passed,
     _jacobi_violations,
     _left_symmetry_violations,
     _multiplicativity_violations,
@@ -192,13 +193,9 @@ def nijenhuis_trivial_deformation(
     _require_passed(check_nijenhuis_prelie(a, N), "not a Nijenhuis operator")
     pi = _deformed(a.product, N)
     deform = _deformation_report(a, pi)  # its base: part passed just above
-    if not deform.passed:
-        raise RuntimeError("internal defect: Nijenhuis image is not a linear "
-                           "deformation\n" + deform.summary())
+    _assert_passed(deform, "Nijenhuis image is not a linear deformation")
     equiv = check_equivalence(a, BilinearProduct.zero(a.dim), pi, N)
-    if not equiv.passed:
-        raise RuntimeError("internal defect: Nijenhuis deformation is not "
-                           "trivial\n" + equiv.summary())
+    _assert_passed(equiv, "Nijenhuis deformation is not trivial")
     return pi, merge_reports(deform, equiv)
 
 
@@ -218,10 +215,8 @@ def push_deformation_to_lie(a: BiHomPreLieAlgebra,
     _require_passed(check_linear_deformation(a, pi),
                     "not a linear deformation of the algebra")
     pushed = _subadjacent_tensor(pi, a.twists)
-    lie_report = check_lie_linear_deformation(subadjacent(a), pushed)
-    if not lie_report.passed:
-        raise RuntimeError("internal defect: pushed deformation fails the "
-                           "BiHom-Lie conditions\n" + lie_report.summary())
+    _assert_passed(check_lie_linear_deformation(subadjacent(a), pushed),
+                   "pushed deformation fails the BiHom-Lie conditions")
     return pushed
 
 

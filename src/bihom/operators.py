@@ -31,6 +31,7 @@ from .algebra import (
     BilinearProduct,
     TwistPair,
     _Collector,
+    _assert_passed,
     _operator_commutation,
     _prefixed,
     _require_passed,
@@ -107,16 +108,10 @@ def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
         r.vdim, lambda u, v: rho_t[u].sparse_cols[v])
     out = BiHomPreLieAlgebra(product, _with_inverses(
         TwistPair, (r.phi, r.psi), alpha_inv=r.phi_inv, beta_inv=r.psi_inv))
-    check = check_prelie(out)
-    if not check.passed:
-        raise RuntimeError(
-            "internal defect: O-operator induced a non-pre-Lie product\n"
-            + check.summary())
-    morphism = is_lie_morphism(T, subadjacent(out), r.algebra)
-    if not morphism.passed:
-        raise RuntimeError(
-            "internal defect: O-operator is not a morphism of the induced "
-            "sub-adjacent algebra\n" + morphism.summary())
+    _assert_passed(check_prelie(out), "O-operator induced a non-pre-Lie product")
+    _assert_passed(is_lie_morphism(T, subadjacent(out), r.algebra),
+                   "O-operator is not a morphism of the induced sub-adjacent "
+                   "algebra")
     return out
 
 

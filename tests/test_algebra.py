@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bihom import (
+    AxiomError,
     BiHomLieAlgebra,
     BiHomPreLieAlgebra,
     BilinearProduct,
@@ -115,6 +117,12 @@ class TestConstruction:
         for t in (TwistPair.identity(3), classical.twists, loaded.twists):
             assert t.alpha_inv == t.beta_inv == Matrix.identity(3)
         assert inverses == eliminations == []
+
+    def test_products_of_another_kind_or_dimension(self):
+        assert (BilinearProduct.zero(2) == 1) is False
+        with pytest.raises(ValueError, match="^products live on spaces of "
+                           "different dimension$"):
+            BilinearProduct.zero(2) + BilinearProduct.zero(3)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -314,3 +322,10 @@ class TestAxiomReport:
     def test_json_shape(self):
         doc = check_prelie(dim2_abelian()).to_json()
         assert doc == {"passed": True, "violations": []}
+
+    def test_axiom_error_keeps_its_report_through_pickle(self):
+        report = check_prelie(BiHomPreLieAlgebra(
+            tensor(2, {(0, 1, 0): 1, (1, 0, 0): -1}),
+            TwistPair(diag(1, 2), Matrix.identity(2))))
+        copy = pickle.loads(pickle.dumps(AxiomError("not pre-Lie", report)))
+        assert (str(copy), copy.report) == ("not pre-Lie", report)

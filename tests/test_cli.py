@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from bihom import (BiHomPreLieAlgebra, BilinearProduct, Matrix, TwistPair,
-                   adjoint_lie_rep, adjoint_rep, induced_lie_rep, subadjacent)
-from bihom import cli
+from bihom import (AxiomReport, BiHomPreLieAlgebra, BilinearProduct, Matrix,
+                   TwistPair, Violation, adjoint_lie_rep, adjoint_rep,
+                   induced_lie_rep, subadjacent)
+from bihom import cli, operators
 from bihom.cli import run
 from bihom.documents import (
     algebra_to_doc,
@@ -127,11 +129,23 @@ class TestVerify:
             "report": {"passed": True, "violations": []},
         }
 
-    def test_no_ansi_codes_in_output(self, capsys, nilpotent_file,
-                                     monkeypatch):
-        monkeypatch.setenv("BIHOM_COLOR", "0")
+    def test_no_ansi_codes_in_output(self, capsys, nilpotent_file):
         code, out = run_lines(capsys, ["verify", str(nilpotent_file)])
         assert "\x1b[" not in out
+
+    def test_verdict_is_styled_on_a_terminal(self, capsys, monkeypatch,
+                                             tmp_path, nilpotent_file):
+        bad = tmp_path / "bad.json"
+        dump_json(bad, {"dim": 2, "product": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                        "alpha": [[1, 1], [0, 1]], "beta": [[1, 0], [1, 1]]})
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert run_lines(capsys, ["verify", str(nilpotent_file)]) == (
+            0, "BiHom-pre-Lie: \x1b[32;1mPASS\x1b[0m\n")
+        code, out = run_lines(capsys, ["verify", str(bad)])
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "BiHom-pre-Lie: \x1b[31;1mFAIL\x1b[0m"
+        assert "violation: alpha-beta-commutation" in lines[1:]
 
 
 class TestCohomology:
@@ -196,7 +210,7 @@ class TestCohomology:
     def test_huge_upper_bound_is_clipped_before_the_walk(self, abelian_file):
         # walking 1..10^12 before applying --max-degree would take hours, so
         # each run is a process with a time limit
-        env = dict(os.environ, BIHOM_COLOR="0",
+        env = dict(os.environ,
                    PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
 
         def cohomology(degrees):
@@ -922,3 +936,41 @@ class TestInternalDefect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: internal defect: d o d != 0\n"
+
+    def test_failed_self_check_of_a_construction(self, capsys, monkeypatch,
+                                                 tmp_path):
+        # the induced product's own check_prelie fails
+        failing = AxiomReport((Violation("left-symmetry", (0, 1, 0), (Q(1),)),))
+        monkeypatch.setattr(operators, "check_prelie", lambda a: failing)
+        rep_path, op_path = tmp_path / "rep.json", tmp_path / "op.json"
+        dump_json(rep_path, rep_to_doc(
+            induced_lie_rep(adjoint_rep(dim3_graded(2, 2, 3)), "l-only")))
+        dump_json(op_path, {"matrix": Matrix.identity(3).to_json()})
+        out_path = tmp_path / "induced.json"
+        assert run(["o-operator", str(op_path), str(rep_path),
+                    "--output", str(out_path)]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: internal defect: O-operator induced a non-pre-Lie product\n"
+            "1 violation(s):\nviolation: left-symmetry at basis (1,2,1)\n"))
+        assert not out_path.exists()
+
+    def test_every_raised_runtime_error_names_itself(self):
+        """Exit 3 prints the message alone, so every ``raise RuntimeError``
+        in the package opens its literal message with "internal defect: "."""
+        unnamed = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Raise) and node.exc):
+                    continue
+                call = (node.exc if isinstance(node.exc, ast.Call)
+                        else ast.Call(node.exc, [], []))  # a bare class
+                if not (isinstance(call.func, ast.Name)
+                        and call.func.id == "RuntimeError"):
+                    continue
+                head = call.args[0] if call.args else None
+                if isinstance(head, ast.JoinedStr):
+                    head = head.values[0]
+                if not (isinstance(head, ast.Constant)
+                        and str(head.value).startswith("internal defect: ")):
+                    unnamed.append(f"{path.name}:{node.lineno}")
+        assert unnamed == []

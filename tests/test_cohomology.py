@@ -659,6 +659,32 @@ class TestCallerErrors:
         with pytest.raises(ValueError, match=self.FOREIGN):
             coboundary_matrix(dim2_nilpotent(), adjoint_rep(dim2_abelian()), 1)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda a, r: cohomology_table(a, r, [0]),
+         "cohomology degrees start at 1"),
+        (lambda a, r: coboundary_matrix(a, r, 0),
+         "coboundary matrices are defined for degree >= 1"),
+        (lambda a, r: cochain_space(a, r, 1).combine([]),  # its dim is 4
+         "coordinate count does not match the dimension"),
+        (lambda a, r: Cochain.zero(2, 2, 2).value([[1, 0]]),
+         "argument count must equal the degree"),
+        (lambda a, r: coboundary(Cochain.zero(1, 3, 2), a, r),
+         "cochain shape does not match the algebra and representation"),
+        # (0, 0, 0) is not a canonical tuple, so only the check reads it
+        (lambda a, r: Cochain.from_map(
+            3, 2, 1, lambda idx: (0,) if idx[0] < idx[1] else (0, 0)),
+         "cochain values must have carrier dimension"),
+    ], ids=["table_degree", "matrix_degree", "combine", "value_arguments",
+            "coboundary_shape", "from_map_length"])
+    def test_misuse_is_refused(self, make, message):
+        a = dim2_nilpotent()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(a, adjoint_rep(a))
+
+    def test_no_degrees_give_an_empty_table(self):
+        a = dim2_nilpotent()
+        assert cohomology_table(a, adjoint_rep(a), []) == []
+
 
 class TestAssertedIdentities:
     """Each identity that the solve of K_n or an evaluation of D_n asserts

@@ -141,7 +141,7 @@ def test_interleaved_positional_run_matches_the_parser(capsys):
 
 def cold_env() -> dict:
     """The environment of a cold ``bihom`` process run from this tree."""
-    return dict(os.environ, BIHOM_COLOR="0",
+    return dict(os.environ,
                 PYTHONPATH=str(Path(bihom.__file__).resolve().parent.parent))
 
 
@@ -304,3 +304,19 @@ def test_closed_standard_output_exits_2(unbuffered, tmp_path, algebra_file):
     assert out.returncode == 2
     assert out.stderr == ("error: cannot write standard output: "
                           "[Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_closed_standard_error_exits_2(flags, tmp_path):
+    # the refusal of the missing document meets the closed pipe; the code
+    # stays that of unusable input, not of a semantic failure
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "bihom.cli", "verify", "missing.json",
+             *flags], cwd=tmp_path, env=cold_env(), stdout=subprocess.PIPE,
+            stderr=write, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stdout) == (2, "")

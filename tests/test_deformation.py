@@ -5,9 +5,11 @@ import pytest
 
 from bihom import (
     AxiomError,
+    AxiomReport,
     BiHomPreLieAlgebra,
     BilinearProduct,
     Matrix,
+    Violation,
     adjoint_rep,
     check_equivalence,
     check_lie_linear_deformation,
@@ -27,6 +29,7 @@ from bihom import (
     push_deformation_to_lie,
     subadjacent,
 )
+from bihom import deformation
 
 from catalog import (
     diag,
@@ -56,6 +59,11 @@ class TestCheckLinearDeformation:
         for mat in nijenhuis_search(alg)[:12]:
             pi = deformed_product(alg, mat)
             assert check_linear_deformation(alg, pi).passed
+
+    def test_wrong_dimension_refused(self):
+        with pytest.raises(ValueError, match="^deformation tensor has the "
+                           "wrong dimension$"):
+            check_linear_deformation(dim2_nilpotent(), BilinearProduct.zero(3))
 
     def test_equivariance_violation_reported_distinctly(self):
         alg = dim2_nilpotent(2, 3)
@@ -265,6 +273,27 @@ class TestPushToLie:
         alg = dim2_nilpotent()
         with pytest.raises(AxiomError):
             push_deformation_to_lie(alg, tensor(2, {(1, 1, 0): 1}))
+
+
+@pytest.mark.parametrize("checker, construct, what", [
+    ("_deformation_report",
+     lambda a: nijenhuis_trivial_deformation(a, diag(Q(1, 2), Q(1, 2))),
+     "Nijenhuis image is not a linear deformation"),
+    ("check_equivalence",
+     lambda a: nijenhuis_trivial_deformation(a, diag(Q(1, 2), Q(1, 2))),
+     "Nijenhuis deformation is not trivial"),
+    ("check_lie_linear_deformation",
+     lambda a: push_deformation_to_lie(a, a.product),
+     "pushed deformation fails the BiHom-Lie conditions"),
+])
+def test_failed_self_check_is_an_internal_defect(monkeypatch, checker,
+                                                 construct, what):
+    failing = AxiomReport((Violation("injected", (0, 1), (Q(1), Q(0))),))
+    monkeypatch.setattr(deformation, checker, lambda *args: failing)
+    with pytest.raises(RuntimeError) as info:
+        construct(dim2_assoc())
+    assert str(info.value).startswith(
+        f"internal defect: {what}\n1 violation(s):\nviolation: ")
 
 
 class TestLieSide:

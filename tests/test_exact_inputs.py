@@ -128,8 +128,9 @@ def test_refused_values_are_named_briefly(make, named):
     lambda: plane_cochain(1).value([[1, 0, 1]]),
     lambda: plane_cochain(1).value([[1]]),
     lambda: plane_cochain(2).value([[1], [1, 0]]),
+    lambda: Matrix.identity(2).apply([1]),
 ], ids=["product_long", "product_short", "cochain_long", "cochain_short",
-        "cochain_short_head"])
+        "cochain_short_head", "matrix_apply"])
 def test_vector_lengths_are_checked(make):
     with pytest.raises(ValueError, match="vector length"):
         make()

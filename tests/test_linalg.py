@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from bihom.linalg import (
     as_rational,
     inverse,
     kernel_basis,
+    linear_combination,
     rank,
     rational_from_json,
     rational_to_json,
@@ -86,6 +88,20 @@ class TestMatMul:
     def test_dimension_mismatch(self):
         with pytest.raises(LinAlgError):
             mat([[1, 2]]) @ mat([[1, 2]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: mat([[1, 2]]).power(2), "matrix power requires a square matrix"),
+    (lambda: Matrix.identity(2) + Matrix.zeros(2, 3), "matrix shapes differ"),
+    (lambda: linear_combination([Matrix.identity(2)], [1, 2]),
+     "coefficient count does not match matrix count"),
+    (lambda: linear_combination([], []), "empty linear combination has no shape"),
+    (lambda: solve(Matrix.identity(2), [1]),
+     "right-hand side length does not match row count"),
+], ids=["power", "add", "combination_count", "combination_empty", "solve"])
+def test_shape_misuse_is_refused(make, message):
+    with pytest.raises(LinAlgError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def all_fractions(values) -> bool:

@@ -4,8 +4,10 @@ import pytest
 
 from bihom import (
     AxiomError,
+    AxiomReport,
     Matrix,
     SingularMatrixError,
+    Violation,
     adjoint_lie_rep,
     adjoint_rep,
     check_bihom_lie,
@@ -20,6 +22,7 @@ from bihom import (
     rb_induced_prelie,
     subadjacent,
 )
+from bihom import operators
 
 from catalog import (
     diag,
@@ -110,6 +113,20 @@ class TestInducedPreLie:
         bad = Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
         with pytest.raises(AxiomError):
             induced_prelie_from_o(bad, rep)
+
+
+@pytest.mark.parametrize("checker, what", [
+    ("check_prelie", "O-operator induced a non-pre-Lie product"),
+    ("is_lie_morphism",
+     "O-operator is not a morphism of the induced sub-adjacent algebra"),
+])
+def test_failed_self_check_is_an_internal_defect(monkeypatch, checker, what):
+    failing = AxiomReport((Violation("injected", (0, 1), (Q(1), Q(0))),))
+    monkeypatch.setattr(operators, checker, lambda *args: failing)
+    with pytest.raises(RuntimeError) as info:
+        induced_prelie_from_o(Matrix.identity(2), left_rep(dim2_assoc()))
+    assert str(info.value).startswith(
+        f"internal defect: {what}\n1 violation(s):\nviolation: ")
 
 
 class TestInducedOnImage:

@@ -40,7 +40,7 @@ def test_cli_transcript(tmp_path):
     runs = re.findall(r"^\$ (.*)\n((?:[^$].*\n)*)", transcript, re.MULTILINE)
     assert len(runs) == 2
     src = str(Path(bihom.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src, BIHOM_COLOR="0")
+    env = dict(os.environ, PYTHONPATH=src)
     for command, printed in runs:
         argv = shlex.split(command)
         assert argv[0] == "bihom"

@@ -218,6 +218,12 @@ class TestTwistRep:
         eye = Matrix.identity(2)
         with pytest.raises(ValueError):
             twist_rep(rep, eye, eye, eye, eye)
+        untwisted = adjoint_rep(dim2_nilpotent())
+        carrier_twisted = PreLieRep(untwisted.algebra, 2, untwisted.L,
+                                    untwisted.R, diag(2, 1), eye)
+        with pytest.raises(ValueError, match="^twist_rep requires a "
+                           "representation with identity twists$"):
+            twist_rep(carrier_twisted, eye, eye, eye, eye)
 
 
 class TestTensorRep:

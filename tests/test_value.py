@@ -249,6 +249,8 @@ class TestConstruction:
          "twist map alpha must be invertible"),
         (CohomologyReport, (1, 1, 2, -1), "inconsistent cohomology dimensions"),
         (Cochain, (0, 1, 1, (Q(0),)), "cochains have degree >= 1"),
+        (TwistPair, (Matrix.zeros(1, 2), Matrix.identity(1)),
+         "twist maps must be square matrices"),
     ])
     def test_post_init_errors_unchanged(self, cls, args, error):
         (_, got), (_, expected) = (outcome(lambda: make(*args))
