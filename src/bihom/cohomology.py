@@ -73,7 +73,7 @@ from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct
-from .linalg import (Matrix, Row, Value, _Lazy, _axpy, _combination,
+from .linalg import (Matrix, Row, Value, _Lazy, _axpy, _family_at,
                      _dense_vector, _kernel, _rank, _require_exact,
                      _row_product, _sparse_vector, rational_from_json,
                      rational_to_json, try_solve, zero_vector)
@@ -368,10 +368,10 @@ class CochainSpace:
         bn1 = a.beta.power(n - 1)
         sub, cols = a.subadjacent.bracket, self.cols
         return {
-            "lmat": [list(map(_integral, _combination(r.L, x).sparse_rows))
-                     for x in (self.an1 @ bn1).sparse_cols],
-            "rmat": [list(map(_integral, _combination(r.R, x).sparse_rows))
-                     for x in bn1.sparse_cols],
+            "lmat": [list(map(_integral, m.sparse_rows))
+                     for m in _family_at(r.L, self.an1 @ bn1)],
+            "rmat": [list(map(_integral, m.sparse_rows))
+                     for m in _family_at(r.R, bn1)],
             "prod": [[_integral(a.product.sparse_value(cols["an1"][p], {q: 1}))
                       for q in range(adim)] for p in range(adim)],
             "bkt": [[_integral(sub.sparse_value(cols["beta"][p], cols["alpha"][q]))

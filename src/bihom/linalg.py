@@ -193,9 +193,12 @@ def as_rational(value: int | str | Fraction) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if not re.fullmatch(_RATIONAL, text):
-            raise ValueError(f"not a rational literal: {_leaf(value)}")
-        return Fraction(text)
+        if re.fullmatch(_RATIONAL, text):
+            try:
+                return Fraction(text)
+            except ValueError:  # more digits than int() may convert
+                pass
+        raise ValueError(f"not a rational literal: {_leaf(value)}")
     raise ValueError(f"cannot interpret {_leaf(value)} as an exact rational")
 
 
@@ -622,6 +625,12 @@ def _combination(mats: Sequence[Matrix], coeffs: Row) -> Matrix:
         for arow, mrow in zip(acc, mats[i].sparse_rows):
             _axpy(arow, c, mrow)
     return Matrix._wrap(tuple(acc), mats[0].cols)
+
+
+def _family_at(mats: Sequence[Matrix], m: Matrix) -> list[Matrix]:
+    """The action family evaluated at ``m e_i`` for every basis index i,
+    each formed once: the family along the linear map ``m``."""
+    return [_combination(mats, x) for x in m.sparse_cols]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .algebra import (
     merge_reports,
     subadjacent,
 )
-from .linalg import (Matrix, _combination, _require_shape, _row_add, _row_sub,
+from .linalg import (Matrix, _family_at, _require_shape, _row_add, _row_sub,
                      rank)
 from .representation import LieRep, check_lie_rep
 
@@ -74,16 +74,14 @@ def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
 
     tcol = T.sparse_cols
-    rho_t = [_combination(r.rho, t).sparse_cols for t in tcol]
+    rho_t = _family_at(r.rho, T)
     # rho(T(phi^-1 psi v)) and (phi psi^-1)(u), once per carrier basis vector
-    phinv_psi = r.phi_inv @ r.psi
-    rho_twisted = [_combination(r.rho, T.sparse_apply(v))
-                   for v in phinv_psi.sparse_cols]
+    rho_twisted = _family_at(r.rho, T @ r.phi_inv @ r.psi)
     phi_psinv = (r.phi @ r.psi_inv).sparse_cols
     for u in range(m):
         for v in range(m):
             lhs = g.bracket.sparse_value(tcol[u], tcol[v])
-            first = rho_t[u][v]
+            first = rho_t[u].sparse_cols[v]
             second = rho_twisted[v].sparse_apply(phi_psinv[u])
             rhs = T.sparse_apply(_row_sub(first, second))
             col.check("o-operator-identity", (u, v), _row_sub(lhs, rhs), g.dim)
@@ -103,7 +101,7 @@ def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")
-    rho_t = [_combination(r.rho, t) for t in T.sparse_cols]
+    rho_t = _family_at(r.rho, T)
     product = BilinearProduct.from_pairs(
         r.vdim, lambda u, v: rho_t[u].sparse_cols[v])
     out = BiHomPreLieAlgebra(product, _with_inverses(

@@ -51,6 +51,7 @@ from .linalg import (
     Matrix,
     Value,
     _combination,
+    _family_at,
     _require_shape,
     _row_sub,
     block_diag,
@@ -140,23 +141,11 @@ class LieRep(Value):
 # axiom checks
 # ---------------------------------------------------------------------------
 
-def _twisted_actions(r: PreLieRep, alpha: Matrix, beta: Matrix
-                     ) -> tuple[list[Matrix], list[Matrix], list[Matrix], list[Matrix]]:
-    """``L(alpha e_i)``, ``L(beta e_i)``, ``R(alpha e_i)``, ``R(beta e_i)``
-    for every basis index i, each computed once."""
-    acol, bcol = alpha.sparse_cols, beta.sparse_cols
-    return ([_combination(r.L, x) for x in acol],
-            [_combination(r.L, x) for x in bcol],
-            [_combination(r.R, x) for x in acol],
-            [_combination(r.R, x) for x in bcol])
-
-
 def _intertwining_violations(col: _Collector, axiom: str, r: PreLieRep,
-                             phi: Matrix, psi: Matrix, actions) -> None:
+                             phi: Matrix, psi: Matrix, La, Lb, Ra, Rb) -> None:
     """rep-1 on basis vectors: ``phi L(x) = L(alpha x) phi``,
-    ``psi L(x) = L(beta x) psi`` and the same for R, with ``actions`` from
-    :func:`_twisted_actions`; ``axiom.format(twist, family)`` names each."""
-    La, Lb, Ra, Rb = actions
+    ``psi L(x) = L(beta x) psi`` and the same for R, with ``La`` the family
+    L along alpha and so on; ``axiom.format(twist, family)`` names each."""
     for i in range(len(r.L)):
         for name, mats, by_alpha, by_beta in (("L", r.L, La, Lb), ("R", r.R, Ra, Rb)):
             col.check_matrix(axiom.format("phi", name), (i,),
@@ -177,12 +166,12 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
     n, phi, psi = a.dim, r.phi, r.psi
     acol, bcol = a.alpha.sparse_cols, a.beta.sparse_cols
     P = a.product
-    actions = _twisted_actions(r, a.alpha, a.beta)
-    La, Lb, Ra, Rb = actions
-    Lab = [_combination(r.L, x) for x in (a.alpha @ a.beta).sparse_cols]
+    La, Lb, Ra, Rb = (_family_at(f, t) for f in (r.L, r.R)
+                      for t in (a.alpha, a.beta))
+    Lab = _family_at(r.L, a.alpha @ a.beta)
 
     col.check_commute("phi-psi-commutation", phi, psi)
-    _intertwining_violations(col, "rep1-{}-{}", r, phi, psi, actions)
+    _intertwining_violations(col, "rep1-{}-{}", r, phi, psi, La, Lb, Ra, Rb)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -192,12 +181,16 @@ def check_prelie_rep(r: PreLieRep) -> AxiomReport:
             col.check_matrix("rep2", (i, j), _combination(r.L, skew) @ psi
                              - (Lab[i] @ La[j] - Lab[j] @ La[i]))
 
+    # lhs - rhs = R(beta x)(L(beta y) phi - R(alpha y) psi)
+    #             - L(alpha beta y) R(x) phi + R(alpha(y).x) phi psi
+    phi_psi = phi @ psi
+    Lb_Ra = [L @ phi - R @ psi for L, R in zip(Lb, Ra)]
+    R_phi = [R @ phi for R in r.R]
     for i in range(n):
         for j in range(n):
-            lhs = Rb[i] @ Lb[j] @ phi - Lab[j] @ r.R[i] @ phi
-            rhs = (Rb[i] @ Ra[j] @ psi - _combination(
-                r.R, P.sparse_value(acol[j], {i: 1})) @ phi @ psi)
-            col.check_matrix("rep3", (i, j), lhs - rhs)
+            C = _combination(r.R, P.sparse_value(acol[j], {i: 1}))
+            col.check_matrix("rep3", (i, j), Rb[i] @ Lb_Ra[j]
+                             - Lab[j] @ R_phi[i] + C @ phi_psi)
     return col.report()
 
 
@@ -207,9 +200,8 @@ def check_lie_rep(r: LieRep) -> AxiomReport:
     g = r.algebra
     n, phi, psi = g.dim, r.phi, r.psi
     bcol = g.beta.sparse_cols
-    rho_a = [_combination(r.rho, x) for x in g.alpha.sparse_cols]
-    rho_b = [_combination(r.rho, x) for x in bcol]
-    rho_ab = [_combination(r.rho, x) for x in (g.alpha @ g.beta).sparse_cols]
+    rho_a, rho_b, rho_ab = (_family_at(r.rho, t)
+                            for t in (g.alpha, g.beta, g.alpha @ g.beta))
     B = g.bracket
 
     col.check_commute("phi-psi-commutation", phi, psi)
@@ -310,8 +302,8 @@ def semidirect_lie(r: LieRep) -> BiHomLieAlgebra:
 def _semidirect_lie_raw(r: LieRep) -> BiHomLieAlgebra:
     g = r.algebra
     phi_psinv = r.phi @ r.psi_inv
-    right = [-(_combination(r.rho, x) @ phi_psinv)
-             for x in (g.twists.alpha_inv @ g.beta).sparse_cols]
+    right = [-(rho @ phi_psinv)
+             for rho in _family_at(r.rho, g.twists.alpha_inv @ g.beta)]
     return _semidirect(g.bracket, r, r.rho, right)
 
 
@@ -341,8 +333,8 @@ def _induced_rho(r: PreLieRep) -> tuple[Matrix, ...]:
     """``rho(e_i) = L(e_i) - R(alpha beta^-1 e_i) phi^-1 psi`` for each basis e_i."""
     a = r.algebra
     phinv_psi = r.phi_inv @ r.psi
-    return tuple(L - _combination(r.R, x) @ phinv_psi
-                 for L, x in zip(r.L, (a.alpha @ a.twists.beta_inv).sparse_cols))
+    return tuple(L - R @ phinv_psi for L, R in
+                 zip(r.L, _family_at(r.R, a.alpha @ a.twists.beta_inv)))
 
 
 def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
@@ -373,16 +365,16 @@ def twist_rep(classical: PreLieRep, alpha: Matrix, beta: Matrix,
     col.check_commute("alpha-beta-commutation", alpha, beta)
     col.check_commute("phi-psi-commutation", phi, psi)
     _multiplicativity_violations(col, a.product, alpha, beta, "{}-multiplicative")
-    actions = _twisted_actions(classical, alpha, beta)
+    La, Lb, Ra, Rb = (_family_at(f, t) for f in (classical.L, classical.R)
+                      for t in (alpha, beta))
     _intertwining_violations(col, "{}-{}-intertwining", classical, phi, psi,
-                             actions)
+                             La, Lb, Ra, Rb)
     _require_passed(col.report(), "twisting hypotheses are violated")
 
     acol, bcol = alpha.sparse_cols, beta.sparse_cols
     twisted = BilinearProduct.from_pairs(
         n, lambda i, j: a.product.sparse_value(acol[i], bcol[j]))
     algebra2 = BiHomPreLieAlgebra(twisted, TwistPair(alpha, beta))
-    La, _, _, Rb = actions
     LL = tuple(L @ psi for L in La)
     RR = tuple(R @ phi for R in Rb)
     return PreLieRep(algebra2, m, LL, RR, phi, psi)

@@ -310,6 +310,7 @@ class TestAxiomReport:
     def test_passed_iff_no_violations(self):
         report = check_prelie(dim2_abelian())
         assert report.passed and bool(report) and report.violations == ()
+        assert report.summary() == "all axioms hold"
 
     def test_residuals_are_exact(self):
         alg = BiHomPreLieAlgebra(

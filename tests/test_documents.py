@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,10 @@ import workloads
 from catalog import dim2_nilpotent, dim3_graded
 
 Q = Fraction
+# the most digits int() converts from a string, 0 where there is no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+OVER_INT_LIMIT = pytest.mark.skipif(not INT_DIGITS,
+                                    reason="integer literals have no length limit")
 
 
 class TestAlgebraDocs:
@@ -103,7 +108,14 @@ class TestAlgebraDocs:
         ("[" * 900 + "0" + "]" * 900, "got an array"),
         (json.dumps("1/" + "1" * 4998 + "x"),
          "a 5001-character string '1/11111111111111'"),
-    ], ids=["long-array", "deep-array", "long-string"])
+        pytest.param(json.dumps("1" * (INT_DIGITS + 1)),
+                     f"a {INT_DIGITS + 1}-character string '1111111111111111'",
+                     marks=OVER_INT_LIMIT),
+        pytest.param(json.dumps("1/" + "1" * (INT_DIGITS + 1)),
+                     f"a {INT_DIGITS + 3}-character string '1/11111111111111'",
+                     marks=OVER_INT_LIMIT),
+    ], ids=["long-array", "deep-array", "long-string", "overlong-integer",
+            "overlong-denominator"])
     def test_bad_leaf_named_in_one_short_line(self, leaf, named, tmp_path,
                                               monkeypatch, capsys):
         """A bad leaf is named by its JSON type, a string by its length and

@@ -9,6 +9,7 @@ instead of failing inside the arithmetic or padding a short vector with
 zeros."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from bihom.linalg import as_rational
 from oracles import ANCHORED_DEGREES, ANCHORED_RATIONAL
 
 Q = Fraction
+# the most digits int() converts from a string, 0 where there is no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
 
 
 def line() -> BiHomPreLieAlgebra:
@@ -113,7 +116,12 @@ def test_booleans_are_refused(make):
     (lambda: as_rational("1/" + "x" * 100000), "a 100002-character string"),
     (lambda: Matrix.from_rows([[{"k": "v" * 100000}]]), "an object"),
     (lambda: Matrix(1, 1, (("x" * 100000,),)), "a 100000-character string"),
-], ids=["as_rational_list", "as_rational_str", "from_rows", "Matrix"])
+    pytest.param(lambda: as_rational("1" * (INT_DIGITS + 1)),
+                 f"a {INT_DIGITS + 1}-character string",
+                 marks=pytest.mark.skipif(not INT_DIGITS, reason="integer "
+                                          "literals have no length limit")),
+], ids=["as_rational_list", "as_rational_str", "from_rows", "Matrix",
+        "as_rational_overlong"])
 def test_refused_values_are_named_briefly(make, named):
     """A refused value is named by its type, a string by its length and
     first characters, never echoed whole."""

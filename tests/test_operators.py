@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -127,6 +128,17 @@ def test_failed_self_check_is_an_internal_defect(monkeypatch, checker, what):
         induced_prelie_from_o(Matrix.identity(2), left_rep(dim2_assoc()))
     assert str(info.value).startswith(
         f"internal defect: {what}\n1 violation(s):\nviolation: ")
+
+
+def test_incompatible_bracket_is_an_internal_defect(monkeypatch):
+    """The compatible structure's sub-adjacent bracket is asserted equal to
+    the ambient one; a differing bracket is an internal defect."""
+    monkeypatch.setattr(operators, "subadjacent", lambda out: SimpleNamespace(
+        bracket=subadjacent(out).bracket.scale(2)))
+    with pytest.raises(RuntimeError, match="^internal defect: induced product "
+                       "is not compatible"):
+        compatible_prelie_from_invertible_o(Matrix.identity(2),
+                                            left_rep(dim2_assoc()))
 
 
 class TestInducedOnImage:
