@@ -484,15 +484,18 @@ def _operator_commutation(col: _Collector, name: str, mat: Matrix,
 
 
 def _map_violations(col: _Collector, axiom: str, f: Matrix,
-                    P: BilinearProduct, P2: BilinearProduct) -> None:
+                    P: BilinearProduct, P2: BilinearProduct,
+                    images_first: bool = False) -> None:
     """``f(e_i . e_j) - f(e_i) . f(e_j)`` on every ordered basis pair, for a
-    linear map f from the space of the product P to that of P2."""
+    linear map f from the space of the product P to that of P2, or with
+    ``images_first`` its negative, as the operator identities report it."""
     n, fcol = P.dim, f.sparse_cols
     for i in range(n):
         for j in range(n):
-            col.check(axiom, (i, j),
-                      _row_sub(f.sparse_apply(P.pair(i, j)),
-                               P2.sparse_value(fcol[i], fcol[j])), P2.dim)
+            mapped = f.sparse_apply(P.pair(i, j))
+            images = P2.sparse_value(fcol[i], fcol[j])
+            col.check(axiom, (i, j), _row_sub(images, mapped) if images_first
+                      else _row_sub(mapped, images), P2.dim)
 
 
 def _multiplicativity_violations(col: _Collector, P: BilinearProduct,

@@ -54,7 +54,8 @@ from .algebra import (
 )
 from .documents import (
     DocumentError,
-    _check_shape,
+    _operator_context,
+    _operator_matrix,
     algebra_to_doc,
     deformation_from_doc,
     deformation_to_doc,
@@ -63,7 +64,6 @@ from .documents import (
     load_json,
     load_representation,
     nijenhuis_from_doc,
-    operator_from_doc,
     rep_to_doc,
     twists_from_doc,
 )
@@ -211,12 +211,12 @@ def _cmd_tensor_rep(args) -> CliResult:
 
 
 def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
-    """The matrix of ``args.operator`` and the ``kind`` of context it acts
-    on: the one its document references, else the one at ``fallback``; a
-    context given both ways is refused."""
+    """The matrix of ``args.operator``, decoded with the shape its context
+    fixes, and the ``kind`` of context it acts on: the one its document
+    references, else the one at ``fallback``; a context given both ways is
+    refused."""
     doc = load_json(args.operator)
-    matrix, context = operator_from_doc(doc, Path(args.operator).parent,
-                                        where=args.operator)
+    context = _operator_context(doc, Path(args.operator).parent, args.operator)
     if fallback and context is not None:
         key = "representation" if "representation" in doc else "algebra"
         raise DocumentError(f"{args.operator}.{key}: the context is embedded "
@@ -226,9 +226,7 @@ def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
     if not isinstance(context, kind):
         raise DocumentError(f"{args.command} needs {needs}, either embedded "
                             "in the operator document or as a second argument")
-    shape = ((context.algebra.dim, context.vdim) if isinstance(context, LieRep)
-             else (context.dim, context.dim))
-    return _check_shape(matrix, shape, f"{args.operator}.matrix"), context
+    return _operator_matrix(doc, args.operator, context), context
 
 
 def _operator_result(args, label: str, check, build, *operands) -> CliResult:

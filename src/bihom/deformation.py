@@ -41,6 +41,7 @@ from .algebra import (
     _assert_passed,
     _jacobi_violations,
     _left_symmetry_violations,
+    _map_violations,
     _multiplicativity_violations,
     _operator_commutation,
     _prefixed,
@@ -161,14 +162,8 @@ def _nijenhuis_report(P: BilinearProduct, twists: TwistPair,
     _require_shape(N, P.dim, P.dim, "operator")
     col = _Collector()
     _operator_commutation(col, "N", N, twists)
-    n = P.dim
-    deformed = _deformed(P, N)
-    ncol = N.sparse_cols
-    for i in range(n):
-        for j in range(n):
-            col.check("nijenhuis-identity", (i, j),
-                      _row_sub(P.sparse_value(ncol[i], ncol[j]),
-                               N.sparse_apply(deformed.pair(i, j))), n)
+    _map_violations(col, "nijenhuis-identity", N, _deformed(P, N), P,
+                    images_first=True)
     return col.report()
 
 

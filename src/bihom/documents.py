@@ -289,21 +289,36 @@ def load_representation(path: str | Path) -> PreLieRep | LieRep:
 # operators, deformations, cochains
 # ---------------------------------------------------------------------------
 
-def operator_from_doc(doc: object, base: Path | None = None,
-                      where: str = "operator") -> tuple[Matrix, object | None]:
-    """Decode an operator document; returns (matrix, context) where context
-    is the referenced representation or algebra, if any."""
-    matrix = _matrix(doc, "matrix", where)
-    context: object | None = None
+def _operator_context(doc: object, base: Path | None, where: str) -> object | None:
+    """The representation or algebra an operator document references, if any."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{where}: expected a JSON object")
     if "representation" in doc and "algebra" in doc:
         raise DocumentError(f"{where}: has both 'representation' and 'algebra'")
     if "representation" in doc:
-        context = rep_from_doc(doc["representation"], base,
-                               where=f"{where}.representation")
-    elif "algebra" in doc:
-        context = algebra_from_doc(doc["algebra"], base,
-                                   where=f"{where}.algebra")
-    return matrix, context
+        return rep_from_doc(doc["representation"], base,
+                            where=f"{where}.representation")
+    if "algebra" in doc:
+        return algebra_from_doc(doc["algebra"], base, where=f"{where}.algebra")
+    return None
+
+
+def _operator_matrix(doc: dict, where: str, context: object | None) -> Matrix:
+    """The operator's matrix, of the shape its context fixes: ``dim g x
+    vdim`` on a representation, square on an algebra, any without one."""
+    shape = (None if context is None else (context.dim, context.dim)
+             if isinstance(context, (BiHomPreLieAlgebra, BiHomLieAlgebra))
+             else (context.algebra.dim, context.vdim))
+    return _matrix(doc, "matrix", where, shape)
+
+
+def operator_from_doc(doc: object, base: Path | None = None,
+                      where: str = "operator") -> tuple[Matrix, object | None]:
+    """Decode an operator document; returns (matrix, context) where context
+    is the referenced representation or algebra, if any, and fixes the
+    matrix's shape."""
+    context = _operator_context(doc, base, where)
+    return _operator_matrix(doc, where, context), context
 
 
 def deformation_from_doc(doc: object, where: str = "deformation",
@@ -330,11 +345,11 @@ def cochain_from_doc(doc: object, adim: int, vdim: int,
                      where: str = "cochain") -> Cochain:
     from .cohomology import Cochain
 
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected a JSON object")
+    for key in ("degree", "tensor"):
+        _require(doc, key, where)
     try:
         return Cochain.from_json(doc, adim, vdim)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 

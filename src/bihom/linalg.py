@@ -614,23 +614,26 @@ def linear_combination(mats: Sequence[Matrix],
     return _combination(mats, _sparse_vector(coeffs))
 
 
-def _combination(mats: Sequence[Matrix], coeffs: Row) -> Matrix:
+def _combination(mats: Sequence[Matrix], coeffs: Row,
+                 size: int | None = None) -> Matrix:
     """``sum_i coeffs[i] * mats[i]`` for sparse coefficients (no zero
     entries, indices below ``len(mats)``): an action family evaluated on a
-    sparse vector."""
-    if not mats:
+    sparse vector; an empty family gives the zero on a carrier of ``size``."""
+    if not mats and size is None:
         raise LinAlgError("empty linear combination has no shape")
-    acc: list[Row] = [{} for _ in range(mats[0].rows)]
+    rows, cols = (mats[0].rows, mats[0].cols) if mats else (size, size)
+    acc: list[Row] = [{} for _ in range(rows)]
     for i, c in coeffs.items():
         for arow, mrow in zip(acc, mats[i].sparse_rows):
             _axpy(arow, c, mrow)
-    return Matrix._wrap(tuple(acc), mats[0].cols)
+    return Matrix._wrap(tuple(acc), cols)
 
 
-def _family_at(mats: Sequence[Matrix], m: Matrix) -> list[Matrix]:
-    """The action family evaluated at ``m e_i`` for every basis index i,
-    each formed once: the family along the linear map ``m``."""
-    return [_combination(mats, x) for x in m.sparse_cols]
+def _family_at(mats: Sequence[Matrix], m: Matrix,
+               size: int | None = None) -> list[Matrix]:
+    """The action family, on a carrier of ``size``, evaluated at ``m e_i``
+    for every basis index i, each formed once: the family along ``m``."""
+    return [_combination(mats, x, size) for x in m.sparse_cols]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """O-operators and Rota-Baxter operators on BiHom-Lie algebras, and the
 BiHom-pre-Lie structures they induce.
 
-Given a representation (V, rho, phi, psi) of a BiHom-Lie algebra g, an
-O-operator is a linear map T: V -> g satisfying
+Given a representation (V, rho, phi, psi) of a BiHom-Lie algebra g, a
+linear map T: V -> g induces the product ``u * v = rho(T(u)) v`` on V with
+the twists (phi, psi), and T is an O-operator when it is a morphism from the
+sub-adjacent bracket of that product to g:
 
-    [T(u), T(v)] = T( rho(T(u)) v  -  rho(T(phi^-1 psi v)) (phi psi^-1)(u) ).
+    [T(u), T(v)] = T([u, v]_C),   [u, v]_C = u * v - (phi^-1 psi v) * (phi psi^-1 u).
 
 T is additionally required to intertwine the twists, ``T phi = alpha T`` and
 ``T psi = beta T``; without that the induced map is not a morphism of BiHom
@@ -14,9 +16,10 @@ the adjoint representation: a twist-commuting R: g -> g with
 
     [R(x), R(y)] = R([R(x), y] + [x, R(y)]).
 
-Every O-operator induces a BiHom-pre-Lie product ``u * v = rho(T(u)) v`` on
-V; an invertible one transports it onto g as ``x . y = T(rho(x) T^-1(y))``,
-whose sub-adjacent bracket recovers the original bracket exactly.
+For an O-operator the induced product is BiHom-pre-Lie; an invertible one
+transports it onto g as ``x . y = T(rho(x) T^-1(y))``, whose sub-adjacent
+bracket recovers the original bracket exactly.  Each operator identity is
+checked as the morphism identity of :func:`bihom.algebra._map_violations`.
 
 Operators are plain :class:`~bihom.linalg.Matrix` objects: T is
 ``dim g x dim V`` and R is square; every function checks the shape.
@@ -32,6 +35,7 @@ from .algebra import (
     TwistPair,
     _Collector,
     _assert_passed,
+    _map_violations,
     _operator_commutation,
     _prefixed,
     _require_passed,
@@ -39,13 +43,11 @@ from .algebra import (
     _with_inverses,
     check_bihom_lie,
     check_prelie,
-    is_lie_morphism,
     merge_reports,
     subadjacent,
 )
-from .linalg import (Matrix, _family_at, _require_shape, _row_add, _row_sub,
-                     rank)
-from .representation import LieRep, check_lie_rep
+from .linalg import Matrix, _family_at, _require_shape, _row_add, rank
+from .representation import LieRep, adjoint_lie_rep, check_lie_rep
 
 __all__ = [
     "check_o_operator",
@@ -57,34 +59,33 @@ __all__ = [
 ]
 
 
+def _induced_prelie(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
+    """The product ``u * v = rho(T(u)) v`` on the carrier of r, with the
+    carrier twists (phi, psi) and their kept inverses, whatever T is."""
+    rho_t = _family_at(r.rho, T, r.vdim)
+    product = BilinearProduct.from_pairs(
+        r.vdim, lambda u, v: rho_t[u].sparse_cols[v])
+    return BiHomPreLieAlgebra(product, _with_inverses(
+        TwistPair, (r.phi, r.psi), alpha_inv=r.phi_inv, beta_inv=r.psi_inv))
+
+
 def check_o_operator(T: Matrix, r: LieRep) -> AxiomReport:
     """Verify that T is an O-operator for the representation r.
 
     Reports twist-intertwining failures (``T phi = alpha T``,
-    ``T psi = beta T``) separately from failures of the defining identity,
-    which is checked on every ordered pair of carrier basis vectors, and
-    reports the algebra's and the representation's own axioms with the
-    prefixes ``base:`` and ``rep:``.
+    ``T psi = beta T``) separately from failures of the defining identity
+    ``[T u, T v] = T([u, v]_C)``, checked on every ordered pair of carrier
+    basis vectors, and reports the algebra's and the representation's own
+    axioms with the prefixes ``base:`` and ``rep:``.
     """
     g = r.algebra
-    m = r.vdim
-    _require_shape(T, g.dim, m, "operator")
+    _require_shape(T, g.dim, r.vdim, "operator")
     col = _Collector()
     col.check_matrix("T-phi-intertwining", (), g.alpha @ T - T @ r.phi)
     col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
-
-    tcol = T.sparse_cols
-    rho_t = _family_at(r.rho, T)
-    # rho(T(phi^-1 psi v)) and (phi psi^-1)(u), once per carrier basis vector
-    rho_twisted = _family_at(r.rho, T @ r.phi_inv @ r.psi)
-    phi_psinv = (r.phi @ r.psi_inv).sparse_cols
-    for u in range(m):
-        for v in range(m):
-            lhs = g.bracket.sparse_value(tcol[u], tcol[v])
-            first = rho_t[u].sparse_cols[v]
-            second = rho_twisted[v].sparse_apply(phi_psinv[u])
-            rhs = T.sparse_apply(_row_sub(first, second))
-            col.check("o-operator-identity", (u, v), _row_sub(lhs, rhs), g.dim)
+    _map_violations(col, "o-operator-identity", T,
+                    _induced_prelie(T, r).subadjacent.bracket, g.bracket,
+                    images_first=True)
     return merge_reports(_prefixed(check_bihom_lie(g), "base:"),
                          _prefixed(check_lie_rep(r), "rep:"), col.report())
 
@@ -93,23 +94,16 @@ def induced_prelie_from_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:
     """BiHom-pre-Lie product ``u * v = rho(T(u)) v`` on the carrier of r.
 
     Requires an O-operator that passes :func:`check_o_operator`, which
-    also checks the BiHom-Lie algebra and the representation.  The output
-    is verified to satisfy the pre-Lie axioms and T is verified to be a
-    BiHom-Lie morphism from the sub-adjacent algebra of the output to the
-    ambient algebra; failure of either signals a defect, not a data
-    condition.
+    also checks the BiHom-Lie algebra and the representation and proves
+    ``[T u, T v] = T([u, v]_C)``: T is a BiHom-Lie morphism from the
+    sub-adjacent algebra of the output to the ambient algebra.  The output
+    is verified to satisfy the pre-Lie axioms; a failure there signals a
+    defect, not a data condition.
     """
     _require_passed(check_o_operator(T, r),
                     "not an O-operator for this representation")
-    rho_t = _family_at(r.rho, T)
-    product = BilinearProduct.from_pairs(
-        r.vdim, lambda u, v: rho_t[u].sparse_cols[v])
-    out = BiHomPreLieAlgebra(product, _with_inverses(
-        TwistPair, (r.phi, r.psi), alpha_inv=r.phi_inv, beta_inv=r.psi_inv))
+    out = _induced_prelie(T, r)
     _assert_passed(check_prelie(out), "O-operator induced a non-pre-Lie product")
-    _assert_passed(is_lie_morphism(T, subadjacent(out), r.algebra),
-                   "O-operator is not a morphism of the induced sub-adjacent "
-                   "algebra")
     return out
 
 
@@ -134,19 +128,13 @@ def check_rota_baxter(R: Matrix, g: BiHomLieAlgebra) -> AxiomReport:
     commutation with both twists and
     ``[R(x), R(y)] = R([R(x), y] + [x, R(y)])``; the algebra's own axioms
     are reported with the prefix ``base:``."""
-    n = g.dim
-    _require_shape(R, n, n, "operator")
+    _require_shape(R, g.dim, g.dim, "operator")
     col = _Collector()
     _operator_commutation(col, "R", R, g.twists)
-    B = g.bracket
-    rcol = R.sparse_cols
-    for i in range(n):
-        for j in range(n):
-            lhs = B.sparse_value(rcol[i], rcol[j])
-            inner = _row_add(B.sparse_value(rcol[i], {j: 1}),
-                             B.sparse_value({i: 1}, rcol[j]))
-            col.check("rota-baxter-identity", (i, j),
-                      _row_sub(lhs, R.sparse_apply(inner)), n)
+    B, rcol = g.bracket, R.sparse_cols
+    inner = BilinearProduct.from_pairs(g.dim, lambda i, j: _row_add(
+        B.sparse_value(rcol[i], {j: 1}), B.sparse_value({i: 1}, rcol[j])))
+    _map_violations(col, "rota-baxter-identity", R, inner, B, images_first=True)
     return merge_reports(_prefixed(check_bihom_lie(g), "base:"), col.report())
 
 
@@ -156,10 +144,7 @@ def rb_induced_prelie(R: Matrix, g: BiHomLieAlgebra) -> BiHomPreLieAlgebra:
     O-operator construction for the adjoint representation with T = R."""
     _require_passed(check_rota_baxter(R, g),
                     "not a Rota-Baxter operator of weight zero")
-    rcol = R.sparse_cols
-    product = BilinearProduct.from_pairs(
-        g.dim, lambda i, j: g.bracket.sparse_value(rcol[i], {j: 1}))
-    return BiHomPreLieAlgebra(product, g.twists)
+    return _induced_prelie(R, adjoint_lie_rep(g))
 
 
 def compatible_prelie_from_invertible_o(T: Matrix, r: LieRep) -> BiHomPreLieAlgebra:

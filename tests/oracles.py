@@ -15,9 +15,11 @@
   implementation: ``check_prelie`` with its own associator,
   ``check_bihom_lie`` with its own Jacobi sum, the deformation checkers
   with their own t-expansions, the representation checkers evaluating
-  every twisted action inside the loops, and the hypothesis checks of
-  ``twist_rep``.  They must report the same violations, in the same order
-  and with the same residuals.
+  every twisted action inside the loops, the hypothesis checks of
+  ``twist_rep``, and the O-operator, Rota-Baxter and Nijenhuis checkers,
+  each with its own pair loop over its identity written out, before each
+  became a morphism identity of a derived product.  They must report the
+  same violations, in the same order and with the same residuals.
 * The structure tensor as the nest ``c`` the library stored before its
   sparse table: ``+``, ``-``, ``scale``, ``is_zero`` and the left and
   right multiplication matrices computed from ``c``, and the seven
@@ -481,6 +483,75 @@ def oracle_twist_rep_hypotheses(classical, alpha, beta, phi, psi) -> AxiomReport
         col.check_matrix("psi-R-intertwining", (i,),
                          psi @ classical.R[i] - classical.R_of(bcol[i]) @ psi)
     return col.report()
+
+
+def _operator_commutation(col, name, mat: Matrix, twists) -> None:
+    for twist, m in (("alpha", twists.alpha), ("beta", twists.beta)):
+        col.check_matrix(f"{name}-{twist}-commutation", (), mat @ m - m @ mat)
+
+
+def oracle_check_o_operator(T: Matrix, r) -> AxiomReport:
+    """``[T u, T v] = T(rho(T u) v - rho(T phi^-1 psi v)(phi psi^-1 u))``."""
+    g = r.algebra
+    col = _Collector()
+    col.check_matrix("T-phi-intertwining", (), g.alpha @ T - T @ r.phi)
+    col.check_matrix("T-psi-intertwining", (), g.beta @ T - T @ r.psi)
+    phinv_psi = dense_matmul(dense_inverse(r.phi), r.psi)
+    phi_psinv = dense_matmul(r.phi, dense_inverse(r.psi))
+    for u in range(r.vdim):
+        for v in range(r.vdim):
+            tu, tv = dense_col(T, u), dense_col(T, v)
+            first = dense_col(_dense_combination(r.rho, tu), v)
+            twisted = dense_apply(T, dense_col(phinv_psi, v))
+            second = dense_apply(_dense_combination(r.rho, twisted),
+                                 dense_col(phi_psinv, u))
+            col.check("o-operator-identity", (u, v),
+                      vec_sub(dense_value(g.bracket, tu, tv),
+                              dense_apply(T, vec_sub(first, second))))
+    return _merged(_prefixed(oracle_check_bihom_lie(g), "base:"),
+                   _prefixed(oracle_check_lie_rep(r), "rep:"), col.report())
+
+
+def oracle_check_rota_baxter(R: Matrix, g) -> AxiomReport:
+    """``[R x, R y] = R([R x, y] + [x, R y])`` with twist commutation."""
+    col = _Collector()
+    _operator_commutation(col, "R", R, g.twists)
+    n, B = g.dim, g.bracket
+    for i in range(n):
+        for j in range(n):
+            ri, rj = dense_col(R, i), dense_col(R, j)
+            inner = vec_add(dense_value(B, ri, basis_vector(n, j)),
+                            dense_value(B, basis_vector(n, i), rj))
+            col.check("rota-baxter-identity", (i, j),
+                      vec_sub(dense_value(B, ri, rj), dense_apply(R, inner)))
+    return _merged(_prefixed(oracle_check_bihom_lie(g), "base:"), col.report())
+
+
+def _nijenhuis_violations(P, twists, N: Matrix) -> AxiomReport:
+    """``N x . N y = N(N x . y + x . N y - N(x . y))`` with twist
+    commutation."""
+    col = _Collector()
+    _operator_commutation(col, "N", N, twists)
+    n = P.dim
+    for i in range(n):
+        for j in range(n):
+            ni, nj = dense_col(N, i), dense_col(N, j)
+            deformed = vec_sub(vec_add(dense_value(P, ni, basis_vector(n, j)),
+                                       dense_value(P, basis_vector(n, i), nj)),
+                               dense_apply(N, P.c[i][j]))
+            col.check("nijenhuis-identity", (i, j),
+                      vec_sub(dense_value(P, ni, nj), dense_apply(N, deformed)))
+    return col.report()
+
+
+def oracle_check_nijenhuis_prelie(a, N: Matrix) -> AxiomReport:
+    return _merged(_prefixed(oracle_check_prelie(a), "base:"),
+                   _nijenhuis_violations(a.product, a.twists, N))
+
+
+def oracle_check_nijenhuis_lie(g, N: Matrix) -> AxiomReport:
+    return _merged(_prefixed(oracle_check_bihom_lie(g), "base:"),
+                   _nijenhuis_violations(g.bracket, g.twists, N))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Each checker shares one implementation per identity with the others (the
 associator, the Jacobi sum, skew-symmetry, multiplicativity, twist
-commutation, the rep-1 intertwinings).  Its report must equal the one the
-reference computes with its own loops: the same axiom names, indices, order
-and residuals.  Inputs are random tensors of dimension <= 3 with diagonal or
-monomial twists, which mostly fail, next to valid fixtures, some of them
-corrupted in one entry.
+commutation, the rep-1 intertwinings, the morphism identity that the
+O-operator, Rota-Baxter and Nijenhuis identities are read as).  Its report
+must equal the one the reference computes with its own loops: the same
+axiom names, indices, order and residuals.  Inputs are random tensors of
+dimension <= 3 with diagonal or monomial twists, which mostly fail, next to
+valid fixtures, some of them corrupted in one entry.
 """
 
 from fractions import Fraction
@@ -25,13 +26,18 @@ from bihom import (
     Matrix,
     PreLieRep,
     TwistPair,
+    adjoint_lie_rep,
     adjoint_rep,
     check_bihom_lie,
     check_lie_linear_deformation,
     check_lie_rep,
     check_linear_deformation,
+    check_nijenhuis_lie,
+    check_nijenhuis_prelie,
+    check_o_operator,
     check_prelie,
     check_prelie_rep,
+    check_rota_baxter,
     deformed_product,
     push_deformation_to_lie,
     subadjacent,
@@ -48,16 +54,23 @@ from catalog import (
     dim2_nilpotent,
     dim3_graded,
     lie_rep_fixtures,
+    nijenhuis_search,
     prelie_fixtures,
     prelie_rep_fixtures,
+    rota_baxter_search,
+    small_prelie_fixtures,
 )
 from oracles import (
     oracle_check_bihom_lie,
     oracle_check_lie_linear_deformation,
     oracle_check_lie_rep,
     oracle_check_linear_deformation,
+    oracle_check_nijenhuis_lie,
+    oracle_check_nijenhuis_prelie,
+    oracle_check_o_operator,
     oracle_check_prelie,
     oracle_check_prelie_rep,
+    oracle_check_rota_baxter,
     oracle_twist_rep_hypotheses,
 )
 
@@ -261,3 +274,107 @@ class TestRepresentationCheckers:
             with pytest.raises(AxiomError) as info:
                 twist_rep(*args)
             assert_same(info.value.report, reference)
+
+
+@lru_cache(maxsize=None)
+def _rota_baxter_found() -> dict:
+    """The Rota-Baxter operators found on each small catalog BiHom-Lie
+    algebra, under that algebra and under its adjoint representation."""
+    found = {}
+    for _, a in small_prelie_fixtures():
+        g = subadjacent(a)
+        found[g] = found[adjoint_lie_rep(g)] = rota_baxter_search(g)
+    return found
+
+
+@lru_cache(maxsize=None)
+def _nijenhuis_found() -> dict:
+    """The Nijenhuis operators found on each small catalog algebra, under it
+    and under its sub-adjacent algebra."""
+    found = {}
+    for _, a in small_prelie_fixtures():
+        found[a] = found[subadjacent(a)] = nijenhuis_search(a)
+    return found
+
+
+@st.composite
+def operators(draw, rows: int, cols: int, found: tuple = ()) -> Matrix:
+    """Zero, a multiple of the identity when square, one of the operators
+    ``found`` by a search, each possibly changed in one entry, or a random
+    matrix."""
+    kinds = ["zero", "random"] + ["identity"] * (rows == cols) + ["found"] * bool(found)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        return draw(matrices(rows, cols))
+    m = (Matrix.zeros(rows, cols) if kind == "zero"
+         else Matrix.identity(rows).scale(draw(units)) if kind == "identity"
+         else draw(st.sampled_from(found)))
+    if rows == 0 or cols == 0 or draw(st.booleans()):
+        return m
+    entries = [list(row) for row in m.entries]
+    entries[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] += draw(units)
+    return Matrix.from_rows(entries)
+
+
+def _catalog_operators(rows: int, cols: int, found: tuple) -> list[Matrix]:
+    """Zero, the identity and the shift ``e_(i+1) -> e_i`` when square, and
+    the operators ``found`` by a search."""
+    square = [Matrix.identity(rows), Matrix.from_rows(
+        [[Q(j == i + 1) for j in range(rows)] for i in range(rows)])]
+    return [Matrix.zeros(rows, cols), *square * (rows == cols), *found]
+
+
+class TestOperatorCheckers:
+    @given(data=st.data())
+    def test_check_o_operator(self, data):
+        r = data.draw(lie_reps())
+        T = data.draw(operators(r.algebra.dim, r.vdim,
+                                _rota_baxter_found().get(r, ())))
+        assert_same(check_o_operator(T, r), oracle_check_o_operator(T, r))
+
+    @given(data=st.data())
+    def test_check_rota_baxter(self, data):
+        g = data.draw(lie_algebras())
+        R = data.draw(operators(g.dim, g.dim, _rota_baxter_found().get(g, ())))
+        assert_same(check_rota_baxter(R, g), oracle_check_rota_baxter(R, g))
+
+    @given(data=st.data())
+    def test_check_nijenhuis_prelie(self, data):
+        a = data.draw(prelie_algebras())
+        N = data.draw(operators(a.dim, a.dim, _nijenhuis_found().get(a, ())))
+        assert_same(check_nijenhuis_prelie(a, N),
+                    oracle_check_nijenhuis_prelie(a, N))
+
+    @given(data=st.data())
+    def test_check_nijenhuis_lie(self, data):
+        g = data.draw(lie_algebras())
+        N = data.draw(operators(g.dim, g.dim, _nijenhuis_found().get(g, ())))
+        assert_same(check_nijenhuis_lie(g, N), oracle_check_nijenhuis_lie(g, N))
+
+    def test_catalog_operators_pass_and_fail(self):
+        """The catalog operators on the catalog and its corrupted
+        representations: each checker agrees with its reference, and meets
+        both outcomes."""
+        outcomes = {"o": set(), "rb": set(), "nij-prelie": set(),
+                    "nij-lie": set()}
+
+        def same(key, report, reference):
+            assert_same(report, reference)
+            outcomes[key].add(report.passed)
+
+        for r in _valid_lie_reps():
+            for T in _catalog_operators(r.algebra.dim, r.vdim,
+                                        _rota_baxter_found().get(r, ())):
+                same("o", check_o_operator(T, r), oracle_check_o_operator(T, r))
+        for a in _valid_algebras():
+            g = subadjacent(a)
+            for R in _catalog_operators(g.dim, g.dim,
+                                        _rota_baxter_found().get(g, ())):
+                same("rb", check_rota_baxter(R, g), oracle_check_rota_baxter(R, g))
+            for N in _catalog_operators(a.dim, a.dim,
+                                        _nijenhuis_found().get(a, ())):
+                same("nij-prelie", check_nijenhuis_prelie(a, N),
+                     oracle_check_nijenhuis_prelie(a, N))
+                same("nij-lie", check_nijenhuis_lie(g, N),
+                     oracle_check_nijenhuis_lie(g, N))
+        assert all(seen == {True, False} for seen in outcomes.values()), outcomes

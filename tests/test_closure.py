@@ -3,6 +3,7 @@ its kind.
 
 Each constructive verb runs in-process through ``cli.run`` with
 ``--output`` on dim <= 3 catalog inputs that the verb's own check passes,
+and on a dim-0 pre-Lie and a dim-0 BiHom-Lie algebra with a dim-2 carrier,
 and each document it writes goes to the verbs that read it: an algebra to
 ``verify`` and, when it is pre-Lie, to ``cohomology --degrees 1..1``; a
 representation to ``semidirect`` and, when it is pre-Lie, to
@@ -150,3 +151,58 @@ def test_nijenhuis_and_push_lie(closure):
             closure("deform-check", algebra, pi)
             closure("deform-check", lie,
                     closure.construct("push-lie", algebra, pi))
+
+
+# A dim-0 algebra acting on a dim-2 carrier: every action family is empty,
+# an operator from the carrier to the algebra is the 0 x 2 matrix ``[]``
+# and one on the algebra the 0 x 0 matrix ``[]``.
+UNIT = [[1, 0], [0, 1]]
+TWIST = [[2, 0], [0, 3]]
+PRELIE0 = {"dim": 0, "product": [], "alpha": [], "beta": []}
+LIE0 = {"dim": 0, "bracket": [], "alpha": [], "beta": []}
+
+
+def test_dim0_prelie_algebra(closure):
+    """The constructed sub-adjacent algebra and induced representations
+    also take the zero operator ``[]``."""
+    algebra = closure.write(PRELIE0)
+    bare = closure.write({"matrix": []})
+    lie = closure.construct("subadjacent", algebra)
+    closure.read_algebra(lie)
+    closure.read_algebra(closure.construct("rota-baxter", bare, lie))
+    rep = closure.write({"algebra": PRELIE0, "vdim": 2, "L": [], "R": [],
+                         "phi": UNIT, "psi": UNIT})
+    closure.read_algebra(closure.construct("semidirect", rep))
+    for variant in ("full", "l-only"):
+        induced = closure.construct("induced-rep", rep, "--variant", variant)
+        closure.read_rep(induced)
+        closure.read_algebra(closure.construct("o-operator", bare, induced))
+    twists = closure.write({"alpha": [], "beta": [], "phi": TWIST,
+                            "psi": UNIT})
+    closure.read_rep(closure.construct("twist-rep", rep, twists), algebra)
+    closure.read_rep(closure.construct("tensor-rep", rep, rep), algebra)
+    N = closure.write({"N": []})
+    pi = closure.construct("nijenhuis", algebra, N)
+    closure("deform-check", algebra, pi)
+    closure("deform-check", closure.construct("subadjacent", algebra),
+            closure.construct("push-lie", algebra, pi))
+
+
+def test_dim0_lie_algebra(closure):
+    closure.read_algebra(closure.write(LIE0))
+    rep = {"algebra": LIE0, "vdim": 2, "rho": [], "phi": TWIST, "psi": UNIT}
+    closure.read_rep(closure.write(rep))
+    closure.read_algebra(closure.construct("semidirect", closure.write(rep)))
+    operator = closure.write({"matrix": [], "representation": rep})
+    closure("o-operator", operator)
+    closure.read_algebra(closure.construct("o-operator", operator))
+    bare = closure.write({"matrix": []})
+    closure("o-operator", bare, closure.write(rep))
+    closure.read_algebra(closure.construct("o-operator", bare,
+                                           closure.write(rep)))
+    rota_baxter = closure.write({"matrix": [], "algebra": LIE0})
+    closure("rota-baxter", rota_baxter)
+    closure.read_algebra(closure.construct("rota-baxter", rota_baxter))
+    closure.read_algebra(closure.construct("rota-baxter", bare,
+                                           closure.write(LIE0)))
+    closure("nijenhuis", closure.write(LIE0), closure.write({"N": []}))

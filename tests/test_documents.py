@@ -316,6 +316,14 @@ class TestCochainDocs:
         with pytest.raises(DocumentError, match="degree must be an integer"):
             cochain_from_doc({"degree": True, "tensor": [[0], [0]]}, 2, 1)
 
+    @pytest.mark.parametrize("key", ["degree", "tensor"])
+    def test_missing_key_named(self, key):
+        doc = {"degree": 1, "tensor": [[0], [0]]}
+        del doc[key]
+        with pytest.raises(DocumentError,
+                           match=f"^cochain: missing key '{key}'$"):
+            cochain_from_doc(doc, 2, 1)
+
     def test_tensor_that_is_not_skew_rejected(self):
         # t[i][j] = -t[j][i] and t[i][i] = 0: every one-entry edit breaks it
         t = cochain_to_doc(Cochain(3, 2, 1, (Q(1), Q(-2))))["tensor"]
