@@ -128,9 +128,12 @@ def _emit_document(result: CliResult, doc: dict, output: str | None) -> CliResul
     return result
 
 
-def _require_prelie(obj, what: str) -> BiHomPreLieAlgebra:
+def _load_prelie(path: str, what: str) -> BiHomPreLieAlgebra:
+    """The algebra of the document at ``path``, which must be pre-Lie."""
+    obj = load_algebra(path)
     if not isinstance(obj, BiHomPreLieAlgebra):
-        raise DocumentError(f"{what} requires a product (pre-Lie) algebra document")
+        raise DocumentError(f"{path}: {what} requires a product (pre-Lie) "
+                            "algebra document")
     return obj
 
 
@@ -148,7 +151,7 @@ def _cmd_verify(args) -> CliResult:
 
 
 def _cmd_subadjacent(args) -> CliResult:
-    a = _require_prelie(load_algebra(args.algebra), "subadjacent")
+    a = _load_prelie(args.algebra, "subadjacent")
     report = check_prelie(a)
     if not report.passed:
         return _check_result("subadjacent", "input BiHom-pre-Lie", report)
@@ -173,8 +176,8 @@ def _cmd_semidirect(args) -> CliResult:
 def _cmd_induced_rep(args) -> CliResult:
     rep = load_representation(args.representation)
     if not isinstance(rep, PreLieRep):
-        raise DocumentError("induced-rep requires a pre-Lie representation "
-                            "document (keys L and R)")
+        raise DocumentError(f"{args.representation}: induced-rep requires a "
+                            "pre-Lie representation document (keys L and R)")
     base = check_prelie(rep.algebra)
     if not base.passed:
         return _check_result("induced-rep", "input BiHom-pre-Lie", base)
@@ -190,7 +193,8 @@ def _cmd_induced_rep(args) -> CliResult:
 def _cmd_twist_rep(args) -> CliResult:
     rep = load_representation(args.representation)
     if not isinstance(rep, PreLieRep):
-        raise DocumentError("twist-rep requires a pre-Lie representation document")
+        raise DocumentError(f"{args.representation}: twist-rep requires a "
+                            "pre-Lie representation document")
     alpha, beta, phi, psi = twists_from_doc(load_json(args.twists), args.twists,
                                             rep.algebra.dim, rep.vdim)
     out = twist_rep(rep, alpha, beta, phi, psi)
@@ -201,9 +205,10 @@ def _cmd_twist_rep(args) -> CliResult:
 def _cmd_tensor_rep(args) -> CliResult:
     rv = load_representation(args.left)
     rw = load_representation(args.right)
-    if not (isinstance(rv, PreLieRep) and isinstance(rw, PreLieRep)):
-        raise DocumentError("tensor-rep requires two pre-Lie representation "
-                            "documents")
+    for path, r in ((args.left, rv), (args.right, rw)):
+        if not isinstance(r, PreLieRep):
+            raise DocumentError(f"{path}: tensor-rep requires two pre-Lie "
+                                "representation documents")
     out = tensor_rep(rv, rw)
     return _emit_document(CliResult(
         "tensor-rep", "pass", [f"tensor representation on a dim-{out.vdim} carrier"]),
@@ -224,8 +229,9 @@ def _operator_arg(args, fallback: str | None, load, kind: type, needs: str):
     if fallback:
         context = load(fallback)
     if not isinstance(context, kind):
-        raise DocumentError(f"{args.command} needs {needs}, either embedded "
-                            "in the operator document or as a second argument")
+        raise DocumentError(f"{fallback or args.operator}: {args.command} needs "
+                            f"{needs}, either embedded in the operator document "
+                            "or as a second argument")
     return _operator_matrix(doc, args.operator, context), context
 
 
@@ -290,9 +296,13 @@ def _parse_degrees(spec: str, max_degree: int) -> list[int]:
 
 
 def _cmd_cohomology(args) -> CliResult:
+    """The table of ``args.degrees``.  Coefficients from a document are
+    checked; built-in ``adjoint`` and ``trivial`` ones are representations
+    exactly when the algebra passes :func:`check_prelie` (see
+    :func:`adjoint_rep`), which has just been checked."""
     from .cohomology import cohomology_table
 
-    a = _require_prelie(load_algebra(args.algebra), "cohomology")
+    a = _load_prelie(args.algebra, "cohomology")
     base = check_prelie(a)
     if not base.passed:
         return _check_result("cohomology", "input BiHom-pre-Lie", base)
@@ -303,15 +313,15 @@ def _cmd_cohomology(args) -> CliResult:
     else:
         rep = load_representation(args.rep)
         if not isinstance(rep, PreLieRep):
-            raise DocumentError("cohomology coefficients must form a pre-Lie "
-                                "representation")
+            raise DocumentError(f"{args.rep}: cohomology coefficients must "
+                                "form a pre-Lie representation")
         if rep.algebra != a:
-            raise DocumentError("coefficient representation is over a "
-                                "different algebra")
-    rep_report = check_prelie_rep(rep)
-    if not rep_report.passed:
-        return _check_result("cohomology", "coefficient representation",
-                             rep_report)
+            raise DocumentError(f"{args.rep}: coefficient representation is "
+                                "over a different algebra")
+        rep_report = check_prelie_rep(rep)
+        if not rep_report.passed:
+            return _check_result("cohomology", "coefficient representation",
+                                 rep_report)
     degrees = _parse_degrees(args.degrees, args.max_degree)
     reports = cohomology_table(a, rep, degrees)
     lines = []
@@ -342,9 +352,8 @@ def _cmd_nijenhuis(args) -> CliResult:
     from .deformation import (check_nijenhuis_lie, check_nijenhuis_prelie,
                               nijenhuis_trivial_deformation)
 
-    obj = load_algebra(args.algebra)
-    if args.output is not None:
-        _require_prelie(obj, "nijenhuis --output")
+    obj = (load_algebra(args.algebra) if args.output is None
+           else _load_prelie(args.algebra, "nijenhuis --output"))
     matrix = nijenhuis_from_doc(load_json(args.operator), args.operator,
                                 obj.dim)
     if isinstance(obj, BiHomLieAlgebra):
@@ -359,7 +368,7 @@ def _cmd_nijenhuis(args) -> CliResult:
 def _cmd_equivalence(args) -> CliResult:
     from .deformation import check_equivalence
 
-    a = _require_prelie(load_algebra(args.algebra), "equivalence")
+    a = _load_prelie(args.algebra, "equivalence")
     pi1 = deformation_from_doc(load_json(args.first), args.first, a.dim)
     pi2 = deformation_from_doc(load_json(args.second), args.second, a.dim)
     matrix = nijenhuis_from_doc(load_json(args.operator), args.operator, a.dim)
@@ -370,7 +379,7 @@ def _cmd_equivalence(args) -> CliResult:
 def _cmd_push_lie(args) -> CliResult:
     from .deformation import push_deformation_to_lie
 
-    a = _require_prelie(load_algebra(args.algebra), "push-lie")
+    a = _load_prelie(args.algebra, "push-lie")
     candidate = deformation_from_doc(load_json(args.deformation),
                                      args.deformation, a.dim)
     pushed = push_deformation_to_lie(a, candidate)

@@ -125,7 +125,11 @@ def _follow(doc: object, base: Path | None, where: str
             raise DocumentError(f"{where}: more than {MAX_REFERENCE_DEPTH} "
                                 "chained path references")
         seen.add(key)
-        doc, base, where = load_json(path), path.parent, str(path)
+        try:
+            doc = load_json(path)
+        except DocumentError as exc:  # named at the field that refers to it
+            raise DocumentError(f"{where}: {exc}") from exc
+        base, where = path.parent, str(path)
     return doc, base, where
 
 

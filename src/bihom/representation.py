@@ -222,7 +222,13 @@ def check_lie_rep(r: LieRep) -> AxiomReport:
 
 def adjoint_rep(a: BiHomPreLieAlgebra) -> PreLieRep:
     """Adjoint representation: L = left multiplication, R = right
-    multiplication, carrier twists (alpha, beta)."""
+    multiplication, carrier twists (alpha, beta).
+
+    It passes :func:`check_prelie_rep` exactly when ``a`` passes
+    :func:`check_prelie`: rep-1 is alpha- and beta-multiplicativity, read
+    column by column; rep-2 is left symmetry at (x, y, z) and rep-3 left
+    symmetry at (y, z, x); phi-psi commutation is alpha-beta commutation.
+    """
     return PreLieRep(a, a.dim, a.product.left_matrices(),
                      a.product.right_matrices(), a.alpha, a.beta)
 
@@ -233,7 +239,11 @@ def adjoint_lie_rep(g: BiHomLieAlgebra) -> LieRep:
 
 
 def trivial_rep(a: BiHomPreLieAlgebra) -> PreLieRep:
-    """One-dimensional representation with zero actions and unit twists."""
+    """One-dimensional representation with zero actions and unit twists.
+
+    It passes :func:`check_prelie_rep` over every algebra: every term of
+    every identity has a zero action as a factor, and unit twists commute.
+    """
     zero = Matrix.zeros(1, 1)
     one = Matrix.identity(1)
     n = a.dim
@@ -392,13 +402,13 @@ def tensor_rep(rv: PreLieRep, rw: PreLieRep) -> PreLieRep:
 
     and twists ``phi_V (x) phi_W``, ``psi_V (x) psi_W``, inverted factor by
     factor.  The algebra must pass :func:`check_prelie` and both factors
-    :func:`check_prelie_rep`.
+    :func:`check_prelie_rep`; equal factors are checked once.
     """
     if rv.algebra != rw.algebra:
         raise ValueError("tensor factors must represent the same algebra")
     _require_passed(check_prelie(rv.algebra),
                     "algebra does not satisfy the axioms")
-    for r in (rv, rw):
+    for r in (rv,) if rv == rw else (rv, rw):
         _require_passed(check_prelie_rep(r),
                         "representation does not satisfy the axioms")
     L = tuple(Lv.kron(rw.psi) + rv.psi.kron(rho_w)

@@ -20,7 +20,7 @@ import pytest
 
 import bihom
 from bihom import (BilinearProduct, Matrix, adjoint_lie_rep, adjoint_rep,
-                   induced_lie_rep, subadjacent)
+                   induced_lie_rep, subadjacent, tensor_rep)
 from bihom.cli import run
 from bihom.documents import algebra_to_doc, deformation_to_doc, dump_json, rep_to_doc
 
@@ -131,6 +131,29 @@ def test_each_hypothesis_proved_once(case, docs, calls, capsys):
     assert run(argv) == 0, capsys.readouterr()
     twice = {key: n for key, n in calls.items() if n > 1}
     assert not twice, twice
+
+
+def _rep_proofs(calls) -> int:
+    return sum(n for (name, _), n in calls.items()
+               if name == "bihom.representation.check_prelie_rep")
+
+
+@pytest.mark.parametrize("coefficients, proofs", [
+    ("adjoint", 0), ("trivial", 0), ("rep", 1)])
+def test_cohomology_proves_document_coefficients_only(coefficients, proofs,
+                                                      docs, calls, capsys):
+    """Built-in coefficients are representations exactly when the algebra
+    passes ``check_prelie``, which the verb runs first."""
+    argv = ["cohomology", docs["prelie"], "--rep",
+            docs.get(coefficients, coefficients)]
+    assert run(argv) == 0, capsys.readouterr()
+    assert _rep_proofs(calls) == proofs
+
+
+def test_tensor_rep_of_a_factor_with_itself_proves_it_once(calls):
+    r = adjoint_rep(dim2_nilpotent(2, 3))
+    tensor_rep(r, r)
+    assert _rep_proofs(calls) == 1
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -672,9 +672,9 @@ class TestRefusals:
 
     def test_cohomology_with_lie_coefficients(self, capsys, tmp_path,
                                               nilpotent_file):
-        self.refused(capsys, ["cohomology", str(nilpotent_file), "--rep",
-                              self.lie_rep(tmp_path)],
-                     "cohomology coefficients must form a pre-Lie "
+        rep = self.lie_rep(tmp_path)
+        self.refused(capsys, ["cohomology", str(nilpotent_file), "--rep", rep],
+                     f"{rep}: cohomology coefficients must form a pre-Lie "
                      "representation")
 
     def test_cohomology_with_coefficients_over_another_algebra(
@@ -682,7 +682,8 @@ class TestRefusals:
         rep = self.write(tmp_path, "rep.json",
                          rep_to_doc(adjoint_rep(dim2_nilpotent())))
         self.refused(capsys, ["cohomology", str(nilpotent_file), "--rep", rep],
-                     "coefficient representation is over a different algebra")
+                     f"{rep}: coefficient representation is over a different "
+                     "algebra")
 
     @pytest.mark.parametrize("verb, message", [
         ("induced-rep",
@@ -695,7 +696,81 @@ class TestRefusals:
                                          message):
         rep = self.lie_rep(tmp_path)
         self.refused(capsys, [verb, rep] + [rep] * (verb != "induced-rep"),
-                     message)
+                     f"{rep}: {message}")
+
+    def test_tensor_rep_names_the_factor_that_is_not_pre_lie(self, capsys,
+                                                             tmp_path):
+        prelie = self.write(tmp_path, "rep.json",
+                            rep_to_doc(adjoint_rep(dim2_nilpotent(2, 3))))
+        lie = self.lie_rep(tmp_path)
+        for left, right in ((prelie, lie), (lie, prelie)):
+            self.refused(capsys, ["tensor-rep", left, right],
+                         f"{lie}: tensor-rep requires two pre-Lie "
+                         "representation documents")
+
+    @pytest.mark.parametrize("argv", [
+        ["subadjacent"], ["cohomology"], ["equivalence", "zero", "zero", "N"],
+        ["push-lie", "zero"], ["nijenhuis", "N", "--output", "out.json"]],
+        ids=["subadjacent", "cohomology", "equivalence", "push-lie",
+             "nijenhuis-output"])
+    def test_pre_lie_verb_over_a_bracket_algebra(self, capsys, tmp_path, argv):
+        lie = self.write(tmp_path, "lie.json",
+                         algebra_to_doc(subadjacent(dim2_nilpotent())))
+        files = {"zero": self.write(tmp_path, "zero.json", deformation_to_doc(
+                     BilinearProduct.zero(2))),
+                 "N": self.write(tmp_path, "N.json", {"N": self.UNIT}),
+                 "out.json": str(tmp_path / "out.json")}
+        verb, *rest = argv
+        self.refused(capsys, [verb, lie] + [files.get(w, w) for w in rest],
+                     f"{lie}: {verb}{' --output' * ('--output' in rest)} "
+                     "requires a product (pre-Lie) algebra document")
+
+    @pytest.mark.parametrize("verb, needs, context", [
+        ("o-operator", "a BiHom-Lie representation", None),
+        ("o-operator", "a BiHom-Lie representation", "prelie-rep"),
+        ("rota-baxter", "a BiHom-Lie algebra", None),
+        ("rota-baxter", "a BiHom-Lie algebra", "prelie")])
+    def test_operator_without_a_context_of_its_kind(self, capsys, tmp_path,
+                                                   verb, needs, context):
+        """With no context the operator document is named; with one of the
+        wrong kind, the document that gives it."""
+        operator = self.write(tmp_path, "op.json", {"matrix": self.UNIT})
+        argv = [verb, operator]
+        if context is not None:
+            nil = dim2_nilpotent(2, 3)
+            argv.append(self.write(tmp_path, f"{context}.json", (
+                rep_to_doc(adjoint_rep(nil)) if context == "prelie-rep"
+                else algebra_to_doc(nil))))
+        self.refused(capsys, argv,
+                     f"{argv[-1]}: {verb} needs {needs}, either embedded in "
+                     "the operator document or as a second argument")
+
+    @pytest.mark.parametrize("verb", ["semidirect", "cohomology", "o-operator"])
+    def test_missing_reference_named_at_its_field(self, capsys, tmp_path,
+                                                 nilpotent_file, verb):
+        """A path reference that cannot be read is named after the field
+        that holds it: a representation's ``algebra``, an operator's
+        ``representation``."""
+        missing = str(tmp_path / "missing.json")
+        rep = self.write(tmp_path, "rep.json", {
+            **rep_to_doc(adjoint_rep(dim2_nilpotent(2, 3))),
+            "algebra": "missing.json"})
+        if verb == "o-operator":
+            op = self.write(tmp_path, "op.json", {
+                "matrix": self.UNIT, "representation": "missing.json"})
+            argv, field = [verb, op], f"{op}.representation"
+        elif verb == "cohomology":
+            argv = [verb, str(nilpotent_file), "--rep", rep]
+            field = f"{rep}.algebra"
+        else:
+            argv, field = [verb, rep], f"{rep}.algebra"
+        self.refused(capsys, argv,
+                     f"{field}: {missing}: No such file or directory")
+
+    def test_missing_argument_keeps_its_message(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        self.refused(capsys, ["verify", missing],
+                     f"{missing}: No such file or directory")
 
     def test_actions_over_a_bracket_algebra(self, capsys, tmp_path):
         lie = algebra_to_doc(subadjacent(dim2_nilpotent()))

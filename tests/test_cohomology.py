@@ -36,6 +36,7 @@ from bihom import (
 )
 from bihom import cohomology
 from bihom.cli import run
+from bihom.documents import load_algebra, load_representation
 from bihom.linalg import _Lazy
 
 from catalog import (
@@ -522,6 +523,35 @@ class TestPerImageOracle:
         alg = semidirect_prelie(adjoint_rep(dim3_heisenberg()))
         assert dims(cohomology_table(alg, adjoint_rep(alg), [3])) == \
             [(3, 291, 121, 170)]
+
+
+BENCH_PINS = json.loads((Path(workloads.__file__).parent / "expected.json")
+                        .read_text())["dimensions"]["cohomology"]
+
+
+@pytest.fixture(scope="module")
+def bench_cohomology_jobs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench-cohomology")
+    return root, {job.id: job for job in workloads.generate("cohomology", 1,
+                                                             root)}
+
+
+@pytest.mark.parametrize("job_id", sorted(BENCH_PINS))
+def test_bench_pin_matches_the_oracle(job_id, bench_cohomology_jobs):
+    """Each pinned ``[degree, Z, B, H]`` row of the ``cohomology`` workload,
+    recomputed from the seed-1 job's documents by the per-image oracle.
+    The oracle shares ``subadjacent`` and ``Matrix`` with the library, so
+    this guards a re-pin; it is not an independent check."""
+    root, jobs = bench_cohomology_jobs
+    job = jobs[job_id]
+    argv = job.argv
+    a = load_algebra(root / argv[1])
+    coefficients = argv[argv.index("--rep") + 1]
+    builtin = {"adjoint": adjoint_rep, "trivial": trivial_rep}
+    rep = (builtin[coefficients](a) if coefficients in builtin
+           else load_representation(root / coefficients))
+    rows = oracle_cohomology(a, rep, job.degrees)
+    assert [list(row) for row in rows] == BENCH_PINS[job_id]
 
 
 def dim6():

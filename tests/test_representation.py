@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bihom import (
     AxiomError,
+    BiHomPreLieAlgebra,
+    BilinearProduct,
     LieRep,
     Matrix,
     PreLieRep,
@@ -28,7 +33,9 @@ from bihom import (
 from bihom.documents import rep_from_doc, rep_to_doc
 from bihom.representation import _semidirect_lie_raw, _semidirect_prelie_raw
 
+import workloads
 from catalog import (
+    _bump,
     corrupted_lie_reps,
     corrupted_prelie_reps,
     diag,
@@ -42,6 +49,14 @@ from catalog import (
 )
 
 Q = Fraction
+PRELIE = prelie_fixtures()
+
+
+def _regular_rep_agrees(a: BiHomPreLieAlgebra) -> None:
+    """The regular representation of ``a`` passes exactly when ``a`` does,
+    and the trivial one passes over every algebra."""
+    assert check_prelie_rep(adjoint_rep(a)).passed == check_prelie(a).passed
+    assert check_prelie_rep(trivial_rep(a)).passed
 
 
 class TestCheckPreLieRep:
@@ -110,6 +125,41 @@ class TestAdjointTrivial:
         assert rep.vdim == 1
         assert all(m.is_zero for m in rep.L + rep.R)
         assert rep.phi == rep.psi == Matrix.identity(1)
+
+    def test_regular_rep_passes_with_its_algebra(self):
+        """On every fixture and on three unipotent conjugates of each."""
+        for _, a in PRELIE:
+            _regular_rep_agrees(a)
+            for seed in range(3):
+                g = workloads._unipotent(random.Random(seed), a.dim)
+                _regular_rep_agrees(workloads.conjugate(a, g))
+
+    @settings(max_examples=200)
+    @given(fixture=st.sampled_from(PRELIE), part=st.sampled_from(
+        ["product", "alpha", "beta"]), delta=st.sampled_from([1, -1, 2, Q(1, 2)]),
+        data=st.data())
+    def test_regular_rep_fails_with_its_algebra(self, fixture, part, delta,
+                                                data):
+        """On single-entry corruptions of a fixture's tensor or twists,
+        which break multiplicativity, left symmetry or the commutation of
+        the twists; a corruption that makes a twist singular is skipped."""
+        a = fixture[1]
+        index = st.integers(0, a.dim - 1)
+        if part == "product":
+            c = [[list(v) for v in plane] for plane in a.product.c]
+            i, j, k = (data.draw(index) for _ in range(3))
+            c[i][j][k] += delta
+            _regular_rep_agrees(BiHomPreLieAlgebra(
+                BilinearProduct.from_entries(c), a.twists))
+            return
+        twist = _bump(getattr(a, part), data.draw(index), data.draw(index),
+                      delta)
+        try:
+            twists = TwistPair(**{"alpha": a.alpha, "beta": a.beta,
+                                  part: twist})
+        except SingularMatrixError:
+            assume(False)
+        _regular_rep_agrees(BiHomPreLieAlgebra(a.product, twists))
 
 
 class TestSemidirectPreLie:
