@@ -47,9 +47,9 @@ from .linalg import (
     _Lazy,
     _axpy,
     _dense_vector,
+    _exact_vector,
     _json_entries,
     _json_row,
-    _require_exact,
     _require_shape,
     _row_add,
     _row_sub,
@@ -100,9 +100,8 @@ class BilinearProduct(Value):
 
     def __post_init__(self) -> None:
         _require_cube(self.c, self.dim)
-        for plane in self.c:
-            for v in plane:
-                _require_exact(v)
+        object.__setattr__(self, "c", tuple(tuple(map(_exact_vector, plane))
+                                            for plane in self.c))
 
     @_Lazy
     def c(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -133,7 +132,8 @@ class BilinearProduct(Value):
     def from_sparse(cls, rows: Sequence[Row], dim: int) -> "BilinearProduct":
         """The product with ``e_i * e_j`` the sparse row ``rows[i * dim + j]``
         (indices below ``dim``), kept without zero entries and with every
-        entry a ``Fraction``, as :meth:`Matrix.from_sparse` keeps them."""
+        entry held by the scalar rule, as :meth:`Matrix.from_sparse` keeps
+        them."""
         if len(rows) != dim * dim:
             raise ValueError(f"structure tensor is not {dim}x{dim}x{dim}")
         return cls._wrap(Matrix.from_sparse(rows, dim))

@@ -37,15 +37,14 @@ the identity, so the coordinates of a cochain in the basis of C^n are its
 entries at those columns: no image is expanded in a basis by a second
 elimination.
 
-The rows of the complex are exact integer rows wherever they can be: the
-twist columns, the rows of phi and psi, the ``lmat``/``rmat``/``prod``/
-``bkt`` tables and the rows of ``K`` that an image multiplies hold an
-``int`` wherever a value is integral and a ``Fraction`` only where it is
-not, converted once where each table is built.  So ``E_n``, ``D_n``, the
-skew walk and the images are built mostly in ``int`` arithmetic, which
-mixes with ``Fraction`` without rounding; the eliminations take the rows
-as they are (``linalg._rref`` divides exactly).  Every public result, and
-``K_n`` with its dense views, holds ``Fraction`` entries only.
+Every row of the complex holds its scalars by the one rule of
+:mod:`bihom.linalg`, an ``int`` exactly where a value is integral and a
+``Fraction`` elsewhere: the twist columns, the rows of phi and psi, the
+``lmat``/``rmat``/``prod``/``bkt`` tables and the rows of ``K`` are read
+as ``linalg`` built them, so ``E_n``, ``D_n``, the skew walk and the
+images are computed mostly in ``int`` arithmetic and no scalar is
+converted here.  The four-sum writes by the rule as ``linalg._axpy``
+does.  Every public result holds ``Fraction`` entries, as dense views do.
 
 Each identity is asserted in one place.  ``E_n K_n = 0`` (the solved
 basis consists of cochains) is asserted where ``K_n`` is solved.  Caller
@@ -74,7 +73,7 @@ from typing import Callable, Iterable, Sequence
 
 from .algebra import BiHomPreLieAlgebra, BilinearProduct
 from .linalg import (Matrix, Row, Value, _Lazy, _axpy, _family_at,
-                     _dense_vector, _kernel, _rank, _require_exact,
+                     _dense_vector, _exact_vector, _kernel, _rank,
                      _row_product, _sparse_vector, rational_from_json,
                      rational_to_json, try_solve, zero_vector)
 from .representation import PreLieRep
@@ -103,7 +102,7 @@ class Cochain(Value):
         if len(self.coords) != _width(self.adim, self.degree, self.vdim):
             raise ValueError("cochain coordinates do not match the algebra "
                              "and carrier dimensions")
-        _require_exact(self.coords)
+        object.__setattr__(self, "coords", _exact_vector(self.coords))
 
     @classmethod
     def zero(cls, degree: int, adim: int, vdim: int) -> "Cochain":
@@ -235,13 +234,6 @@ def _width(adim: int, n: int, vdim: int) -> int:
     return comb(adim, n - 1) * adim * vdim if n >= 1 else 0
 
 
-def _integral(row: Row) -> Row:
-    """``row`` with each integral entry an ``int``, any other kept a
-    ``Fraction``: the one conversion of the tables that ``E_n`` and the
-    four-sum read, made once where each table is built."""
-    return {j: a.numerator if a.denominator == 1 else a for j, a in row.items()}
-
-
 def _wedge(vectors: Sequence[Row]) -> dict[tuple[int, ...], Fraction | int]:
     """``f(v_1, ..., v_m, -)`` for f skew in its first m slots, as the
     coefficients (minors) of ``f(e_J, -)`` over strictly increasing J,
@@ -269,9 +261,9 @@ class CochainSpace:
     ``E_n``, whose columns are the free coordinates of a basis of C^n.
     Each is built when first read and kept, as are the dense ``vectors``
     and the :class:`Cochain` form ``basis`` of that basis.  The tables,
-    the rows of phi and psi and so the rows of ``E_n`` and ``D_n`` hold an
-    ``int`` wherever a value is integral (:func:`_integral`); ``K_n``, the
-    dense views and every public result hold ``Fraction`` entries."""
+    the rows of phi and psi, ``K_n`` and the rows of ``E_n`` and ``D_n``
+    hold their entries by the scalar rule of :mod:`bihom.linalg`; the dense
+    views and every public result hold ``Fraction`` entries."""
 
     def __init__(self, a: BiHomPreLieAlgebra, r: PreLieRep, n: int) -> None:
         if n < 1:
@@ -284,7 +276,7 @@ class CochainSpace:
         self.index = _index(a.dim, n)
         self.width = _width(a.dim, n, r.vdim)
         self.an1 = a.alpha.power(n - 1)
-        self.cols = {name: list(map(_integral, m.sparse_cols))
+        self.cols = {name: m.sparse_cols
                      for name, m in (("alpha", a.alpha), ("beta", a.beta),
                                      ("ab", a.alpha @ a.beta),
                                      ("an1", self.an1))}
@@ -307,9 +299,10 @@ class CochainSpace:
         """``rows[k] += coeff * (outer f(heads, last))[k]`` as functionals of
         f's free coordinates, for the sparse rows ``outer`` of a matrix;
         nothing when ``outer`` is zero, as L and R of trivial coefficients
-        are.  Each term is added at its offset ``base + kk`` in place, and
-        an entry that cancels is deleted, as :func:`~bihom.linalg._axpy`
-        deletes one: ``x`` and the entries of ``outer`` are nonzero."""
+        are.  Each term is added at its offset ``base + kk`` in place, an
+        entry that cancels is deleted and one written is held by the scalar
+        rule, as :func:`~bihom.linalg._axpy` does: ``x`` and the entries of
+        ``outer`` are nonzero."""
         if not any(outer):
             return
         vdim, index = self.vdim, self.index
@@ -320,14 +313,13 @@ class CochainSpace:
                 for row, entries in zip(rows, outer):
                     for kk, m in entries.items():
                         j = base + kk
-                        if j in row:
-                            v = row[j] + x * m
-                            if v:
-                                row[j] = v
-                            else:
-                                del row[j]
+                        v = row[j] + x * m if j in row else x * m
+                        if not v:
+                            del row[j]
+                        elif v.__class__ is Fraction and v.denominator == 1:
+                            row[j] = v.numerator
                         else:
-                            row[j] = x * m
+                            row[j] = v
 
     @_Lazy
     def equivariance(self) -> list[Row]:
@@ -341,10 +333,10 @@ class CochainSpace:
                                      ("beta", self.r.psi, self.a.beta)):
             if outer.is_identity and inner.is_identity:
                 continue
-            outer = list(map(_integral, outer.sparse_rows))
             for idx in self.index:
                 rows: list[Row] = [{} for _ in range(self.vdim)]
-                self._evaluate(rows, {idx[:-1]: 1}, {idx[-1]: 1}, outer, 1)
+                self._evaluate(rows, {idx[:-1]: 1}, {idx[-1]: 1},
+                               outer.sparse_rows, 1)
                 self._evaluate(rows, self._heads(family, idx[:-1]),
                                self.cols[family][idx[-1]], self.eye, -1)
                 out.extend(row for row in rows if row)
@@ -368,13 +360,11 @@ class CochainSpace:
         bn1 = a.beta.power(n - 1)
         sub, cols = a.subadjacent.bracket, self.cols
         return {
-            "lmat": [list(map(_integral, m.sparse_rows))
-                     for m in _family_at(r.L, self.an1 @ bn1)],
-            "rmat": [list(map(_integral, m.sparse_rows))
-                     for m in _family_at(r.R, bn1)],
-            "prod": [[_integral(a.product.sparse_value(cols["an1"][p], {q: 1}))
+            "lmat": [m.sparse_rows for m in _family_at(r.L, self.an1 @ bn1)],
+            "rmat": [m.sparse_rows for m in _family_at(r.R, bn1)],
+            "prod": [[a.product.sparse_value(cols["an1"][p], {q: 1})
                       for q in range(adim)] for p in range(adim)],
-            "bkt": [[_integral(sub.sparse_value(cols["beta"][p], cols["alpha"][q]))
+            "bkt": [[sub.sparse_value(cols["beta"][p], cols["alpha"][q])
                      for q in range(adim)] for p in range(adim)],
         }
 
@@ -433,7 +423,7 @@ def _image(src: CochainSpace, dst: CochainSpace, K: Matrix) -> list[Row]:
     images at every (n+1)-tuple and ``E_(n+1) D_n K = 0``."""
     if not K.cols:
         return [{} for _ in range(dst.width)]
-    kt = list(map(_integral, K.sparse_rows))
+    kt = K.sparse_rows
     canon, vdim = src.coboundary, src.vdim
     for X in itertools.product(range(src.adim), repeat=src.degree + 1):
         sign, c = _resolve(X)
@@ -482,8 +472,7 @@ def coboundary(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> Cochain:
     n = f.degree
     src = CochainSpace(a, r, n)
     image = _image(src, CochainSpace(a, r, n + 1), _require_cochain(f, src))
-    return Cochain(n + 1, f.adim, f.vdim,
-                   tuple(Fraction(row.get(0, 0)) for row in image))
+    return Cochain(n + 1, f.adim, f.vdim, tuple(row.get(0, 0) for row in image))
 
 
 def is_cocycle(f: Cochain, a: BiHomPreLieAlgebra, r: PreLieRep) -> bool:

@@ -23,8 +23,8 @@ The loaders of matrices and structure tensors (every document but the
 cochain) decode each JSON array straight into the sparse rows that store
 the value (:meth:`Matrix.from_json <bihom.linalg.Matrix.from_json>`,
 :meth:`BilinearProduct.from_json <bihom.algebra.BilinearProduct.from_json>`):
-a JSON ``0`` never becomes a ``Fraction``, and no dense row is built.  The
-encoders write from the same rows, a ``0`` for every absent entry.
+a JSON integer stays an ``int`` (a ``0`` is dropped); no dense row is
+built.  The encoders write from the same rows, a ``0`` per absent entry.
 
 Path references are resolved relative to the referring document's
 directory.  A document may itself be a path string; such a chain of

@@ -2,14 +2,15 @@
 
 Conventions used throughout the package:
 
-* scalars are :class:`fractions.Fraction` (arbitrary precision, kept in
-  canonical form by the standard library, never rounded);
-* inside the package a vector is a sparse row, a ``dict`` from index to
-  nonzero ``Fraction``; the public API takes and returns plain tuples.
-  The rows of the cochain complex in :mod:`bihom.cohomology` hold an
-  ``int`` wherever a value is integral and a ``Fraction`` elsewhere: the
-  two mix without rounding, every kernel here takes both, and
-  :func:`_rref` divides exactly whatever the class of its pivot;
+* scalars are exact rationals, never rounded, held by one rule: inside the
+  package a vector is a sparse row, a ``dict`` from index to nonzero entry,
+  which is an ``int`` exactly when it is integral and a
+  :class:`fractions.Fraction` otherwise, so integral data is computed in
+  ``int`` arithmetic and no caller converts a scalar.  Every dense view (a
+  matrix's ``entries``, ``row``, ``col`` and ``apply``, a structure
+  tensor's ``c``, ``basis_value`` and ``value``, violation residuals,
+  cochain coordinates) holds ``Fraction`` entries, built by
+  :func:`_dense_vector`; the public API takes and returns plain tuples;
 * a :class:`Matrix` acts on column vectors, i.e. a linear map ``f`` with
   matrix ``M`` satisfies ``f(e_j) = sum_i M[i][j] e_i``.
 
@@ -29,15 +30,16 @@ the evaluation of a cochain and the skew check of
 ``CochainSpace._evaluate``, which adds ``c * row`` at an offset, into
 the entries ``base + k`` of a row of ``E_n`` or ``D_n``, without
 building the shifted row, and deletes what cancels by the same rule.  No
-row is ever left holding a zero, so no caller filters one out.  Values
-enter a sparse row by one rule, :func:`_sparse_entries`, which refuses
-what :func:`as_rational` refuses.  JSON entries enter by its decoding
-twin, :func:`_json_entries`: an integer ``0`` is skipped after one class
-test, before any ``Fraction`` exists; another integer ``n`` becomes
-``Fraction(n)``; every other leaf goes through
-:func:`rational_from_json`, which refuses booleans, floats and malformed
-literals.  The direct constructors of the value types take ``Fraction``
-and ``int`` entries only (:func:`_require_exact`).
+row is ever left holding a zero, so no caller filters one out.
+
+The scalar rule is kept only where a scalar is stored or produced: where
+values enter (:func:`_sparse_entries`, which refuses what
+:func:`as_rational` refuses, and its JSON twin :func:`_json_entries`), the
+divided pivot row of :func:`_rref`, the entries that :func:`_axpy` and the
+four-sum write, and the products of :meth:`Matrix.scale` and
+:meth:`Matrix.kron`; every other builder moves or negates entries.  The
+direct constructors of the value types take ``Fraction`` and ``int``
+entries and keep them as ``Fraction`` dense fields (:func:`_exact_vector`).
 
 A :class:`Matrix` is stored as the same sparse rows, and builds its dense
 ``entries`` only when they are read; a structure tensor is stored as one
@@ -56,8 +58,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
-# a sparse row or vector: index -> nonzero entry, a Fraction, or an int
-# where the rows of the cochain complex hold an integral value
+# a sparse row or vector: index -> nonzero entry, an int exactly where it
+# is integral and a Fraction elsewhere
 Row = dict[int, Fraction | int]
 
 __all__ = [
@@ -233,42 +235,49 @@ def zero_vector(n: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _require_exact(values: Iterable) -> None:
-    """ValueError unless every value is a ``Fraction`` or an ``int`` (not a
-    ``bool``): what a direct constructor stores unconverted, so that it
-    hashes, compares and encodes as the equal ``Fraction``."""
+def _entry(q: Fraction | int) -> Fraction | int:
+    """``q`` as a sparse row holds it: an ``int`` when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact_vector(values: Iterable) -> tuple[Fraction, ...]:
+    """The dense field of a direct constructor: ``values`` with every
+    ``int`` made a ``Fraction``; ValueError unless each is a ``Fraction``
+    or an ``int`` (not a ``bool``)."""
+    out = []
     for a in values:
-        if a.__class__ is not Fraction and (
-                isinstance(a, bool) or not isinstance(a, (int, Fraction))):
-            raise ValueError(f"cannot store {_leaf(a)} as an exact rational: "
-                             "expected a Fraction or an int")
+        if a.__class__ is not Fraction:
+            if isinstance(a, bool) or not isinstance(a, (int, Fraction)):
+                raise ValueError(f"cannot store {_leaf(a)} as an exact "
+                                 "rational: expected a Fraction or an int")
+            a = Fraction(a)
+        out.append(a)
+    return tuple(out)
 
 
 def _sparse_entries(items: Iterable[tuple[int, object]]) -> Row:
-    """The nonzero entries of ``(index, value)`` pairs, each made a
-    ``Fraction`` by :func:`as_rational`: the one rule by which values of
-    the API enter a sparse row (JSON leaves enter by
+    """The nonzero entries of ``(index, value)`` pairs, each read by
+    :func:`as_rational` and held by the scalar rule: the one rule by which
+    values of the API enter a sparse row (JSON leaves enter by
     :func:`_json_entries`), so a float raises ValueError."""
     return {j: q for j, a in items
-            if (q := a if a.__class__ is Fraction else as_rational(a))}
+            if (q := a if a.__class__ is int else _entry(as_rational(a)))}
 
 
 def _json_entries(values: list) -> Row:
-    """The nonzero entries of a JSON array of rationals: an integer ``0``
-    is skipped after one class test, another integer becomes a
-    ``Fraction``, and every other leaf is decoded by
-    :func:`rational_from_json` (so a boolean, a float or a malformed
-    literal raises ValueError, and ``"0/3"`` is dropped once decoded)."""
+    """The nonzero entries of a JSON array of rationals: an integer is kept
+    after one class test (``0`` skipped), every other leaf is decoded by
+    :func:`rational_from_json` (a boolean, a float or a malformed literal
+    raises ValueError, ``"0/3"`` is dropped) and held by the scalar rule."""
     out: Row = {}
     for j, a in enumerate(values):
         if a.__class__ is int:
             if a:
-                out[j] = Fraction(a)
+                out[j] = a
         elif q := rational_from_json(a):
-            out[j] = q
+            out[j] = _entry(q)
     return out
 
 
@@ -286,10 +295,10 @@ def _json_row(row: Row, n: int) -> list[int | str]:
 
 
 def _dense_vector(row: Row, n: int) -> tuple[Fraction, ...]:
-    """The dense vector of length ``n`` with these entries."""
+    """The dense vector of length ``n`` with these entries as Fractions."""
     out = [_ZERO] * n
     for j, a in row.items():
-        out[j] = a
+        out[j] = a if a.__class__ is Fraction else Fraction(a)
     return tuple(out)
 
 
@@ -308,19 +317,18 @@ def _row_sub(u: Row, v: Row) -> Row:
 
 
 def _axpy(acc: Row, factor: Fraction, other: Row) -> None:
-    """``acc += factor * other`` in place, deleting each entry that cancels:
-    the package's one accumulation of a scaled sparse row.  ``acc`` is a
-    row the caller owns and has no zero entry; ``factor`` and the entries
-    of ``other`` are nonzero, so neither has one afterwards."""
+    """``acc += factor * other`` in place, deleting each entry that cancels
+    and holding each it writes by the scalar rule: the one accumulation of
+    a scaled sparse row.  ``acc`` is the caller's, without zero entries;
+    ``factor`` and the entries of ``other`` are nonzero, so it stays so."""
     for j, b in other.items():
-        if j in acc:
-            v = acc[j] + factor * b
-            if v:
-                acc[j] = v
-            else:
-                del acc[j]
+        v = acc[j] + factor * b if j in acc else factor * b
+        if not v:
+            del acc[j]
+        elif v.__class__ is Fraction and v.denominator == 1:
+            acc[j] = v.numerator
         else:
-            acc[j] = factor * b
+            acc[j] = v
 
 
 class _Lazy:
@@ -350,7 +358,8 @@ class Matrix(Value):
 
     :attr:`sparse_rows` holds the nonzero entries of each row and
     :attr:`sparse_cols` those of each column, each a ``dict`` from index to
-    ``Fraction``.  Every builder of the class, :meth:`from_json` and
+    an entry held by the package's scalar rule (an ``int`` exactly when
+    integral).  Every builder of the class, :meth:`from_json` and
     :meth:`to_json` included, keeps or reads only the sparse rows; the
     dense row-major :attr:`entries` are built on first read, unless they
     were given to the constructor or :meth:`from_rows`, which validate
@@ -359,7 +368,9 @@ class Matrix(Value):
 
     Products, sums, :meth:`apply` and the eliminations read the sparse
     rows, so they cost in proportion to the nonzeros, not to the shape;
-    every entry of a result is a ``Fraction``.  Degenerate shapes (0 rows
+    every dense view of a result (:attr:`entries`, :meth:`row`,
+    :meth:`col`, :meth:`apply`, indexing) holds ``Fraction`` entries, also
+    where the entries were given as ``int``.  Degenerate shapes (0 rows
     and/or 0 columns) are legal; they show up as boundary matrices of
     zero-dimensional cochain spaces.
     """
@@ -373,10 +384,12 @@ class Matrix(Value):
             raise LinAlgError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
             raise LinAlgError("row count does not match entries")
+        entries = []
         for row in self.entries:
             if len(row) != self.cols:
                 raise LinAlgError("ragged rows in matrix entries")
-            _require_exact(row)
+            entries.append(_exact_vector(row))
+        object.__setattr__(self, "entries", tuple(entries))
 
     @_Lazy
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -402,7 +415,8 @@ class Matrix(Value):
     @classmethod
     def _wrap(cls, sparse: tuple[Row, ...], cols: int) -> "Matrix":
         """The matrix whose sparse rows are ``sparse``, taken as they are:
-        nonzero ``Fraction`` entries in columns below ``cols``."""
+        nonzero entries held by the scalar rule, in columns below
+        ``cols``."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", len(sparse))
         object.__setattr__(m, "cols", cols)
@@ -419,13 +433,13 @@ class Matrix(Value):
     def from_sparse(cls, rows: Sequence[Row], cols: int) -> "Matrix":
         """The matrix with these sparse rows (columns below ``cols``), which
         it keeps as its :attr:`sparse_rows`, without zero entries and with
-        every entry made a ``Fraction`` by :func:`_sparse_entries`."""
+        every entry held by the scalar rule (:func:`_sparse_entries`)."""
         return cls._wrap(tuple(_sparse_entries(row.items()) for row in rows),
                          cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._wrap(tuple({i: _ONE} for i in range(n)), n)
+        return cls._wrap(tuple({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -488,10 +502,10 @@ class Matrix(Value):
                                   for row in self.sparse_rows), self.cols)
 
     def scale(self, c: int | str | Fraction) -> "Matrix":
-        q = as_rational(c)
+        q = _entry(as_rational(c))
         if not q:
             return Matrix.zeros(self.rows, self.cols)
-        return Matrix._wrap(tuple({j: q * a for j, a in row.items()}
+        return Matrix._wrap(tuple({j: _entry(q * a) for j, a in row.items()}
                                   for row in self.sparse_rows), self.cols)
 
     def __rmul__(self, c: int | Fraction) -> "Matrix":
@@ -542,7 +556,8 @@ class Matrix(Value):
         ``(A kron B)[(i,j),(k,l)] = A[i][k] * B[j][l]``."""
         w = other.cols
         return Matrix._wrap(tuple(
-            {k * w + l: a * b for k, a in arow.items() for l, b in brow.items()}
+            {k * w + l: _entry(a * b)
+             for k, a in arow.items() for l, b in brow.items()}
             for arow in self.sparse_rows for brow in other.sparse_rows),
             self.cols * w)
 
@@ -651,8 +666,9 @@ def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
     Every pivot row is kept zero in the other pivot columns and left of its
     own pivot, so one pass over a new row's pivot columns reduces it, and
     the rows held at the end are the unique reduced row echelon form.
-    Entries may be ``int`` or ``Fraction``: a row is scaled by its lead as
-    an exact ``Fraction`` division (or a negation), so no float arises.
+    A row is scaled by its lead as an exact ``Fraction`` division (or a
+    negation), so no float arises, and the divided row is held by the
+    scalar rule.
     """
     pivot_rows: dict[int, Row] = {}
     rest = []
@@ -670,7 +686,7 @@ def _rref(rows: list[Row], width: int) -> tuple[list[Row], list[int]]:
         elif lead != 1:
             if lead.__class__ is int:
                 lead = Fraction(lead)  # int / int would be a float
-            row = {j: a / lead for j, a in row.items()}
+            row = {j: _entry(a / lead) for j, a in row.items()}
         for other in pivot_rows.values():
             if pivot in other:
                 _axpy(other, -other[pivot], row)
@@ -709,15 +725,14 @@ def _kernel(rows: list[Row], width: int) -> tuple[Matrix, list[int]]:
     ``width`` (consumed), and the free columns of their RREF.  The basis is
     the columns of a ``width x (width - rank)`` :class:`Matrix`: column i
     sets the i-th free column to 1, and the row of pivot p holds
-    ``-R_p[j]`` at the index of each free column j, a ``Fraction`` also
-    where the rows held an ``int``."""
+    ``-R_p[j]`` at the index of each free column j."""
     reduced, pivots = _rref(rows, width)
     pivot_set = set(pivots)
     free = [j for j in range(width) if j not in pivot_set]
     at = {j: i for i, j in enumerate(free)}
-    out: list[Row] = [{at[j]: _ONE} if j in at else {} for j in range(width)]
+    out: list[Row] = [{at[j]: 1} if j in at else {} for j in range(width)]
     for row, p in zip(reduced, pivots):
-        out[p] = _sparse_entries((at[j], -a) for j, a in row.items() if j != p)
+        out[p] = {at[j]: -a for j, a in row.items() if j != p}
     return Matrix._wrap(tuple(out), len(free)), free
 
 
@@ -736,7 +751,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     rows = _sparse(m)
     for i, row in enumerate(rows):
-        row[n + i] = Fraction(1)
+        row[n + i] = 1
     reduced, pivots = _rref(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular")
@@ -751,18 +766,14 @@ def solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """
     if len(rhs) != m.rows:
         raise LinAlgError("right-hand side length does not match row count")
-    rows = _sparse(m)
-    for row, b in zip(rows, rhs):
-        b = as_rational(b)
-        if b:
-            row[m.cols] = b
-    reduced, pivots = _rref(rows, m.cols)
+    rows, n = _sparse(m), m.cols
+    for i, b in _sparse_vector(rhs).items():
+        rows[i][n] = b
+    reduced, pivots = _rref(rows, n)
     if len(reduced) > len(pivots):
         raise InconsistentSystemError("linear system has no solution")
-    x = [Fraction(0)] * m.cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row.get(m.cols, Fraction(0))
-    return tuple(x)
+    return _dense_vector({p: row[n] for row, p in zip(reduced, pivots)
+                          if n in row}, n)
 
 
 def try_solve(m: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

@@ -76,6 +76,13 @@ from bihom.linalg import (LinAlgError, Value, _axpy, rank, rational_from_json,
 Q = Fraction
 
 
+def held_by_rule(values) -> bool:
+    """Every value is an ``int`` exactly when it is integral and a
+    ``Fraction`` otherwise: the class a sparse row holds it as."""
+    return all(type(a) is (int if a.denominator == 1 else Fraction)
+               for a in values)
+
+
 # ---------------------------------------------------------------------------
 # dense vectors
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from oracles import (
     dense_matmul,
     dense_rank,
     dense_try_solve,
+    held_by_rule,
 )
 
 Q = Fraction
@@ -185,7 +186,7 @@ class TestAxpy:
     kernels that accumulate through it.  Values from {-1, 1, 2, 1/2} make
     cancellation common."""
 
-    values = st.sampled_from([Q(-1), Q(1), Q(2), Q(1, 2)])
+    values = st.sampled_from([-1, 1, 2, Q(1, 2)])
     rows = st.dictionaries(st.integers(0, 4), values, max_size=5)
 
     @given(acc=rows, factor=values, other=rows)
@@ -195,7 +196,7 @@ class TestAxpy:
         row = dict(acc)
         _axpy(row, factor, other)
         assert [row.get(j, Q(0)) for j in range(5)] == expected
-        assert all(row.values()) and all_fractions(row.values())
+        assert all(row.values()) and held_by_rule(row.values())
 
     @given(row=rows, factor=values)
     def test_cancelling_a_multiple_empties_the_row(self, row, factor):

@@ -69,6 +69,7 @@ from oracles import (
     dense_tensor_sub,
     dense_twisted_product,
     dense_value,
+    held_by_rule,
 )
 from test_checker_oracles import (
     lie_reps,
@@ -111,10 +112,12 @@ def pairs(draw, n=None):
     return both(draw(nests(draw(dims) if n is None else n)))
 
 
-def all_fractions(p: BilinearProduct) -> bool:
+def exact_classes(p: BilinearProduct) -> bool:
+    """The dense nest holds ``Fraction`` entries, the table's sparse rows
+    hold theirs by the scalar rule."""
     return (all(type(x) is Fraction for plane in p.c for v in plane for x in v)
-            and all(type(x) is Fraction
-                    for row in p.table.sparse_rows for x in row.values()))
+            and held_by_rule(x for row in p.table.sparse_rows
+                             for x in row.values()))
 
 
 def same(p: BilinearProduct, ref: BilinearProduct) -> None:
@@ -124,12 +127,12 @@ def same(p: BilinearProduct, ref: BilinearProduct) -> None:
     assert repr(p) == repr(ref)
     assert p.c == ref.c
     assert p.to_json() == ref.to_json()
-    assert all_fractions(p)
+    assert exact_classes(p)
 
 
 def same_json(p: BilinearProduct, ref: BilinearProduct) -> None:
     assert p.to_json() == ref.to_json()
-    assert all_fractions(p)
+    assert exact_classes(p)
 
 
 class TestSparseAgainstDense:
@@ -188,7 +191,7 @@ class TestSparseAgainstDense:
         for p in (built, BilinearProduct.from_entries(nest)):
             for (i, j), row in rows.items():
                 assert p.pair(i, j) == {k: x for k, x in row.items() if x}
-                assert all(type(x) is Fraction for x in p.pair(i, j).values())
+                assert held_by_rule(p.pair(i, j).values())
                 assert p.basis_value(i, j) == tuple(p.pair(i, j).get(k, 0)
                                                     for k in range(n))
 
